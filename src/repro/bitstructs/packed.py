@@ -96,13 +96,13 @@ class PackedCounterArray:
 
         This is the bulk form of :meth:`maximize` used by the vectorized
         ``update_batch`` paths (HyperLogLog/LogLog registers, RoughEstimator
-        counters): the per-index maxima are reduced with
-        :func:`repro.vectorize.grouped_max_scatter`,
-        compared against a bulk :meth:`to_numpy` read, and — when anything
-        actually grew — the whole buffer is re-packed in one vectorized
-        pass instead of one Python big-int rewrite per touched counter.
-        The final state is identical to calling :meth:`maximize` per pair
-        in any order (maximum is commutative and associative).
+        counters): the pairs are scattered with
+        :func:`repro.vectorize.grouped_max_scatter` straight into a copy of
+        one bulk :meth:`to_numpy` read, and — when anything actually grew —
+        the whole buffer is re-packed in one vectorized pass instead of one
+        Python big-int rewrite per touched counter.  The final state is
+        identical to calling :meth:`maximize` per pair in any order
+        (maximum is commutative and associative).
 
         Args:
             indices: integer ndarray of counter indices (already validated
@@ -115,10 +115,7 @@ class PackedCounterArray:
             return
         indices = np.asarray(indices, dtype=np.int64)
         if self.width > _WORD_WIDTH_LIMIT:  # pragma: no cover - no current user
-            touched, inverse = np.unique(indices, return_inverse=True)
-            maxima = np.zeros(len(touched), dtype=np.int64)
-            grouped_max_scatter(maxima, inverse, np.asarray(values, dtype=np.int64))
-            for index, value in zip(touched.tolist(), maxima.tolist()):
+            for index, value in zip(indices.tolist(), np.asarray(values).tolist()):
                 self.maximize(index, value)
             return
         if int(indices.min()) < 0 or int(indices.max()) >= self.length:
@@ -126,20 +123,17 @@ class PackedCounterArray:
             raise ParameterError(
                 "index %d outside [0, %d)" % (bad, self.length)
             )
-        touched, inverse = np.unique(indices, return_inverse=True)
-        maxima = np.zeros(len(touched), dtype=np.int64)
-        grouped_max_scatter(maxima, inverse, np.asarray(values, dtype=np.int64))
-        current = self.to_numpy()
-        changed = maxima > current[touched].astype(np.int64)
-        if not changed.any():
+        current = self.to_numpy().astype(np.int64)
+        grown = current.copy()
+        grouped_max_scatter(grown, indices, np.asarray(values, dtype=np.int64))
+        if np.array_equal(grown, current):
             return
-        peak = int(maxima[changed].max())
+        peak = int(grown.max())
         if peak > self._mask:
             raise ParameterError(
                 "value %d does not fit in %d bits" % (peak, self.width)
             )
-        current[touched[changed]] = maxima[changed].astype(np.uint64)
-        self._buffer = self._pack(current)
+        self._buffer = self._pack(grown.astype(np.uint64))
 
     def fill(self, value: int) -> None:
         """Set every counter to ``value``."""

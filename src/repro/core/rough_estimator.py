@@ -40,7 +40,13 @@ from ..hashing.uniform import LazyUniformHash
 from ..hashing.universal import PairwiseHash
 from ..vectorize import as_key_array, np
 
-__all__ = ["RoughEstimator", "FastRoughEstimator", "OCCUPANCY_THRESHOLD_RHO", "rough_counter_count"]
+__all__ = [
+    "RoughEstimator",
+    "FastRoughEstimator",
+    "OCCUPANCY_THRESHOLD_RHO",
+    "rough_counter_count",
+    "threshold_estimates",
+]
 
 #: The occupancy threshold ``rho = 0.99 (1 - e^{-1/3})`` from Figure 2.
 OCCUPANCY_THRESHOLD_RHO = 0.99 * (1.0 - math.exp(-1.0 / 3.0))
@@ -60,6 +66,32 @@ def rough_counter_count(universe_size: int) -> int:
     log_n = max(math.log2(universe_size), 2.0)
     log_log_n = max(math.log2(log_n), 1.0)
     return max(8, int(math.ceil(log_n / log_log_n)))
+
+
+def threshold_estimates(stored, rank: int):
+    """Figure 2's per-copy report for counters along the last axis of ``stored``.
+
+    ``stored`` holds counters shifted by +1 (0 = empty), as the packed
+    arrays keep them.  ``T_r >= rank`` holds exactly when the ``rank``-th
+    largest stored value is at least ``r + 1``, so the largest such level
+    is that value minus one and the report is ``2^(value - 1) K_RE``; a
+    value of 0 (or a ``rank`` above ``K_RE``) means no level qualifies and
+    the report is -1.  One ``np.partition`` replaces the level-by-level
+    count of the scalar rule.
+
+    Args:
+        stored: integer ndarray, ``K_RE`` counters along the last axis.
+        rank: ``ceil(rho K_RE)``; must be at least 1.
+
+    Returns:
+        A float ndarray of ``stored.shape[:-1]`` (0-d for one copy).
+    """
+    count = stored.shape[-1]
+    if rank > count:
+        return np.full(stored.shape[:-1], -1.0)
+    kth = np.partition(stored, count - rank, axis=-1)[..., count - rank]
+    exponents = (np.maximum(kth, 1) - 1).astype(np.int32)
+    return np.where(kth >= 1, np.ldexp(float(count), exponents), -1.0)
 
 
 class _RoughCopy:
@@ -114,15 +146,15 @@ class _RoughCopy:
         return self.counters.count_at_least(level + 1)
 
     def estimate(self, threshold: float) -> float:
-        """Return ``2^{r*} K_RE`` for the largest level meeting the threshold, or -1."""
-        best = -1
-        for level in range(self.level_limit, -1, -1):
-            if self.counts_at_least(level) >= threshold:
-                best = level
-                break
-        if best < 0:
-            return -1.0
-        return float((1 << best) * self.counters.length)
+        """Return ``2^{r*} K_RE`` for the largest level meeting the threshold, or -1.
+
+        ``T_r`` is an integer, so ``T_r >= threshold`` is ``T_r >=
+        ceil(threshold)``; one counter read answers every level at once
+        (:func:`threshold_estimates`).  ``threshold`` must be positive.
+        """
+        return float(
+            threshold_estimates(self.counters.to_numpy(), int(math.ceil(threshold)))
+        )
 
     def space(self) -> SpaceBreakdown:
         breakdown = SpaceBreakdown("rough-copy")

@@ -16,7 +16,10 @@ the same discipline:
 Applying before logging means a record that fails the target's own
 validation never reaches the log, so replay can never hit a poison
 record; the cost is that a crash between steps 2 and 3 loses exactly
-that one unacknowledged batch — still a valid prefix state.
+that one unacknowledged batch — still a valid prefix state.  A failed
+write (step 3 or a snapshot) is treated the same way, fail-stop: the
+live target is then ahead of the log, so the checkpointer refuses every
+later mutation instead of logging records recovery could never reach.
 
 Snapshots (``to_bytes`` of the whole target) are written atomically,
 sealing the current segment; compaction then deletes every segment that
@@ -279,6 +282,8 @@ class Checkpointer:
         self.snapshot_every = snapshot_every
         self.keep_snapshots = keep_snapshots
         self._since_snapshot = 0
+        #: The write error that stopped this checkpointer, if any.
+        self._failure: Optional[Exception] = None
         if _resume is not None:
             self._log, self._seq = _resume
             # A clean close() seals a snapshot and then leaves an empty
@@ -394,17 +399,37 @@ class Checkpointer:
         return self._commit({"op": "call", "name": name, "args": list(args)})
 
     def _commit(self, tree: dict) -> int:
+        self._check_usable()
         payload = serialize.dumps_tree(tree)
         # Apply the DECODED record, not the original arguments: replay
         # will see exactly these values, so live state and recovered
         # state run the same code on the same bytes.
         apply_delta(self.target, serialize.loads_tree(payload))
-        self._seq += 1
-        self._log.append(RECORD_KIND_DELTA, self._seq, payload)
+        seq = self._seq + 1
+        self._durably(self._log.append, RECORD_KIND_DELTA, seq, payload)
+        self._seq = seq
         self._since_snapshot += 1
         if self.snapshot_every is not None and self._since_snapshot >= self.snapshot_every:
             self.snapshot()
         return self._seq
+
+    def _check_usable(self) -> None:
+        if self._failure is not None:
+            raise PersistenceError(
+                "checkpointer for %r stopped after a failed write at seq %d; "
+                "recover() the directory to continue" % (self.directory, self._seq)
+            ) from self._failure
+
+    def _durably(self, write: Callable[..., Any], *args: Any) -> Any:
+        """Run one log write; a failure stops this checkpointer for good."""
+        try:
+            return write(*args)
+        except Exception as exc:
+            self._failure = exc
+            raise PersistenceError(
+                "durable write to %r failed after seq %d: %s"
+                % (self.directory, self._seq, exc)
+            ) from exc
 
     # -- snapshots and compaction -------------------------------------------
 
@@ -416,13 +441,18 @@ class Checkpointer:
         depends on is deleted.  Idempotent at a given seq: a second call
         with no intervening deltas returns the existing snapshot.
         """
+        self._check_usable()
         if self._since_snapshot == 0:
             snapshots = self._log.snapshot_paths()
             if snapshots and snapshots[-1][0] == self._seq:
                 return snapshots[-1][1]
-        path = self._log.write_snapshot(self._seq, self.target.to_bytes())
-        self._log.open_segment(self._seq + 1)
+        path = self._durably(self._write_snapshot, self.target.to_bytes())
         self._since_snapshot = 0
+        return path
+
+    def _write_snapshot(self, payload: bytes) -> str:
+        path = self._log.write_snapshot(self._seq, payload)
+        self._log.open_segment(self._seq + 1)
         self._compact()
         return path
 

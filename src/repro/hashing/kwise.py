@@ -18,16 +18,41 @@ Pagh--Pagh families provided in :mod:`repro.hashing.siegel` and
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .entropy import fresh_rng
 from typing import List, Optional, Sequence
 
 from ..exceptions import ParameterError
-from ..vectorize import as_key_array, kwise_mod_range
+from ..vectorize import as_key_array, kwise_mod_range, np
 from .primes import field_prime_for_universe
 
 __all__ = ["KWiseHash", "required_independence"]
+
+#: Largest key domain whose batch evaluations are answered from a value
+#: table (Figure 2's ``h3`` has domain ``K_RE^3``: 32768 at ``n = 2^32``).
+TABLE_DOMAIN_LIMIT = 1 << 16
+
+#: Tables kept by the process-wide LRU; the worst case is
+#: ``TABLE_CAPACITY * TABLE_DOMAIN_LIMIT * 8`` bytes = 32 MiB.
+TABLE_CAPACITY = 64
+
+#: Marks a table entry not evaluated yet; every hash value is below the
+#: field prime (< 2^63), so it never collides with one.
+_UNFILLED = np.uint64(2**64 - 1) if np is not None else None
+
+
+@functools.lru_cache(maxsize=TABLE_CAPACITY)
+def _value_table(coefficients, prime, universe_size, range_size):
+    """The shared, lazily filled value table of one polynomial.
+
+    A process-local cache of a pure function, keyed by everything the
+    values depend on: it is never part of a sketch's state, so equal
+    functions (same-seed sketches, decoded copies, forked workers) share
+    one table and serialized bytes never see it.
+    """
+    return np.full(universe_size, _UNFILLED, dtype=np.uint64)
 
 
 def required_independence(bins: int, eps: float) -> int:
@@ -155,10 +180,36 @@ class KWiseHash:
         The whole Horner chain is one seam kernel
         (:func:`repro.vectorize.kwise_mod_range`), so compiled backends
         fuse all ``k`` field operations into a single pass per key.
+
+        For a small domain (``universe_size <= TABLE_DOMAIN_LIMIT``, such
+        as Figure 2's ``h3`` over ``[K_RE^3]``) the values come from a
+        process-wide table instead: keys whose entry is still unfilled go
+        through the same kernel once, and every later batch is a gather.
+        The output (``uint64``) and its values are the kernel's.
         """
-        return kwise_mod_range(
-            self._coefficients, keys, self._prime, self.universe_size, self.range_size
+        if (
+            self.universe_size > TABLE_DOMAIN_LIMIT
+            or self._prime >= (1 << 63)
+            or keys.dtype != np.uint64
+        ):
+            return kwise_mod_range(
+                self._coefficients, keys, self._prime, self.universe_size, self.range_size
+            )
+        table = _value_table(
+            tuple(self._coefficients), self._prime, self.universe_size, self.range_size
         )
+        # Concurrent fills write identical values, so racing threads can
+        # only repeat an evaluation, never lose or corrupt one.
+        values = table[keys]
+        missing = values == _UNFILLED
+        if missing.any():
+            fresh = keys[missing]
+            computed = kwise_mod_range(
+                self._coefficients, fresh, self._prime, self.universe_size, self.range_size
+            )
+            table[fresh] = computed
+            values[missing] = computed
+        return values
 
     def space_bits(self) -> int:
         """Return the number of bits needed to store this function.

@@ -39,7 +39,7 @@ from ..baselines.linear_counting import LinearCounter
 from ..baselines.loglog import LogLogCounter
 from ..bitstructs.bitvector import BitVector
 from ..bitstructs.packed import PackedCounterArray
-from ..core.rough_estimator import RoughEstimator
+from ..core.rough_estimator import RoughEstimator, threshold_estimates
 from ..estimators.base import TurnstileEstimator
 from ..exceptions import ParameterError
 from ..hashing.bitops import lsb, lsb_batch, rho_batch
@@ -507,13 +507,7 @@ class RoughSketchArray(SketchArray):
         return float(self._floors[row])
 
     def _medians(self, state):
-        count = self.counters_per_copy
-        rank = count - self._threshold_rank
-        kth = np.partition(state, rank, axis=2)[:, :, rank]
-        exponents = (np.maximum(kth, 1) - 1).astype(np.int32)
-        per_copy = np.where(
-            kth >= 1, np.ldexp(float(count), exponents), -1.0
-        )
+        per_copy = threshold_estimates(state, self._threshold_rank)
         return np.sort(per_copy, axis=1)[:, self.copies // 2]
 
     # -- row materialisation ---------------------------------------------------------

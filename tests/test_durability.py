@@ -23,6 +23,7 @@ The proof obligations of :mod:`repro.durability`, from the bottom up:
 
 from __future__ import annotations
 
+import errno
 import os
 
 import numpy as np
@@ -331,6 +332,82 @@ class TestCompaction:
             checkpointer.ingest(np.arange(64, dtype=np.uint64))
             first = checkpointer.snapshot()
             assert checkpointer.snapshot() == first
+
+
+class TestFailStop:
+    """A failed write stops the checkpointer; no acknowledged record is lost."""
+
+    def _failing(self, monkeypatch, method, fail_at, code):
+        """Make the ``fail_at``-th call of ``DurableLog.<method>`` raise."""
+        calls = []
+        original = getattr(DurableLog, method)
+
+        def write(log, *args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise OSError(code, os.strerror(code))
+            return original(log, *args)
+
+        monkeypatch.setattr(DurableLog, method, write)
+        return calls
+
+    def _assert_stopped(self, checkpointer, trees, seq):
+        assert checkpointer.seq == seq
+        mutations = [
+            lambda: checkpointer.ingest(**trees[seq + 1]),
+            lambda: checkpointer.advance_epoch(),
+            lambda: checkpointer.call("update_batch", [1]),
+            checkpointer.snapshot,
+        ]
+        for mutation in mutations:
+            with pytest.raises(PersistenceError, match="stopped after a failed write"):
+                mutation()
+        assert checkpointer.seq == seq
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])
+    def test_failed_append(self, tmp_path, monkeypatch, fail_at):
+        spec = _spec(tmp_path, kind="estimator", family="knw-paper", workload="skew")
+        trees = list(iter_delta_trees(spec))
+        calls = self._failing(monkeypatch, "append", fail_at, errno.ENOSPC)
+        checkpointer = Checkpointer(
+            build_target(spec), spec["directory"], snapshot_every=spec["snapshot_every"]
+        )
+        for tree in trees[: fail_at - 1]:
+            checkpointer.ingest(**tree)
+        with pytest.raises(PersistenceError) as raised:
+            checkpointer.ingest(**trees[fail_at - 1])
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        self._assert_stopped(checkpointer, trees, fail_at - 1)
+        assert len(calls) == fail_at  # nothing reached the log after the failure
+        checkpointer.close()
+        target, report = recover(spec["directory"])
+        assert report.clean
+        assert report.last_seq == fail_at - 1
+        assert target.to_bytes() == run_clean(spec, upto=fail_at - 1).to_bytes()
+
+    def test_failed_snapshot(self, tmp_path, monkeypatch):
+        spec = _spec(tmp_path, kind="estimator", family="hyperloglog", workload="skew")
+        trees = list(iter_delta_trees(spec))
+        # Call 1 is the seq-0 snapshot; call 2 is the automatic one after seq 3.
+        self._failing(monkeypatch, "write_snapshot", 2, errno.EIO)
+        checkpointer = Checkpointer(
+            build_target(spec), spec["directory"], snapshot_every=spec["snapshot_every"]
+        )
+        for tree in trees[:2]:
+            checkpointer.ingest(**tree)
+        segments = checkpointer.log.segment_paths()
+        with pytest.raises(PersistenceError) as raised:
+            checkpointer.ingest(**trees[2])
+        assert raised.value.__cause__.errno == errno.EIO
+        # Record 3 was appended before the snapshot failed: it is acknowledged,
+        # and the segments holding records 1-3 were not compacted away.
+        self._assert_stopped(checkpointer, trees, 3)
+        assert checkpointer.log.segment_paths() == segments
+        checkpointer.close()
+        target, report = recover(spec["directory"])
+        assert report.clean
+        assert (report.snapshot_seq, report.last_seq) == (0, 3)
+        assert target.to_bytes() == run_clean(spec, upto=3).to_bytes()
 
 
 class TestCrashInjection:

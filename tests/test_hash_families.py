@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
+import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.exceptions import ParameterError
+from repro import kernels
+from repro.estimators.registry import make_f0_estimator
+from repro.exceptions import KernelBackendError, ParameterError
+from repro.hashing import kwise
+from repro.vectorize import kwise_mod_range
 from repro.hashing import (
     KWiseHash,
     LazyUniformHash,
@@ -105,6 +113,159 @@ class TestKWiseHash:
     def test_degree_one_behaves_like_constant(self):
         h = KWiseHash(100, 16, independence=1, coefficients=[9])
         assert all(h(x) == 9 % 16 for x in range(100))
+
+
+def _loadable_backends():
+    names = []
+    for name in kernels.available_backends():
+        try:
+            kernels.load_backend(name)
+        except KernelBackendError:
+            continue
+        names.append(name)
+    return names
+
+
+@pytest.fixture(params=_loadable_backends())
+def backend(request):
+    """Run under each loadable kernel backend, restoring the selection after."""
+    saved = kernels._active, kernels._chosen_by
+    kernels.set_backend(request.param)
+    yield request.param
+    kernels._active, kernels._chosen_by = saved
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the Horner kernel calls made by ``KWiseHash`` batches."""
+    calls = []
+    direct = kwise.kwise_mod_range
+
+    def counted(coefficients, keys, *rest):
+        calls.append(len(keys))
+        return direct(coefficients, keys, *rest)
+
+    monkeypatch.setattr(kwise, "kwise_mod_range", counted)
+    return calls
+
+
+def _figure2_h3(counters, seed):
+    """Figure 2's ``h3: [K_RE^3] -> [K_RE]``, ``2 K_RE``-wise independent."""
+    return KWiseHash(counters ** 3, counters, 2 * counters, rng=random.Random(seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _horner_values(counters, seed):
+    h = _figure2_h3(counters, seed)
+    return np.array([h(x) for x in range(h.universe_size)], dtype=np.uint64)
+
+
+def _table_of(h):
+    return kwise._value_table(tuple(h._coefficients), h._prime, h.universe_size, h.range_size)
+
+
+class TestKWiseValueTable:
+    """Small-domain batches answer from a lazily filled, process-wide table."""
+
+    @pytest.mark.parametrize("counters", [8, 20, 32])
+    def test_table_equals_horner_cold_partial_warm(self, backend, kernel_calls, counters):
+        kwise._value_table.cache_clear()
+        h = _figure2_h3(counters, seed=counters)
+        expected = _horner_values(counters, counters)
+        domain = h.universe_size
+        rng = np.random.default_rng(counters)
+        # Cold table: a batch with repeated keys fills only what it touches.
+        first = rng.integers(0, domain, domain // 3, dtype=np.uint64)
+        first = np.concatenate([first, first[: len(first) // 2]])
+        values = h.hash_batch_validated(first)
+        assert values.dtype == np.uint64
+        assert np.array_equal(values, expected[first])
+        assert kernel_calls == [len(first)]
+        table = _table_of(h)
+        filled = table != kwise._UNFILLED
+        assert np.array_equal(filled, np.isin(np.arange(domain), first))
+        # Partially filled: every domain point, shuffled, with repeats; only
+        # the keys still unfilled reach the kernel.
+        every = rng.permutation(np.concatenate([np.arange(domain), first]).astype(np.uint64))
+        assert np.array_equal(h.hash_batch_validated(every), expected[every])
+        missing = int(np.count_nonzero(~np.isin(every, first)))
+        assert kernel_calls == [len(first), missing]
+        # Warm: a gather, no kernel call, same dtype and values as the kernel.
+        assert np.array_equal(h.hash_batch_validated(every), expected[every])
+        assert len(kernel_calls) == 2
+        direct = kwise_mod_range(h._coefficients, every, h._prime, domain, h.range_size)
+        assert direct.dtype == np.uint64
+        assert np.array_equal(h.hash_batch(every), direct)
+        assert np.array_equal(table, expected)
+
+    def test_sketch_bytes_identical_with_direct_cold_and_warm_tables(self, backend, monkeypatch):
+        items = np.random.default_rng(3).integers(0, 1 << 32, 60_000, dtype=np.uint64)
+
+        def ingest():
+            sketch = make_f0_estimator("knw-paper", 1 << 32, 0.05, seed=9)
+            for start in range(0, len(items), 7_000):
+                sketch.update_batch(items[start : start + 7_000])
+            return sketch.to_bytes(), sketch.space_bits()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kwise, "TABLE_DOMAIN_LIMIT", 0)
+            direct = ingest()
+        kwise._value_table.cache_clear()
+        cold = ingest()
+        assert kwise._value_table.cache_info().currsize == 3  # Figure 2's three h3
+        warm = ingest()
+        assert direct == cold == warm
+
+    def test_equal_coefficients_share_one_table(self, kernel_calls):
+        kwise._value_table.cache_clear()
+        keys = np.arange(8000, dtype=np.uint64)
+        first, twin, other = _figure2_h3(20, 5), _figure2_h3(20, 5), _figure2_h3(20, 6)
+        first.hash_batch_validated(keys)
+        assert _table_of(first) is _table_of(twin)
+        assert _table_of(first) is not _table_of(other)
+        # The same-seed twin reuses the filled table: no kernel call.
+        twin.hash_batch_validated(keys)
+        assert kernel_calls == [len(keys)]
+        other.hash_batch_validated(keys)
+        assert kernel_calls == [len(keys), len(keys)]
+
+    def test_threads_filling_one_table_agree_with_horner(self):
+        kwise._value_table.cache_clear()
+        expected = _horner_values(20, 7)
+        hashes = [_figure2_h3(20, 7) for _ in range(8)]
+        failures = []
+
+        def work(index):
+            rng = np.random.default_rng(index)
+            for _ in range(40):
+                keys = rng.integers(0, 8000, 300, dtype=np.uint64)
+                if not np.array_equal(hashes[index].hash_batch_validated(keys), expected[keys]):
+                    failures.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(hashes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        table = _table_of(hashes[0])
+        filled = table != kwise._UNFILLED
+        assert np.array_equal(table[filled], expected[filled])
+
+    def test_domain_above_limit_never_builds_a_table(self, kernel_calls):
+        kwise._value_table.cache_clear()
+        h = KWiseHash(kwise.TABLE_DOMAIN_LIMIT + 1, 64, 8, rng=random.Random(4))
+        keys = np.arange(0, h.universe_size, 257, dtype=np.uint64)
+        for _ in range(2):
+            assert h.hash_batch(keys).tolist() == [h(int(x)) for x in keys]
+        assert kernel_calls == [len(keys), len(keys)]
+        assert kwise._value_table.cache_info().currsize == 0
 
 
 class TestTabulationHash:

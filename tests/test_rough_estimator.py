@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bitstructs import PackedCounterArray
 from repro.core import FastRoughEstimator, RoughEstimator, rough_counter_count
 from repro.exceptions import ParameterError
 from repro.streams import distinct_items_stream, growing_then_repeating_stream
+
+
+def _level_walk(copy, threshold):
+    """Figure 2's report, one ``T_r`` count per level from the top down.
+
+    This is the rule as ``_RoughCopy.estimate`` first ran it; the
+    one-read ``np.partition`` form must agree with it exactly.
+    """
+    for level in range(copy.level_limit, -1, -1):
+        if copy.counts_at_least(level) >= threshold:
+            return float((1 << level) * copy.counters.length)
+    return -1.0
 
 
 class TestParameters:
@@ -127,3 +142,56 @@ class TestFastVariant:
         estimator.update(5)
         # The cached estimate is returned without recomputation.
         assert estimator.estimate() == estimator.estimate()
+
+
+class TestOneReadEstimate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        universe_bits=st.sampled_from([4, 10, 20, 32]),
+        counters=st.integers(2, 40),
+        data=st.data(),
+    )
+    def test_matches_level_walk(self, universe_bits, counters, data):
+        estimator = RoughEstimator(1 << universe_bits, counters_per_copy=counters, seed=1)
+        copy = estimator._copies[0]
+        stored = data.draw(
+            st.lists(
+                st.integers(0, copy.level_limit + 1), min_size=counters, max_size=counters
+            ),
+            label="stored",
+        )
+        threshold = data.draw(
+            st.one_of(
+                st.just(estimator._threshold),
+                st.floats(0.01, counters + 3.0),
+                st.integers(1, counters + 3).map(float),
+            ),
+            label="threshold",
+        )
+        copy.counters = PackedCounterArray.from_values(stored, copy._store_width)
+        got = copy.estimate(threshold)
+        assert type(got) is float
+        assert got == _level_walk(copy, threshold)
+
+    def test_empty_counters_and_rank_above_k_re(self):
+        estimator = RoughEstimator(1 << 16, counters_per_copy=8, seed=2)
+        copy = estimator._copies[0]
+        assert copy.estimate(estimator._threshold) == -1.0
+        copy.counters = PackedCounterArray.from_values([17] * 8, copy._store_width)
+        # Every counter at the top level: rank K_RE still qualifies, K_RE + 1 never.
+        assert copy.estimate(8.0) == float((1 << 16) * 8) == _level_walk(copy, 8.0)
+        assert copy.estimate(8.5) == -1.0 == _level_walk(copy, 8.5)
+        assert copy.estimate(9.0) == -1.0 == _level_walk(copy, 9.0)
+
+    def test_estimate_reads_the_counters_once(self, monkeypatch):
+        estimator = RoughEstimator(1 << 20, counters_per_copy=20, seed=3)
+        estimator.update_batch(list(range(0, 1 << 20, 97)))
+        reads = []
+        original = PackedCounterArray.to_numpy
+        monkeypatch.setattr(
+            PackedCounterArray,
+            "to_numpy",
+            lambda self: reads.append(1) or original(self),
+        )
+        estimator.estimate()
+        assert len(reads) == len(estimator._copies)
