@@ -29,12 +29,7 @@ import time
 import numpy as np
 from conftest import emit, metric, record, run_once
 
-from repro.parallel import (
-    parallel_ingest_f0,
-    parallel_merge_shards,
-    shard_items,
-    shutdown_pool,
-)
+from repro.parallel import parallel_ingest_into, shutdown_pool
 from repro.estimators.registry import make_f0_estimator
 
 #: Universe for the parallel benchmark (large enough that 10M items stay
@@ -57,12 +52,7 @@ ESTIMATORS = ["hyperloglog", "kmv", "knw-paper"]
 #: Speedup at least one estimator must reach at full scale.
 SPEEDUP_FLOOR = 2.0
 
-#: Pipelined-handoff speedup over the barrier path required at full
-#: scale with skewed shard sizes (the coordinator merges fast shards
-#: while the straggler is still ingesting).
-PIPELINE_FLOOR = 1.2
-
-#: Cores below which the speedup gates cannot be expressed.
+#: Cores below which the speedup gate cannot be expressed.
 MIN_GATE_CORES = 4
 
 
@@ -88,15 +78,11 @@ def _serial_seconds(name: str, items: np.ndarray) -> "tuple[float, float]":
 
 def _parallel_seconds(name: str, items: np.ndarray) -> "tuple[float, float]":
     start = time.perf_counter()
-    estimator = parallel_ingest_f0(
-        name,
+    estimator = parallel_ingest_into(
+        make_f0_estimator(name, PARALLEL_UNIVERSE, 0.05, seed=1),
         items,
-        0.05,
-        1,
-        universe_size=PARALLEL_UNIVERSE,
         workers=WORKERS,
         batch_size=BATCH_LENGTH,
-        execution="processes",
     )
     return time.perf_counter() - start, estimator.estimate()
 
@@ -172,94 +158,6 @@ def test_parallel_ingest_speedup(benchmark):
     )
 
 
-def _skewed_shards(items: np.ndarray) -> "list[np.ndarray]":
-    """One straggler shard holding half the stream, the rest spread thin.
-
-    The shape that separates the handoff disciplines: under a barrier
-    the coordinator idles on the straggler before merging anything;
-    pipelined, it deserializes and merges every fast shard while the
-    straggler is still ingesting.
-    """
-    half = len(items) // 2
-    thin = np.array_split(items[half:], max(2 * WORKERS - 1, 3))
-    return [items[:half]] + [shard for shard in thin if len(shard)]
-
-
-def _handoff_seconds(name: str, shards, handoff: str) -> "tuple[float, float]":
-    estimator = make_f0_estimator(name, PARALLEL_UNIVERSE, 0.05, seed=1)
-    start = time.perf_counter()
-    parallel_merge_shards(
-        estimator,
-        shards,
-        workers=WORKERS,
-        batch_size=BATCH_LENGTH,
-        execution="processes",
-        handoff=handoff,
-    )
-    return time.perf_counter() - start, estimator.estimate()
-
-
-def test_pipelined_vs_barrier_handoff(benchmark):
-    """E-handoff: completion-order merging vs the legacy all-shard barrier."""
-    items = _stream()
-    shards = _skewed_shards(items)
-    name = "knw-paper"  # heaviest merge cost => most overlap to reclaim
-
-    def experiment():
-        barrier_s, barrier_estimate = _handoff_seconds(name, shards, "barrier")
-        pipelined_s, pipelined_estimate = _handoff_seconds(name, shards, "pipelined")
-        return barrier_s, pipelined_s, barrier_estimate, pipelined_estimate
-
-    barrier_s, pipelined_s, barrier_estimate, pipelined_estimate = run_once(
-        benchmark, experiment
-    )
-    speedup = barrier_s / pipelined_s
-    cores = _usable_cores()
-    emit(
-        "E-handoff -- skewed shards (%d of them, straggler=50%%), %d items, "
-        "%d workers, %d cores" % (len(shards), len(items), WORKERS, cores),
-        "%-12s %10s %12s %9s\n%-12s %10.2f %12.2f %8.2fx"
-        % ("algorithm", "barrier s", "pipelined s", "speedup",
-           name, barrier_s, pipelined_s, speedup),
-    )
-    record(
-        "parallel_ingest",
-        {
-            "handoff_barrier_items_per_s": metric(
-                len(items) / barrier_s, "higher", "rate", "items/s"
-            ),
-            "handoff_pipelined_items_per_s": metric(
-                len(items) / pipelined_s, "higher", "rate", "items/s"
-            ),
-            "handoff_pipelined_speedup": metric(speedup, "higher", "rate"),
-        },
-        scale={"items": len(items), "workers": WORKERS},
-    )
-
-    # Both disciplines must produce the same sketch regardless of timing.
-    assert pipelined_estimate == barrier_estimate, (
-        "pipelined estimate %r diverged from barrier %r"
-        % (pipelined_estimate, barrier_estimate)
-    )
-
-    if cores < MIN_GATE_CORES:
-        emit(
-            "E-handoff gate",
-            "skipped: %d usable core(s) cannot express handoff overlap" % cores,
-        )
-        return
-    if len(items) < 10_000_000:
-        emit(
-            "E-handoff gate",
-            "skipped: smoke-scale stream (%d items < 10M)" % len(items),
-        )
-        return
-    assert speedup >= PIPELINE_FLOOR, (
-        "pipelined handoff reached only %.2fx over the barrier path "
-        "(floor %.1fx) on skewed shards" % (speedup, PIPELINE_FLOOR)
-    )
-
-
 #: Items per call in the warm-vs-cold pool experiment: small enough that
 #: pool startup dominates a cold call, so reuse is what is measured.
 POOL_CALL_ITEMS = 1 << 16
@@ -272,17 +170,14 @@ def test_warm_pool_vs_cold_pool(benchmark):
     """E-pool: persistent-pool reuse vs per-call pool startup."""
     rng = np.random.default_rng(20100609)
     items = rng.integers(0, PARALLEL_UNIVERSE, size=POOL_CALL_ITEMS, dtype=np.uint64)
-    shards = shard_items(items, max(WORKERS, 2))
+    # At least two workers, so every call goes to the pool.
+    workers = max(WORKERS, 2)
 
     def ingest_once() -> float:
         estimator = make_f0_estimator("hyperloglog", PARALLEL_UNIVERSE, 0.05, seed=1)
         start = time.perf_counter()
-        parallel_merge_shards(
-            estimator,
-            shards,
-            workers=WORKERS,
-            batch_size=BATCH_LENGTH,
-            execution="processes",
+        parallel_ingest_into(
+            estimator, items, workers=workers, batch_size=BATCH_LENGTH
         )
         return time.perf_counter() - start
 
@@ -295,7 +190,7 @@ def test_warm_pool_vs_cold_pool(benchmark):
     cold_s, warm_s = run_once(benchmark, experiment)
     emit(
         "E-pool -- %d-item sharded calls, %d workers"
-        % (POOL_CALL_ITEMS, WORKERS),
+        % (POOL_CALL_ITEMS, workers),
         "cold (fresh pool) %8.4f s\nwarm (reused pool) %8.4f s  (%.1fx)"
         % (cold_s, warm_s, cold_s / warm_s),
     )
@@ -306,7 +201,7 @@ def test_warm_pool_vs_cold_pool(benchmark):
             "warm_pool_calls_per_s": metric(1.0 / warm_s, "higher", "rate", "calls/s"),
             "warm_over_cold_speedup": metric(cold_s / warm_s, "higher", "rate"),
         },
-        scale={"items": STREAM_LENGTH, "workers": WORKERS},
+        scale={"items": STREAM_LENGTH, "workers": workers},
     )
     # Reuse must beat startup: a warm call does strictly less work than a
     # cold one (same shards, no worker spawn), and the workload is sized

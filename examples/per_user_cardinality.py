@@ -20,9 +20,7 @@ key-range sharded multi-process path.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import SketchStore, parallel_ingest_keyed
+from repro import SketchStore, parallel_ingest_into
 from repro.analysis import Table
 from repro.streams import keyed_uniform_stream
 
@@ -97,7 +95,7 @@ def main() -> None:
 
     # --- key-range sharded multi-process ingestion ----------------------------
     sharded = store.spawn_empty()
-    parallel_ingest_keyed(sharded, workload.keys, workload.items, workers=4)
+    parallel_ingest_into(sharded, workload.items, keys=workload.keys, workers=4)
     sharded_estimates = sharded.estimate_all()
     print(
         "Sharded: 4-worker key-range ingest matches serial grouped ingest: %s"

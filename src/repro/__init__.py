@@ -43,9 +43,11 @@ The main entry points are:
 * :mod:`repro.serialize` — ``state_dict``/``to_bytes`` sketch transport
   (every estimator round-trips bit-identically).
 * :mod:`repro.parallel` — sharded multi-process ingestion with
-  merge-reduce (``parallel_ingest_f0(..., workers=8)``; the linear L0
-  sketches shard too via ``parallel_ingest_l0``; keyed sketch stores
-  shard by key range via ``parallel_ingest_keyed``).
+  merge-reduce through one entry point,
+  ``parallel_ingest_into(target, items, deltas, keys=..., epochs=...,
+  workers=8)``: the target's type picks the plan — F0 and linear L0
+  sketches shard by range, keyed sketch stores by key, windowed rings
+  by epoch.
 * :mod:`repro.store` — the keyed sketch store: the state of N
   per-entity sketches as struct-of-arrays NumPy matrices, with
   ``update_grouped(keys, items)`` ingesting a whole keyed batch in one
@@ -55,7 +57,7 @@ The main entry points are:
   ring of per-epoch sketches answering "distinct over the last ``k``
   epochs" by memoized merge-rollup (``WindowedSketch(sketch,
   retention=64)``; keyed variant ``WindowedSketchStore``; epoch-range
-  sharding via ``parallel_ingest_windowed``).
+  sharding via ``parallel_ingest_into(ring, items, epochs=...)``).
 * :mod:`repro.analysis.runner` — run any estimator over any stream, with
   optional ``batch_size`` for batched driving and ``workers`` for
   sharded multi-process ingestion.
@@ -95,17 +97,7 @@ from .exceptions import (
 )
 from .l0.knw_l0 import KNWHammingNormEstimator
 from .l0.rough_l0 import RoughL0Estimator
-from .parallel import (
-    mergeable_f0_names,
-    mergeable_l0_names,
-    parallel_ingest_f0,
-    parallel_ingest_into,
-    parallel_ingest_keyed,
-    parallel_ingest_l0,
-    parallel_ingest_updates_into,
-    parallel_ingest_windowed,
-    parallel_ingest_windowed_keyed,
-)
+from .parallel import mergeable_f0_names, mergeable_l0_names, parallel_ingest_into
 from .store import SketchArray, SketchStore, make_sketch_array, sketch_array_family_names
 from .window import WindowedSketch, WindowedSketchStore
 
@@ -140,13 +132,7 @@ __all__ = [
     "RoughL0Estimator",
     "mergeable_f0_names",
     "mergeable_l0_names",
-    "parallel_ingest_f0",
     "parallel_ingest_into",
-    "parallel_ingest_keyed",
-    "parallel_ingest_l0",
-    "parallel_ingest_updates_into",
-    "parallel_ingest_windowed",
-    "parallel_ingest_windowed_keyed",
     "SketchArray",
     "SketchStore",
     "make_sketch_array",

@@ -33,11 +33,7 @@ from typing import List, Optional, Sequence
 from ..estimators.base import CardinalityEstimator, TurnstileEstimator
 from ..estimators.registry import make_f0_estimator, make_l0_estimator
 from ..exceptions import ParameterError, UpdateError
-from ..parallel import (
-    DEFAULT_SHARD_BATCH,
-    parallel_ingest_into,
-    parallel_ingest_updates_into,
-)
+from ..parallel import DEFAULT_SHARD_BATCH, parallel_ingest_into
 from ..streams.model import MaterializedStream
 from .metrics import relative_error
 
@@ -208,22 +204,14 @@ def _drive_sharded(
     chunk = batch_size if batch_size is not None else DEFAULT_SHARD_BATCH
 
     def ingest_segment(start: int, stop: int) -> None:
-        if turnstile:
-            parallel_ingest_updates_into(
-                estimator,
-                (items[start:stop], deltas[start:stop]),
-                workers=workers,
-                shards=workers,
-                batch_size=chunk,
-            )
-        else:
-            parallel_ingest_into(
-                estimator,
-                items[start:stop],
-                workers=workers,
-                shards=workers,
-                batch_size=chunk,
-            )
+        parallel_ingest_into(
+            estimator,
+            items[start:stop],
+            None if deltas is None else deltas[start:stop],
+            workers=workers,
+            shards=workers,
+            batch_size=chunk,
+        )
 
     cursor = 0
     for position, truth in zip(positions, truths):
@@ -448,7 +436,7 @@ def run_keyed_f0(
             whole workload as one sweep).
         workers: when > 1, shard the workload by key range over this
             many worker processes (:func:`repro.parallel
-            .parallel_ingest_keyed`); results are identical to serial
+            .parallel_ingest_into`); results are identical to serial
             grouped driving.
         **family_params: forwarded to the family factory.
     """
@@ -458,12 +446,10 @@ def run_keyed_f0(
         family, workload.universe_size, eps=eps, seed=seed, **family_params
     )
     if workers is not None and workers > 1:
-        from ..parallel import parallel_ingest_keyed
-
-        parallel_ingest_keyed(
+        parallel_ingest_into(
             store,
-            workload.keys,
             workload.items,
+            keys=workload.keys,
             workers=workers,
             batch_size=batch_size,
         )

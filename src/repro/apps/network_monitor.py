@@ -35,7 +35,7 @@ from ..core.knw import KNWDistinctCounter
 from ..estimators.base import SerializableState
 from ..exceptions import ParameterError, PersistenceError
 from ..l0.knw_l0 import KNWHammingNormEstimator
-from ..parallel import parallel_merge_shards
+from ..parallel import parallel_ingest_into
 from ..store import LinearCountingSketchArray, SketchStore
 from ..streams.datasets import FlowRecord
 from ..vectorize import HAS_NUMPY, np
@@ -456,10 +456,10 @@ class FlowCardinalityMonitor(SerializableState):
 
         The distributed deployment of the paper's introduction: each
         network link (tap) contributes the packets it saw during the
-        window, worker processes ingest each link's packets into
-        same-seed sketch clones through the vectorized batch pipeline,
-        and the union counts come from merge-reducing the link sketches
-        (:mod:`repro.parallel`).  The per-source fan-out detector runs on
+        window, the links' packets are re-sharded by range, worker
+        processes ingest the shards into same-seed sketch clones through
+        the vectorized batch pipeline, and the union counts come from
+        merge-reducing the shard sketches (:mod:`repro.parallel`).  The per-source fan-out detector runs on
         the coordinator over all links, since a scanning source's fan-out
         is only visible in the union.
 
@@ -493,35 +493,30 @@ class FlowCardinalityMonitor(SerializableState):
                 "flush() the partial window first"
             )
         universe = self.universe_size
+        packets = sum(len(link) for link in links)
 
-        def field_shards(extract) -> List["object"]:
+        def field_items(extract):
+            values = (extract(record) for link in links for record in link)
             if HAS_NUMPY:
-                return [
-                    np.fromiter(
-                        (extract(record) for record in link),
-                        dtype=np.uint64,
-                        count=len(link),
-                    )
-                    for link in links
-                ]
-            return [[extract(record) for record in link] for link in links]
+                return np.fromiter(values, dtype=np.uint64, count=packets)
+            return list(values)
 
         fields = [
-            (self._flows.current, field_shards(lambda r: r.flow_id(universe))),
-            (self._sources.current, field_shards(lambda r: r.source % universe)),
+            (self._flows.current, field_items(lambda r: r.flow_id(universe))),
+            (self._sources.current, field_items(lambda r: r.source % universe)),
             (
                 self._destinations.current,
-                field_shards(lambda r: r.destination % universe),
+                field_items(lambda r: r.destination % universe),
             ),
         ]
         # The engine's persistent pool serves all three field sketches —
         # and every later window: pool startup is paid once per process,
         # not once per window (or per field).
-        for sketch, shards in fields:
-            parallel_merge_shards(sketch, shards, workers=workers)
+        for sketch, items in fields:
+            parallel_ingest_into(sketch, items, workers=workers)
         for link in links:
             self._observe_fanout(link)
-        self._packets_in_window = sum(len(link) for link in links)
+        self._packets_in_window = packets
         return self._roll_window()
 
     # -- active-flow (deletion) tracking -------------------------------------------

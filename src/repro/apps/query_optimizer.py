@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 
 from ..core.knw import KNWDistinctCounter
 from ..exceptions import ParameterError
-from ..parallel import parallel_merge_shards
+from ..parallel import parallel_ingest_into
 from ..store import ObjectSketchArray, SketchStore
 from ..vectorize import HAS_NUMPY
 
@@ -176,14 +176,14 @@ class ColumnStatisticsCollector:
     ) -> None:
         """Bulk-ingest one column stored as several partitions, in parallel.
 
-        The statistics-refresh shape of a partitioned table: each
-        partition's values are ingested by a worker process (drawn from
-        the engine's persistent pool, so repeated refreshes pay pool
-        startup once) into a clone of the column's (mergeable,
-        same-seed) sketch and the results merge-reduce back — see
-        :mod:`repro.parallel`.  Equivalent to calling
-        :meth:`ingest_column` on the concatenation; ``None`` values
-        (SQL NULLs) are skipped per partition.
+        The statistics-refresh shape of a partitioned table: the
+        partitions' values are re-sharded by range, each shard is
+        ingested by a worker process (drawn from the engine's persistent
+        pool, so repeated refreshes pay pool startup once) into a clone
+        of the column's (mergeable, same-seed) sketch, and the results
+        merge-reduce back — see :mod:`repro.parallel`.  Equivalent to
+        calling :meth:`ingest_column` on the concatenation; ``None``
+        values (SQL NULLs) are skipped.
 
         Args:
             column: the column name.
@@ -192,16 +192,18 @@ class ColumnStatisticsCollector:
                 may use — see :func:`repro.parallel.default_workers`).
         """
         self._require_column(column)
-        shards = [
-            [value for value in partition if value is not None]
+        values = [
+            value
             for partition in partitions
+            for value in partition
+            if value is not None
         ]
         sketch = self._store.sketch(column)
-        parallel_merge_shards(sketch, shards, workers=workers)
+        parallel_ingest_into(sketch, values, workers=workers)
         # Object-backed rows are the live sketches (write-back is a no-op
         # reassignment); struct-of-arrays rows import the driven state.
         self._store.load_sketch(column, sketch)
-        self._row_counts[column] += sum(len(shard) for shard in shards)
+        self._row_counts[column] += len(values)
 
     def ndv(self, column: str) -> float:
         """Return the estimated number of distinct values of ``column``."""

@@ -1,8 +1,8 @@
 """Command line for the contract linter: ``python -m repro.lint``.
 
-Exit status: 0 when every error-severity finding is covered by the
-baseline (warnings — stale baseline entries, unused suppressions — never
-fail the run); 1 when new findings exist; 2 on usage errors.
+Exit status: 0 when there are no error-severity findings (warnings —
+unused suppressions — never fail the run); 1 when any error-severity
+finding exists; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -10,21 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import audit as audit_module
-from .engine import (
-    apply_baseline,
-    format_baseline,
-    lint_paths,
-    load_baseline,
-)
+from .engine import lint_paths
 from .rules import all_rules
 
 __all__ = ["main"]
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-DEFAULT_BASELINE = "lint-baseline.txt"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,16 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--root",
         default=None,
         help="repository root paths are resolved against (default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: <root>/%s when present)" % DEFAULT_BASELINE,
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--no-audit",
@@ -88,39 +72,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.no_audit:
         result.findings.extend(audit_module.run_audit())
 
-    baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE)
-    if args.write_baseline:
-        with open(baseline_path, "w", encoding="utf-8") as handle:
-            handle.write(format_baseline(result.findings))
-        print(
-            "wrote %d finding(s) to %s" % (len(result.errors), baseline_path)
-        )
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    errors: List = result.errors
-    new, baselined, stale = apply_baseline(errors, baseline)
-
-    for finding in new:
+    for finding in result.errors + result.warnings:
         print(finding.render())
-    for finding in result.warnings:
-        print(finding.render())
-    for rule, path, fingerprint in stale:
-        print(
-            "%s: stale-baseline [warning] entry %s %s no longer matches any "
-            "finding; remove it from the baseline" % (path, rule, fingerprint)
-        )
     print(
-        "repro.lint: %d file(s), %d finding(s) (%d new, %d baselined, "
-        "%d warning(s), %d stale baseline entr%s)"
-        % (
-            result.files_checked,
-            len(errors),
-            len(new),
-            len(baselined),
-            len(result.warnings),
-            len(stale),
-            "y" if len(stale) == 1 else "ies",
-        )
+        "repro.lint: %d file(s), %d error(s), %d warning(s)"
+        % (result.files_checked, len(result.errors), len(result.warnings))
     )
-    return 1 if new else 0
+    return 1 if result.errors else 0

@@ -24,23 +24,20 @@ Machinery provided here, shared by every rule:
   reason text is mandatory (``lint-missing-reason`` fires otherwise) and
   unused suppressions warn (``lint-unused-suppression``), so stale
   escapes cannot accumulate silently.
-* **Baseline** — :func:`load_baseline` / :func:`apply_baseline` /
-  :func:`format_baseline` implement a committed findings snapshot keyed
-  by ``(rule, path, source-line fingerprint)``: pre-existing findings
-  pass, *new* findings fail closed, and stale entries warn so the
-  baseline shrinks monotonically.
+
+There is no findings baseline: a finding is fixed or suppressed with a
+reason, and any error-severity finding fails the run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
@@ -50,9 +47,6 @@ __all__ = [
     "discover_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "apply_baseline",
-    "format_baseline",
 ]
 
 SEVERITIES = ("error", "warning")
@@ -83,19 +77,6 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-    snippet: str = ""
-
-    def fingerprint(self) -> str:
-        """Location-independent identity used by the baseline.
-
-        Hashes the rule, path, and the *text* of the flagged line (not
-        its number), so unrelated edits above a baselined finding do not
-        churn the baseline file.
-        """
-        digest = hashlib.sha256(
-            ("%s\0%s\0%s" % (self.rule, self.path, self.snippet)).encode("utf-8")
-        )
-        return digest.hexdigest()[:12]
 
     def render(self) -> str:
         return "%s:%d:%d: %s [%s] %s" % (
@@ -245,11 +226,6 @@ class ModuleContext:
 
     # -- reporting -------------------------------------------------------------------
 
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
     def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
         self.findings.append(
@@ -260,7 +236,6 @@ class ModuleContext:
                 col=getattr(node, "col_offset", 0) + 1,
                 message=message,
                 severity=rule.severity,
-                snippet=self.snippet(line),
             )
         )
 
@@ -467,76 +442,3 @@ def lint_paths(
         result.files_checked += 1
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
-
-
-# --------------------------------------------------------------------------
-# Baseline
-# --------------------------------------------------------------------------
-#
-# Format: one entry per line, tab-separated:
-#
-#     rule-id<TAB>path<TAB>fingerprint<TAB>count
-#
-# ``count`` allows several identical lines (same rule, same source text)
-# in one file.  Lines starting with ``#`` are comments.
-
-
-def load_baseline(path: str) -> Dict[Tuple[str, str, str], int]:
-    """Parse a baseline file into ``(rule, path, fingerprint) -> count``."""
-    entries: Dict[Tuple[str, str, str], int] = {}
-    if not os.path.exists(path):
-        return entries
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError("malformed baseline line: %r" % raw.rstrip("\n"))
-            rule, relpath, fingerprint, count = parts
-            key = (rule, relpath, fingerprint)
-            entries[key] = entries.get(key, 0) + int(count)
-    return entries
-
-
-def apply_baseline(
-    findings: Iterable[Finding], baseline: Dict[Tuple[str, str, str], int]
-) -> Tuple[List[Finding], List[Finding], List[Tuple[str, str, str]]]:
-    """Split findings into (new, baselined) and report stale entries.
-
-    A finding matches a baseline entry when rule, path, and line-text
-    fingerprint agree, up to the entry's count.  Entries with no (or
-    fewer) matching findings are *stale* — the caller warns so they get
-    removed and the baseline only ever shrinks.
-    """
-    remaining = dict(baseline)
-    new: List[Finding] = []
-    matched: List[Finding] = []
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.fingerprint())
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            matched.append(finding)
-        else:
-            new.append(finding)
-    stale = [key for key, count in remaining.items() if count > 0]
-    return new, matched, sorted(stale)
-
-
-def format_baseline(findings: Iterable[Finding]) -> str:
-    """Serialize error findings into baseline-file text."""
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for finding in findings:
-        if finding.severity != "error":
-            continue
-        key = (finding.rule, finding.path, finding.fingerprint())
-        counts[key] = counts.get(key, 0) + 1
-    lines = [
-        "# repro.lint baseline: pre-existing findings tolerated by the gate.",
-        "# New findings fail closed; stale entries warn. Regenerate with:",
-        "#     python -m repro.lint --write-baseline",
-    ]
-    for (rule, path, fingerprint), count in sorted(counts.items()):
-        lines.append("%s\t%s\t%s\t%d" % (rule, path, fingerprint, count))
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Sharded multi-process ingestion: declarative plans, one executor.
+"""Sharded multi-process ingestion: one entry point, one executor.
 
 This is the distributed-deployment shape the paper's introduction
 motivates (union of streams observed at many points) realised on one
@@ -9,57 +9,45 @@ ships its state back serialized (:mod:`repro.serialize` — no pickle of
 live objects), and the coordinator lands the shard states under a
 *merge discipline*.  That ``(axis, recipe, discipline)`` triple is an
 :class:`IngestPlan`; one engine — :func:`execute_plan` — runs every
-plan, and the five legacy entry points are thin plan constructors:
+plan, and one entry point — :func:`parallel_ingest_into` — builds the
+plan from its target's type:
 
-========================================  =========  =================  =================
-entry point                               axis       recipe             discipline
-========================================  =========  =================  =================
-:func:`parallel_ingest_f0` /              ``range``  ``clone``          ``merge-reduce``
-:func:`parallel_ingest_into` /
-:func:`parallel_merge_shards`
-:func:`parallel_ingest_l0` /              ``range``  ``cleared-clone``  ``additive``
-:func:`parallel_ingest_updates_into` /
-:func:`parallel_merge_update_shards`
-:func:`parallel_ingest_keyed`             ``key``    ``cleared-clone``  ``merge-reduce``
-:func:`parallel_ingest_windowed`          ``epoch``  ``template-epochs``  ``adopt-in-order``
-:func:`parallel_ingest_windowed_keyed`    ``epoch``  ``template-epochs``  ``adopt-in-order``
-========================================  =========  =================  =================
+========================  ====================================  =========  ===================  ==================
+target type               inputs                                axis       recipe               discipline
+========================  ====================================  =========  ===================  ==================
+``CardinalityEstimator``  ``items``                             ``range``  ``clone``            ``merge-reduce``
+``TurnstileEstimator``    ``items``, ``deltas``                 ``range``  ``cleared-clone``    ``additive``
+``SketchStore``           ``keys``, ``items`` (+ ``deltas``)    ``key``    ``cleared-clone``    ``merge-reduce``
+``WindowedSketch``        ``epochs``, ``items`` (+ ``deltas``)  ``epoch``  ``template-epochs``  ``adopt-in-order``
+``WindowedSketchStore``   ``epochs``, ``keys``, ``items``       ``epoch``  ``template-epochs``  ``adopt-in-order``
+                          (+ ``deltas``)
+========================  ====================================  =========  ===================  ==================
 
-The engine gives every plan three capabilities the hand-rolled
-pipelines could not express: **pipelined shard handoff** (the
-coordinator merges shard states as they complete instead of waiting on
-an end-of-shard barrier), **per-shard failure recovery** (a worker that
-raises or dies costs only its shard — bounded retries, deterministic
-final state), and the **process-wide persistent worker pool**
-(:mod:`repro.parallel.pool` — created lazily, reused across calls,
-fork-safe, explicitly shut down via :func:`shutdown_pool`).
+``(+ deltas)``: required for turnstile families, refused otherwise.  A
+turnstile :class:`~repro.streams.model.MaterializedStream` carries its
+own deltas.  The whole input is validated on the coordinator before any
+shard is cut, so a rejected call raises what sequential ingestion
+raises and leaves the target untouched.
 
-Execution modes:
+The engine gives every plan three capabilities: **pipelined shard
+handoff** (the coordinator merges shard states as they complete),
+**per-shard failure recovery** (a worker that raises or dies costs only
+its shard — bounded retries, deterministic final state), and the
+**process-wide persistent worker pool** (:mod:`repro.parallel.pool` —
+created lazily, reused across calls, fork-safe, explicitly shut down
+via :func:`shutdown_pool`).
 
-* ``"processes"`` — worker processes drawn from the persistent pool;
-  the wall-clock win on multi-core hosts (see
-  ``benchmarks/bench_parallel_ingest.py``).
-* ``"inline"`` — the identical shard / serialize / revive / merge
-  dataflow run in-process.  Results are byte-for-byte the same; used for
-  ``workers=1``, for tests, and on single-core machines where process
-  fan-out cannot pay for itself.
+Shards go to worker processes from the persistent pool — the
+wall-clock win on multi-core hosts (see
+``benchmarks/bench_parallel_ingest.py``) — unless only one worker can
+do useful work (``min(workers, non-empty shards) == 1``); then the
+identical shard / serialize / revive / merge dataflow runs in-process,
+byte-for-byte the same.
 """
 
 from __future__ import annotations
 
-from .api import (
-    mergeable_f0_names,
-    mergeable_l0_names,
-    parallel_ingest_f0,
-    parallel_ingest_into,
-    parallel_ingest_keyed,
-    parallel_ingest_l0,
-    parallel_ingest_updates_into,
-    parallel_ingest_windowed,
-    parallel_ingest_windowed_keyed,
-    parallel_merge_shards,
-    parallel_merge_update_shards,
-)
+from .api import mergeable_f0_names, mergeable_l0_names, parallel_ingest_into
 from .plan import (
     DEFAULT_SHARD_BATCH,
     DEFAULT_SHARD_RETRIES,
@@ -98,16 +86,8 @@ __all__ = [
     "shard_updates",
     "shard_keyed_updates",
     "shard_epoch_slices",
-    # Entry points (plan constructors).
-    "parallel_merge_shards",
-    "parallel_merge_update_shards",
+    # The entry point: builds the plan from the target's type.
     "parallel_ingest_into",
-    "parallel_ingest_updates_into",
-    "parallel_ingest_f0",
-    "parallel_ingest_l0",
-    "parallel_ingest_keyed",
-    "parallel_ingest_windowed",
-    "parallel_ingest_windowed_keyed",
     # Registry probes.
     "mergeable_f0_names",
     "mergeable_l0_names",

@@ -4,21 +4,19 @@ Every sharded multi-process ingestion in the library is an
 :class:`IngestPlan`: a *shard axis* (how the stream was partitioned), a
 *worker state recipe* (what state each worker starts from), and a
 *merge discipline* (how shard results land back in the coordinator's
-object).  The five public entry points of :mod:`repro.parallel` are thin
-plan constructors; :func:`execute_plan` is the single engine that runs
-any of them.
+object).  :func:`~repro.parallel.api.parallel_ingest_into` builds the
+plan from its target's type; :func:`execute_plan` is the single engine
+that runs it.
 
-==========================  =========  ================  ===============
-entry point                 axis       recipe            discipline
-==========================  =========  ================  ===============
-``parallel_ingest_f0`` /    ``range``  ``clone``         ``merge-reduce``
-``parallel_merge_shards``
-``parallel_ingest_l0`` /    ``range``  ``cleared-clone``  ``additive``
-``parallel_merge_update_shards``
-``parallel_ingest_keyed``   ``key``    ``cleared-clone``  ``merge-reduce``
-``parallel_ingest_windowed``  ``epoch``  ``template-epochs``  ``adopt-in-order``
-``parallel_ingest_windowed_keyed``  ``epoch``  ``template-epochs``  ``adopt-in-order``
-==========================  =========  ================  ===============
+=========================  =========  ===================  ==================
+target type                axis       recipe               discipline
+=========================  =========  ===================  ==================
+``CardinalityEstimator``   ``range``  ``clone``            ``merge-reduce``
+``TurnstileEstimator``     ``range``  ``cleared-clone``    ``additive``
+``SketchStore``            ``key``    ``cleared-clone``    ``merge-reduce``
+``WindowedSketch``         ``epoch``  ``template-epochs``  ``adopt-in-order``
+``WindowedSketchStore``    ``epoch``  ``template-epochs``  ``adopt-in-order``
+=========================  =========  ===================  ==================
 
 Because all plans flow through one engine, capabilities land everywhere
 at once:
@@ -26,18 +24,15 @@ at once:
 * **Pipelined shard handoff** — shards are submitted individually and
   their serialized states are consumed as they complete
   (``imap_unordered`` style), so the coordinator deserializes and merges
-  fast shards while slow shards are still ingesting, instead of idling
-  behind one end-of-shard barrier.  Commutative disciplines
-  (``merge-reduce`` over idempotent max/OR/union reductions,
+  fast shards while slow shards are still ingesting.  Commutative
+  disciplines (``merge-reduce`` over idempotent max/OR/union reductions,
   ``additive`` over modular counter sums) fold results in completion
   order — the final state is order-independent, so it stays bit-identical
   to the sequential run.  Order-sensitive disciplines (``adopt-in-order``
   epoch adoption, which must move the ring forward; key-axis
   ``merge-reduce``, whose row-registration order is part of the store's
   serialized form) buffer out-of-order completions and apply each
-  contiguous prefix as soon as it is ready.  ``handoff="barrier"``
-  restores the legacy collect-all-then-merge dataflow (the benchmark
-  compares the two).
+  contiguous prefix as soon as it is ready.
 
 * **Per-shard failure recovery** — a worker that raises, or dies
   outright (SIGKILL breaks the whole pool), costs only its own shard:
@@ -50,15 +45,15 @@ at once:
   are never re-ingested.  A shard that keeps failing raises
   :class:`~repro.exceptions.WorkerFailureError`.
 
-* **The persistent worker pool** — ``"processes"`` execution draws from
-  the process-wide pool (:mod:`repro.parallel.pool`); pool startup is
-  paid once per process, not once per call.
+* **The persistent worker pool** — pooled execution draws from the
+  process-wide pool (:mod:`repro.parallel.pool`); pool startup is paid
+  once per process, not once per call.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import BrokenExecutor, Executor, as_completed
+from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -109,7 +104,7 @@ class IngestPlan:
             (epoch states adopted ring-forward).
         kind: the worker payload dialect (``"items"``, ``"updates"``,
             ``"keyed"``, ``"epochs"``) — derived from the axis and the
-            stream model by the plan constructors.
+            stream model by ``parallel_ingest_into``.
         shards: the shard payload bodies (empty shards are filtered by
             the engine).
         batch_size: chunk length for the workers' ``update_batch``
@@ -243,21 +238,16 @@ class _ResultSink:
 
     Commutative disciplines fold results the moment they arrive;
     order-sensitive ones buffer out-of-order completions and flush each
-    contiguous prefix of shard indices as soon as it is complete.  A
-    ``barrier`` handoff buffers everything and flushes once at the end —
-    the legacy dataflow, kept for comparison benchmarks.
+    contiguous prefix of shard indices as soon as it is complete.
     """
 
-    def __init__(self, plan: IngestPlan, target, barrier: bool) -> None:
+    def __init__(self, plan: IngestPlan, target) -> None:
         self._plan = plan
         self._target = target
         # Key-axis merge_from registers rows in arrival order (part of
         # the store's serialized form), and epoch adoption only moves
         # the ring forward — both need plan-order application.
-        self._ordered = barrier or plan.discipline == "adopt-in-order" or (
-            plan.axis == "key"
-        )
-        self._barrier = barrier
+        self._ordered = plan.discipline == "adopt-in-order" or plan.axis == "key"
         self._buffer: Dict[int, Any] = {}
         self._next = 0
 
@@ -266,17 +256,9 @@ class _ResultSink:
             _apply_result(self._plan, self._target, result)
             return
         self._buffer[index] = result
-        if not self._barrier:
-            self._flush_ready()
-
-    def _flush_ready(self) -> None:
         while self._next in self._buffer:
             _apply_result(self._plan, self._target, self._buffer.pop(self._next))
             self._next += 1
-
-    def finish(self) -> None:
-        self._flush_ready()
-        assert not self._buffer, "shard results left unapplied"
 
 
 class _ResultSpool:
@@ -379,7 +361,7 @@ def _run_inline(
     template: bytes,
     spool: Optional[_ResultSpool] = None,
 ) -> None:
-    sink = _ResultSink(plan, target, barrier=False)
+    sink = _ResultSink(plan, target)
     done = {} if spool is None else spool.recovered
     for index in sorted(done):
         sink.add(index, done[index])
@@ -403,7 +385,6 @@ def _run_inline(
         if spool is not None:
             spool.record(index, result)
         sink.add(index, result)
-    sink.finish()
 
 
 def _run_pooled(
@@ -411,14 +392,12 @@ def _run_pooled(
     target,
     work: List[Any],
     template: bytes,
-    executor: Executor,
-    barrier: bool,
-    owns_pool: bool,
-    workers: Optional[int],
+    workers: int,
     spool: Optional[_ResultSpool] = None,
 ) -> None:
-    """Fan shards out with pipelined (or barrier) handoff and shard retry."""
-    sink = _ResultSink(plan, target, barrier=barrier)
+    """Fan shards out over the persistent pool with pipelined handoff and retry."""
+    executor = get_pool(workers)
+    sink = _ResultSink(plan, target)
     done = {} if spool is None else spool.recovered
     for index in sorted(done):
         sink.add(index, done[index])
@@ -467,24 +446,15 @@ def _run_pooled(
                 % (exhausted, plan.retries)
             ) from last_error
         if failed and broken:
-            if not owns_pool:
-                raise WorkerFailureError(
-                    "the caller-supplied executor broke; shard retry needs "
-                    "the engine-owned persistent pool"
-                ) from last_error
             reset_pool()
             executor = get_pool(workers)
         pending = sorted(failed)
-    sink.finish()
 
 
 def execute_plan(
     plan: IngestPlan,
     target,
     workers: Optional[int] = None,
-    execution: Optional[str] = None,
-    executor: Optional[Executor] = None,
-    handoff: Optional[str] = None,
     spool_dir: Optional[str] = None,
 ):
     """Execute an ingestion plan against ``target`` (mutated in place).
@@ -494,20 +464,12 @@ def execute_plan(
         target: the coordinator's object — an estimator, a
             :class:`~repro.store.store.SketchStore`, or a windowed ring —
             matching the plan's axis/discipline.
-        workers: process count for the ``"processes"`` mode; defaults to
+        workers: process count; defaults to
             :func:`~repro.parallel.pool.default_workers`, capped at the
-            number of non-empty shards.
-        execution: ``"processes"``, ``"inline"``, or ``None`` to pick
-            ``"processes"`` exactly when more than one worker can do
-            useful work.  Inline execution runs the identical shard /
-            serialize / revive / merge dataflow in-process — results are
-            byte-for-byte the same.
-        executor: an existing :class:`concurrent.futures.Executor` to
-            submit shard work to instead of the engine's persistent pool.
-            The caller keeps ownership (it is not shut down or replaced
-            here) and ``workers``/``execution`` are ignored when given.
-        handoff: ``"pipelined"`` (default — merge shard states as they
-            complete) or ``"barrier"`` (legacy collect-all-then-merge).
+            number of non-empty shards.  When that cap leaves one
+            worker, the identical shard / serialize / revive / merge
+            dataflow runs in-process — results are byte-for-byte the
+            same; otherwise shards go to the persistent pool.
         spool_dir: optional directory for a durable per-shard result
             spool.  Every delivered shard result is fsync'd there before
             being merged; re-running the same plan with the same
@@ -521,10 +483,10 @@ def execute_plan(
     Returns:
         ``target``, for chaining.
     """
-    if handoff is None:
-        handoff = "pipelined"
-    if handoff not in ("pipelined", "barrier"):
-        raise ParameterError("handoff must be 'pipelined' or 'barrier'")
+    if workers is None:
+        workers = default_workers()
+    if workers <= 0:
+        raise ParameterError("workers must be positive")
     work = [shard for shard in plan.shards if _shard_size(plan.kind, shard) > 0]
     if not work:
         return target
@@ -539,30 +501,14 @@ def execute_plan(
             )
         _require_explicit_seed(target)
 
+    workers = min(workers, len(work))
     template = _template_for(plan, target)
     spool = None if spool_dir is None else _ResultSpool(spool_dir, plan, template)
     try:
-        if executor is not None:
-            _run_pooled(plan, target, work, template, executor,
-                        handoff == "barrier", owns_pool=False, workers=None,
-                        spool=spool)
+        if workers == 1:
+            _run_inline(plan, target, work, template, spool=spool)
         else:
-            if workers is None:
-                workers = default_workers()
-            if workers <= 0:
-                raise ParameterError("workers must be positive")
-            workers = min(workers, len(work))
-            if execution is None:
-                execution = "processes" if workers > 1 else "inline"
-            if execution not in ("processes", "inline"):
-                raise ParameterError("execution must be 'processes' or 'inline'")
-            if execution == "inline":
-                _run_inline(plan, target, work, template, spool=spool)
-            else:
-                pool = get_pool(workers)
-                _run_pooled(plan, target, work, template, pool,
-                            handoff == "barrier", owns_pool=True,
-                            workers=workers, spool=spool)
+            _run_pooled(plan, target, work, template, workers, spool=spool)
     except BaseException:
         if spool is not None:
             spool.close()  # keep the delivered results for the re-run

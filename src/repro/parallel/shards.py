@@ -48,8 +48,7 @@ def _as_items(source: ItemSource):
         if not source.is_insertion_only():
             raise ParameterError(
                 "item sharding is defined for insertion-only streams; "
-                "use shard_updates / parallel_merge_update_shards for "
-                "turnstile streams"
+                "use shard_updates for turnstile streams"
             )
         return source.item_array()
     if HAS_NUMPY and not isinstance(source, np.ndarray):

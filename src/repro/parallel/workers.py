@@ -34,9 +34,8 @@ class ShardFault:
     Attributes:
         mode: ``"raise"`` (the worker raises mid-shard) or ``"kill"``
             (the worker process dies by SIGKILL, breaking the pool —
-            only meaningful under ``"processes"`` execution; inline
-            execution downgrades it to a raise so the coordinator
-            survives).
+            only meaningful for pooled execution; in-process execution
+            downgrades it to a raise so the coordinator survives).
         failures: how many attempts fail before the shard succeeds.
             The default of 1 models a transient fault; a value above
             the plan's retry budget models a permanent one.

@@ -14,7 +14,8 @@ one shared hash pass plus a sort/group scatter:
   mapping with bulk reporting (``estimate_all``), key-wise merging
   (``merge_from``), and ``state_dict``/``to_bytes`` transport.
 
-Sharding by key lives in :func:`repro.parallel.parallel_ingest_keyed`.
+Sharding by key is :func:`repro.parallel.parallel_ingest_into` with
+``keys=...`` on a store target.
 """
 
 from .families import (

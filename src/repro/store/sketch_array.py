@@ -313,7 +313,7 @@ class SketchArray(SerializableState, abc.ABC):
         """Return a fresh zero-row array with identical parameters and seed.
 
         The template the sharded keyed-ingestion engine ships to worker
-        processes (:func:`repro.parallel.parallel_ingest_keyed`).
+        processes (:func:`repro.parallel.parallel_ingest_into`).
         """
 
     # -- space ----------------------------------------------------------------------

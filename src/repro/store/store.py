@@ -11,7 +11,7 @@ instead of one Python call per entity per item.
 Stores serialize through the standard :mod:`repro.serialize` machinery
 (``state_dict`` / ``to_bytes``), merge key-wise (:meth:`merge_from`),
 and shard across processes by key through
-:func:`repro.parallel.parallel_ingest_keyed`: because every key's
+:func:`repro.parallel.parallel_ingest_into`: because every key's
 updates land in exactly one shard, merging worker stores back is exact
 for max/OR families *and* for additive turnstile families alike.
 """

@@ -7,10 +7,9 @@
   counterpart: one :class:`~repro.store.store.SketchStore` per epoch,
   merged key-wise for per-entity window queries.
 
-Epoch-range sharding lives in
-:func:`repro.parallel.parallel_ingest_windowed` /
-:func:`repro.parallel.parallel_ingest_windowed_keyed`; timestamped
-workload generation in :func:`repro.streams.generators.windowed_uniform_stream`.
+Epoch-range sharding is :func:`repro.parallel.parallel_ingest_into`
+with ``epochs=...`` on a ring target; timestamped workload generation
+lives in :func:`repro.streams.generators.windowed_uniform_stream`.
 """
 
 from .windowed import (

@@ -34,10 +34,10 @@ rollup.
 
 Both ring types serialize through the standard :mod:`repro.serialize`
 machinery (``state_dict`` / ``to_bytes``) and shard across processes by
-*epoch range* via :func:`repro.parallel.parallel_ingest_windowed` /
-:func:`repro.parallel.parallel_ingest_windowed_keyed`: epochs never span
-shards, so the merge-back (in fact, wholesale adoption of each worker's
-epoch sketches) is exact for every family.
+*epoch range* via :func:`repro.parallel.parallel_ingest_into` (with
+``epochs=...``): epochs never span shards, so the merge-back (in fact,
+wholesale adoption of each worker's epoch sketches) is exact for every
+family.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class _EpochRing(SerializableState):
         """Absorb externally built epoch states, in epoch order.
 
         The merge-back half of epoch-range sharding
-        (:func:`repro.parallel.parallel_ingest_windowed`): each pair is
+        (:func:`repro.parallel.parallel_ingest_into`): each pair is
         ``(absolute_epoch, state)`` where ``state`` was built from this
         ring's empty epoch template and fed that epoch's updates.  The
         ring advances through any intervening empty epochs; a *pristine*
@@ -444,7 +444,7 @@ class WindowedSketch(_EpochRing):
         the ring advances through them (closing empty epochs for gaps)
         and feeds each run through the shared chunking policy, so a
         sharded ingest of the same stream
-        (:func:`repro.parallel.parallel_ingest_windowed`) builds
+        (:func:`repro.parallel.parallel_ingest_into`) builds
         byte-identical epochs.
 
         Args:

@@ -532,13 +532,13 @@ class TestResultSpool:
             execute_plan(
                 self._plan(items, fault={1: ShardFault("raise", failures=5)}),
                 broken,
-                execution="inline",
+                workers=1,
                 spool_dir=str(tmp_path),
             )
         # The spool survived with the two delivered shard results.
         resumed = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         execute_plan(
-            self._plan(items), resumed, execution="inline",
+            self._plan(items), resumed, workers=1,
             spool_dir=str(tmp_path),
         )
         assert resumed.to_bytes() == sequential.to_bytes()
@@ -557,13 +557,13 @@ class TestResultSpool:
             execute_plan(
                 self._plan(items, fault={0: ShardFault("raise", failures=5)}),
                 target,
-                execution="inline",
+                workers=1,
                 spool_dir=str(tmp_path),
             )
         other = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED + 1)
         with pytest.raises(PersistenceError, match="does not match this plan"):
             execute_plan(
-                self._plan(items), other, execution="inline",
+                self._plan(items), other, workers=1,
                 spool_dir=str(tmp_path),
             )
 

@@ -6,10 +6,10 @@ Four layers of coverage:
   in-memory module, driven through :func:`repro.lint.lint_source` with
   synthetic repo-relative paths so path scoping is exercised too.
 * **Engine mechanics** — suppression syntax (used / missing-reason /
-  unused), syntax-error handling, and baseline semantics (new finding
-  fails, baselined finding passes, stale entry warns).
+  unused) and syntax-error handling.
 * **Self-application** — the linter lints its own package and the whole
-  repo clean; the shipped baseline carries no entries for ``src/repro/``.
+  repo clean, and the CLI fails on any error-severity finding but not
+  on warnings.
 * **Audit + build hooks** — the import-time audit passes on the real
   registry and catches a broken contract surface; the compiled-kernel
   cache key separates sanitizer builds from production builds.
@@ -20,16 +20,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint import all_rules, lint_paths, lint_source, rules_by_id
 from repro.lint.audit import F0_SURFACE, _audit_surface, run_audit
-from repro.lint.engine import (
-    Finding,
-    apply_baseline,
-    format_baseline,
-    load_baseline,
-)
 from repro.lint.rules.kernel_seam import SEAM_KERNELS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -575,7 +567,7 @@ class TestKernelSeam:
 
 
 # --------------------------------------------------------------------------
-# Engine mechanics: suppressions, syntax errors, baseline
+# Engine mechanics: suppressions, syntax errors
 # --------------------------------------------------------------------------
 
 
@@ -679,55 +671,6 @@ class TestEngine:
             assert rule.severity in ("error", "warning")
             assert rule.node_types
 
-    def test_fingerprint_ignores_line_numbers(self):
-        a = Finding("r", "p.py", 10, 1, "m", snippet="x = random.Random()")
-        b = Finding("r", "p.py", 99, 5, "m", snippet="x = random.Random()")
-        assert a.fingerprint() == b.fingerprint()
-        c = Finding("r", "p.py", 10, 1, "m", snippet="y = random.Random()")
-        assert a.fingerprint() != c.fingerprint()
-
-
-class TestBaseline:
-    def _findings(self):
-        return run_lint("src/repro/hashing/fixture.py", FLAGGED)
-
-    def test_round_trip_and_match(self, tmp_path):
-        findings = self._findings()
-        assert findings, "fixture must produce findings"
-        baseline_file = tmp_path / "baseline.txt"
-        baseline_file.write_text(format_baseline(findings))
-        baseline = load_baseline(str(baseline_file))
-        new, matched, stale = apply_baseline(findings, baseline)
-        assert new == []
-        assert matched == findings
-        assert stale == []
-
-    def test_new_finding_fails_closed(self):
-        new, matched, stale = apply_baseline(self._findings(), {})
-        assert len(new) == len(self._findings())
-        assert matched == []
-        assert stale == []
-
-    def test_stale_entry_is_reported(self, tmp_path):
-        findings = self._findings()
-        baseline_file = tmp_path / "baseline.txt"
-        baseline_file.write_text(format_baseline(findings))
-        baseline = load_baseline(str(baseline_file))
-        new, matched, stale = apply_baseline([], baseline)
-        assert new == []
-        assert matched == []
-        assert len(stale) == len(baseline)
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        baseline_file = tmp_path / "baseline.txt"
-        baseline_file.write_text("not a valid line\n")
-        with pytest.raises(ValueError):
-            load_baseline(str(baseline_file))
-
-    def test_warnings_are_not_baselined(self):
-        warning = Finding("w", "p.py", 1, 1, "m", severity="warning")
-        assert "w\t" not in format_baseline([warning])
-
 
 # --------------------------------------------------------------------------
 # Self-application
@@ -748,11 +691,6 @@ class TestSelfLint:
         assert result.errors == [], [f.render() for f in result.errors]
         assert result.warnings == [], [f.render() for f in result.warnings]
 
-    def test_shipped_baseline_has_no_src_entries(self):
-        baseline = load_baseline(str(REPO_ROOT / "lint-baseline.txt"))
-        src_entries = [key for key in baseline if key[1].startswith("src/repro/")]
-        assert src_entries == []
-
     def test_cli_exits_zero_on_repo(self, capsys):
         from repro.lint.cli import main
 
@@ -761,7 +699,32 @@ class TestSelfLint:
         code = main(["--root", str(REPO_ROOT), "--no-audit"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "0 new" in out
+        assert "0 error(s)" in out
+
+    def test_cli_exits_one_on_error_finding(self, tmp_path, capsys):
+        from repro.lint.cli import main
+
+        fixture = tmp_path / "src" / "repro" / "hashing" / "fixture.py"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text(textwrap.dedent(FLAGGED))
+        code = main(["--root", str(tmp_path), "--no-audit", "src"])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert "det-unseeded-rng" in out
+
+    def test_cli_warnings_do_not_fail(self, tmp_path, capsys):
+        from repro.lint.cli import main
+
+        fixture = tmp_path / "src" / "repro" / "hashing" / "fixture.py"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text(
+            "def make(seed):\n"
+            "    return seed  # lint: allow[det-unseeded-rng] nothing here\n"
+        )
+        code = main(["--root", str(tmp_path), "--no-audit", "src"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "lint-unused-suppression" in out
 
     def test_cli_list_rules(self, capsys):
         from repro.lint.cli import main

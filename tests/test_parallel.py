@@ -20,7 +20,6 @@ from repro.estimators.registry import make_f0_estimator, make_l0_estimator
 from repro.exceptions import MergeError, ParameterError
 from repro.parallel import (
     mergeable_f0_names,
-    parallel_ingest_f0,
     parallel_ingest_into,
     shard_items,
 )
@@ -70,8 +69,8 @@ def test_shard_items_rejects_bad_count(items):
 def test_sharded_merge_equals_sequential_batched(
     name, shards, items, sequential_states
 ):
-    merged = parallel_ingest_f0(
-        name, items, 0.1, 71, universe_size=UNIVERSE, shards=shards, execution="inline"
+    merged = parallel_ingest_into(
+        make_f0_estimator(name, UNIVERSE, 0.1, 71), items, workers=1, shards=shards
     )
     state, estimate = sequential_states[name]
     assert merged.state_dict() == state
@@ -81,15 +80,12 @@ def test_sharded_merge_equals_sequential_batched(
 @pytest.mark.parametrize("name", mergeable_f0_names(shard_deterministic_only=True))
 def test_sharded_merge_equals_sequential_scalar(name, items, sequential_states):
     """Scalar (per-item loop) shard ingest must land in the same state."""
-    merged = parallel_ingest_f0(
-        name,
+    merged = parallel_ingest_into(
+        make_f0_estimator(name, UNIVERSE, 0.1, 71),
         items,
-        0.1,
-        71,
-        universe_size=UNIVERSE,
+        workers=1,
         shards=3,
         batch_size=None,  # forces update() loops inside the shard workers
-        execution="inline",
     )
     state, estimate = sequential_states[name]
     assert merged.state_dict() == state
@@ -99,8 +95,8 @@ def test_sharded_merge_equals_sequential_scalar(name, items, sequential_states):
 @pytest.mark.parametrize("name", mergeable_f0_names(shard_deterministic_only=True))
 def test_four_worker_processes_bit_identical(name, items, sequential_states):
     """The acceptance shape: real process pool, 4 workers, bit-identical."""
-    merged = parallel_ingest_f0(
-        name, items, 0.1, 71, universe_size=UNIVERSE, workers=4, execution="processes"
+    merged = parallel_ingest_into(
+        make_f0_estimator(name, UNIVERSE, 0.1, 71), items, workers=4
     )
     state, estimate = sequential_states[name]
     assert merged.state_dict() == state
@@ -113,8 +109,8 @@ def test_default_knw_merges_and_stays_within_tolerance(items):
     succeed and land within the estimator's error budget."""
     single = make_f0_estimator("knw", UNIVERSE, 0.1, seed=71)
     single.update_batch(items)
-    merged = parallel_ingest_f0(
-        "knw", items, 0.1, 71, universe_size=UNIVERSE, shards=4, execution="inline"
+    merged = parallel_ingest_into(
+        make_f0_estimator("knw", UNIVERSE, 0.1, 71), items, workers=1, shards=4
     )
     assert not single.shard_deterministic
     assert merged.estimate() == pytest.approx(single.estimate(), rel=0.2)
@@ -122,7 +118,9 @@ def test_default_knw_merges_and_stays_within_tolerance(items):
 
 def test_engine_accepts_materialized_streams():
     stream = uniform_random_stream(UNIVERSE, 5000, seed=73)
-    merged = parallel_ingest_f0("hyperloglog", stream, 0.1, 75, shards=3, execution="inline")
+    merged = parallel_ingest_into(
+        make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 75), stream, workers=1, shards=3
+    )
     single = make_f0_estimator("hyperloglog", UNIVERSE, 0.1, seed=75)
     single.update_batch(stream.item_array())
     assert merged.state_dict() == single.state_dict()
@@ -136,7 +134,7 @@ def test_mid_stream_template_state_is_preserved(items):
     resumed = make_f0_estimator("kmv", UNIVERSE, 0.1, seed=77)
     resumed.update_batch(items[:4000])  # serial prefix ...
     parallel_ingest_into(
-        resumed, items[4000:], shards=3, execution="inline"
+        resumed, items[4000:], workers=1, shards=3
     )  # ... sharded remainder
     assert resumed.state_dict() == reference.state_dict()
 
@@ -156,7 +154,7 @@ def test_median_wrapper_shards_and_merges(items):
     single = build()
     single.update_batch(items)
     sharded = build()
-    parallel_ingest_into(sharded, items, shards=3, execution="inline")
+    parallel_ingest_into(sharded, items, workers=1, shards=3)
     assert sharded.state_dict() == single.state_dict()
     assert sharded.estimate() == single.estimate()
 
@@ -185,13 +183,13 @@ def test_median_wrapper_merge_validates():
 def test_unmergeable_estimator_raises(items):
     estimator = make_f0_estimator("knw-fast", UNIVERSE, 0.1, seed=1)
     with pytest.raises(ParameterError):
-        parallel_ingest_into(estimator, items, shards=4, execution="inline")
+        parallel_ingest_into(estimator, items, workers=1, shards=4)
 
 
 def test_seedless_estimator_raises(items):
     estimator = make_f0_estimator("hyperloglog", UNIVERSE, 0.1, seed=None)
     with pytest.raises(ParameterError):
-        parallel_ingest_into(estimator, items, shards=4, execution="inline")
+        parallel_ingest_into(estimator, items, workers=1, shards=4)
 
 
 def test_seedless_median_wrapper_raises_up_front(items):
@@ -203,7 +201,7 @@ def test_seedless_median_wrapper_raises_up_front(items):
         repetitions=3,
     )
     with pytest.raises(ParameterError):
-        parallel_ingest_into(wrapper, items, shards=4, execution="inline")
+        parallel_ingest_into(wrapper, items, workers=1, shards=4)
 
 
 def test_single_shard_needs_no_merge_support(items):
@@ -417,13 +415,12 @@ def test_mergeable_l0_names_cover_the_registry():
 def test_sharded_l0_merge_equals_sequential(
     shards, turnstile_updates, sequential_l0_states
 ):
-    from repro.parallel import mergeable_l0_names, parallel_ingest_updates_into
+    from repro.parallel import mergeable_l0_names
 
     for name in mergeable_l0_names():
         estimator = make_l0_estimator(name, UNIVERSE, 0.2, 1 << 16, seed=73)
-        parallel_ingest_updates_into(
-            estimator, turnstile_updates, shards=shards, workers=1,
-            execution="inline",
+        parallel_ingest_into(
+            estimator, *turnstile_updates, shards=shards, workers=1,
         )
         state, estimate = sequential_l0_states[name]
         assert estimator.state_dict() == state, (name, shards)
@@ -433,12 +430,10 @@ def test_sharded_l0_merge_equals_sequential(
 def test_l0_four_worker_processes_bit_identical(
     turnstile_updates, sequential_l0_states
 ):
-    from repro.parallel import parallel_ingest_l0
-
-    estimator = parallel_ingest_l0(
-        "knw-l0", turnstile_updates, 0.2, 73,
-        universe_size=UNIVERSE, magnitude_bound=1 << 16,
-        workers=4, execution="processes",
+    estimator = parallel_ingest_into(
+        make_l0_estimator("knw-l0", UNIVERSE, 0.2, 1 << 16, 73),
+        *turnstile_updates,
+        workers=4,
     )
     state, estimate = sequential_l0_states["knw-l0"]
     assert estimator.state_dict() == state
@@ -448,7 +443,6 @@ def test_l0_four_worker_processes_bit_identical(
 def test_l0_median_wrapper_shards_and_merges(turnstile_updates):
     from repro.estimators.median import MedianTurnstileEstimator
     from repro.l0.ganguly import GangulyStyleL0Estimator
-    from repro.parallel import parallel_ingest_updates_into
 
     def build():
         return MedianTurnstileEstimator(
@@ -462,9 +456,7 @@ def test_l0_median_wrapper_shards_and_merges(turnstile_updates):
     reference = build()
     reference.update_batch(items, deltas)
     sharded = build()
-    parallel_ingest_updates_into(
-        sharded, turnstile_updates, shards=3, workers=1, execution="inline"
-    )
+    parallel_ingest_into(sharded, *turnstile_updates, shards=3, workers=1)
     for mine, theirs in zip(sharded.copies, reference.copies):
         assert mine.state_dict() == theirs.state_dict()
     assert sharded.estimate() == reference.estimate()
@@ -472,8 +464,6 @@ def test_l0_median_wrapper_shards_and_merges(turnstile_updates):
 
 def test_l0_mid_stream_template_state_is_preserved(turnstile_updates):
     """Sharding may start mid-stream: the template's state is cloned in."""
-    from repro.parallel import parallel_ingest_updates_into
-
     items, deltas = turnstile_updates
     head_items, head_deltas = items[:2000], deltas[:2000]
     tail = (items[2000:], deltas[2000:])
@@ -481,15 +471,12 @@ def test_l0_mid_stream_template_state_is_preserved(turnstile_updates):
     reference.update_batch(items, deltas)
     resumed = make_l0_estimator("ganguly", UNIVERSE, 0.2, 1 << 16, seed=77)
     resumed.update_batch(head_items, head_deltas)
-    parallel_ingest_updates_into(
-        resumed, tail, shards=3, workers=1, execution="inline"
-    )
+    parallel_ingest_into(resumed, *tail, shards=3, workers=1)
     assert resumed.state_dict() == reference.state_dict()
 
 
 def test_l0_unmergeable_estimator_raises(turnstile_updates):
     from repro.estimators.base import TurnstileEstimator
-    from repro.parallel import parallel_ingest_updates_into
 
     class Unmergeable(TurnstileEstimator):
         seed = 1
@@ -504,20 +491,15 @@ def test_l0_unmergeable_estimator_raises(turnstile_updates):
             return 0
 
     with pytest.raises(ParameterError):
-        parallel_ingest_updates_into(
-            Unmergeable(), turnstile_updates, shards=3, workers=1,
-            execution="inline",
+        parallel_ingest_into(
+            Unmergeable(), *turnstile_updates, shards=3, workers=1,
         )
 
 
 def test_l0_seedless_estimator_raises(turnstile_updates):
-    from repro.parallel import parallel_ingest_updates_into
-
     estimator = make_l0_estimator("knw-l0", UNIVERSE, 0.2, 1 << 16, seed=None)
     with pytest.raises(ParameterError):
-        parallel_ingest_updates_into(
-            estimator, turnstile_updates, shards=3, workers=1, execution="inline"
-        )
+        parallel_ingest_into(estimator, *turnstile_updates, shards=3, workers=1)
 
 
 def test_l0_sweep_batched_trials_match_scalar_trials():
@@ -543,3 +525,234 @@ def test_l0_sweep_batched_trials_match_scalar_trials():
     assert [point.__dict__ for point in batched] == [
         point.__dict__ for point in pooled
     ]
+
+
+# -- the entry point: the target's type picks the plan -------------------------
+
+
+def _f0_window():
+    from repro.window import WindowedSketch
+
+    return WindowedSketch(make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 5), retention=4)
+
+
+def _l0_window():
+    from repro.window import WindowedSketch
+
+    return WindowedSketch(
+        make_l0_estimator("ganguly", UNIVERSE, 0.2, 1 << 16, 5), retention=4
+    )
+
+
+def _store(family="hyperloglog", **params):
+    from repro.store import SketchStore
+
+    return SketchStore.for_family(family, UNIVERSE, eps=0.2, seed=5, **params)
+
+
+def _store_window(turnstile=False):
+    from repro.window import WindowedSketchStore
+
+    if turnstile:
+        return WindowedSketchStore(_store("ganguly", magnitude_bound=1 << 16), retention=4)
+    return WindowedSketchStore(_store(), retention=4)
+
+
+_DISPATCH_ITEMS = np.arange(64, dtype=np.uint64)
+_DISPATCH_DELTAS = np.ones(64, dtype=np.int64)
+_DISPATCH_KEYS = np.arange(64, dtype=np.int64) % 5
+_DISPATCH_EPOCHS = np.arange(64, dtype=np.int64) // 16
+
+#: ``(target factory, inputs, (axis, recipe, discipline, kind, meta, batch_size))``
+DISPATCH_TABLE = {
+    "f0-estimator": (
+        lambda: make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 5),
+        dict(),
+        ("range", "clone", "merge-reduce", "items", (), 65536),
+    ),
+    "l0-estimator": (
+        lambda: make_l0_estimator("ganguly", UNIVERSE, 0.2, 1 << 16, 5),
+        dict(deltas=_DISPATCH_DELTAS),
+        ("range", "cleared-clone", "additive", "updates", (), 65536),
+    ),
+    "store": (
+        _store,
+        dict(keys=_DISPATCH_KEYS),
+        ("key", "cleared-clone", "merge-reduce", "keyed", (), 65536),
+    ),
+    "turnstile-store": (
+        lambda: _store("ganguly", magnitude_bound=1 << 16),
+        dict(keys=_DISPATCH_KEYS, deltas=_DISPATCH_DELTAS),
+        ("key", "cleared-clone", "merge-reduce", "keyed", (), 65536),
+    ),
+    "f0-window": (
+        _f0_window,
+        dict(epochs=_DISPATCH_EPOCHS),
+        ("epoch", "template-epochs", "adopt-in-order", "epochs", ("sketch", False), None),
+    ),
+    "l0-window": (
+        _l0_window,
+        dict(epochs=_DISPATCH_EPOCHS, deltas=_DISPATCH_DELTAS),
+        ("epoch", "template-epochs", "adopt-in-order", "epochs", ("sketch", True), None),
+    ),
+    "store-window": (
+        _store_window,
+        dict(epochs=_DISPATCH_EPOCHS, keys=_DISPATCH_KEYS),
+        ("epoch", "template-epochs", "adopt-in-order", "epochs", ("store", False), None),
+    ),
+    "turnstile-store-window": (
+        lambda: _store_window(turnstile=True),
+        dict(epochs=_DISPATCH_EPOCHS, keys=_DISPATCH_KEYS, deltas=_DISPATCH_DELTAS),
+        ("epoch", "template-epochs", "adopt-in-order", "epochs", ("store", True), None),
+    ),
+}
+
+
+@pytest.fixture
+def captured_plans(monkeypatch):
+    """Record the plans the entry point builds instead of executing them."""
+    import repro.parallel.api as api
+
+    plans = []
+
+    def capture(plan, target, workers=None, spool_dir=None):
+        plans.append(plan)
+        return target
+
+    monkeypatch.setattr(api, "execute_plan", capture)
+    return plans
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH_TABLE))
+def test_target_type_picks_the_plan(case, captured_plans):
+    build, inputs, expected = DISPATCH_TABLE[case]
+    parallel_ingest_into(build(), _DISPATCH_ITEMS, workers=1, shards=2, **inputs)
+    (plan,) = captured_plans
+    assert (
+        plan.axis, plan.recipe, plan.discipline, plan.kind, plan.meta, plan.batch_size
+    ) == expected
+    assert len(plan.shards) == 2
+
+
+REJECTED_INPUTS = {
+    "deltas-for-insertion-only-estimator": (
+        lambda: make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 5),
+        dict(deltas=_DISPATCH_DELTAS),
+    ),
+    "turnstile-estimator-without-deltas": (
+        lambda: make_l0_estimator("ganguly", UNIVERSE, 0.2, 1 << 16, 5),
+        dict(),
+    ),
+    "keys-for-plain-estimator": (
+        lambda: make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 5),
+        dict(keys=_DISPATCH_KEYS),
+    ),
+    "store-without-keys": (_store, dict()),
+    "epochs-for-estimator": (
+        lambda: make_f0_estimator("hyperloglog", UNIVERSE, 0.1, 5),
+        dict(epochs=_DISPATCH_EPOCHS),
+    ),
+    "epochs-for-store": (_store, dict(keys=_DISPATCH_KEYS, epochs=_DISPATCH_EPOCHS)),
+    "window-without-epochs": (_f0_window, dict()),
+    "unsupported-target": (lambda: {"not": "a sketch"}, dict()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+def test_inputs_the_target_cannot_use_are_rejected_up_front(case, captured_plans):
+    build, inputs = REJECTED_INPUTS[case]
+    target = build()
+    before = target.to_bytes() if hasattr(target, "to_bytes") else None
+    with pytest.raises(ParameterError):
+        parallel_ingest_into(target, _DISPATCH_ITEMS, workers=1, shards=2, **inputs)
+    assert captured_plans == []
+    if before is not None:
+        assert target.to_bytes() == before
+
+
+# -- a rejected batch: what sequential ingest raises, and nothing merged -------
+
+
+def _out_of_universe_items():
+    items = np.arange(1000, dtype=np.uint64)
+    items[-1] = UNIVERSE
+    return items
+
+
+def _f0_rejection():
+    items = _out_of_universe_items()
+    return (
+        lambda: make_f0_estimator("knw-paper", UNIVERSE, 0.1, 71),
+        lambda target: target.update_batch(items),
+        (items,),
+        dict(),
+    )
+
+
+def _median_rejection():
+    items = _out_of_universe_items()
+
+    def build():
+        return MedianEstimator(
+            lambda index: make_f0_estimator("hyperloglog", UNIVERSE, 0.15, 80 + index),
+            repetitions=3,
+        )
+
+    return build, lambda target: target.update_batch(items), (items,), dict()
+
+
+def _l0_rejection():
+    items = np.arange(1000, dtype=np.uint64)
+    deltas = np.ones(999, dtype=np.int64)
+    return (
+        lambda: make_l0_estimator("knw-l0", UNIVERSE, 0.2, 1 << 16, 73),
+        lambda target: target.update_batch(items, deltas),
+        (items, deltas),
+        dict(),
+    )
+
+
+def _store_rejection():
+    items = _out_of_universe_items()
+    keys = np.arange(1000, dtype=np.int64) % 8
+    return (
+        _store,
+        lambda target: target.update_grouped(keys, items),
+        (items,),
+        dict(keys=keys),
+    )
+
+
+def _keyed_window_rejection():
+    items = np.arange(1000, dtype=np.uint64)
+    keys = np.arange(1000, dtype=np.int64) % 8
+    epochs = np.arange(1000, dtype=np.int64) // 250
+    return (
+        lambda: _store_window(turnstile=True),
+        lambda target: target.ingest_timestamped(epochs, keys, items),
+        (items,),
+        dict(keys=keys, epochs=epochs),
+    )
+
+
+REJECTIONS = {
+    "f0-item-outside-universe": _f0_rejection,
+    "median-item-outside-universe": _median_rejection,
+    "l0-delta-length-mismatch": _l0_rejection,
+    "store-item-outside-universe": _store_rejection,
+    "keyed-window-turnstile-without-deltas": _keyed_window_rejection,
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejected_batch_raises_as_sequential_and_merges_nothing(case, shards):
+    build, sequential, args, inputs = REJECTIONS[case]()
+    with pytest.raises(Exception) as expected:
+        sequential(build())
+    target = build()
+    before = target.to_bytes()
+    with pytest.raises(Exception) as raised:
+        parallel_ingest_into(target, *args, workers=1, shards=shards, **inputs)
+    assert type(raised.value) is type(expected.value), raised.value
+    assert target.to_bytes() == before

@@ -1,18 +1,14 @@
-"""Plan-executor capabilities: shard retry, pipelined handoff, the pool.
+"""Plan-executor capabilities: shard retry, the pool, shared staging.
 
-``tests/test_parallel.py`` pins the *unchanged* contracts of the five
-entry points (bit-identity across shard counts, execution modes, and
-mid-stream takeover).  This suite pins what the declarative engine
-*added*:
+``tests/test_parallel.py`` pins the sharded-ingestion contracts
+(bit-identity across shard and worker counts, and mid-stream takeover).
+This suite pins what the declarative engine *added*:
 
 * **per-shard failure recovery** — a worker that raises mid-shard, or
   dies by SIGKILL (breaking the whole pool), costs only its shard; the
   recovered result is bit-identical to the zero-failure run for every
   shard-deterministic family, and a shard that keeps failing raises
   :class:`~repro.exceptions.WorkerFailureError`;
-* **pipelined vs. barrier handoff** — both disciplines produce the same
-  bytes (the speed comparison lives in
-  ``benchmarks/bench_parallel_ingest.py``);
 * **the persistent worker pool** — lazily created, reused across calls,
   grown by recreation, explicitly shut down, and fork-safe;
 * **shared-payload staging** — the pool-initializer replacement used by
@@ -22,7 +18,6 @@ mid-stream takeover).  This suite pins what the declarative engine
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,7 +32,6 @@ from repro.parallel import (
     get_pool,
     mergeable_f0_names,
     mergeable_l0_names,
-    parallel_merge_shards,
     pool_stats,
     reset_pool,
     shard_items,
@@ -125,7 +119,7 @@ class TestShardFaultRecovery:
         sequential = _sequential_f0(name, items)
         recovered = make_f0_estimator(name, UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={1: ShardFault(mode)})
-        execute_plan(plan, recovered, workers=2, execution="processes")
+        execute_plan(plan, recovered, workers=2)
         assert recovered.state_dict() == sequential.state_dict()
         assert recovered.estimate() == sequential.estimate()
 
@@ -135,7 +129,7 @@ class TestShardFaultRecovery:
         sequential = _sequential_l0(name, updates)
         recovered = make_l0_estimator(name, UNIVERSE, EPS, 1 << 12, seed=SEED)
         plan = _l0_plan(updates, fault={0: ShardFault(mode)})
-        execute_plan(plan, recovered, workers=2, execution="processes")
+        execute_plan(plan, recovered, workers=2)
         assert recovered.state_dict() == sequential.state_dict()
         assert recovered.estimate() == sequential.estimate()
 
@@ -144,14 +138,14 @@ class TestShardFaultRecovery:
         recovered = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         fault = {index: ShardFault("raise") for index in range(SHARDS)}
         plan = _f0_plan(items, fault=fault)
-        execute_plan(plan, recovered, workers=2, execution="processes")
+        execute_plan(plan, recovered, workers=2)
         assert recovered.state_dict() == sequential.state_dict()
 
     def test_inline_execution_retries_too(self, items):
         sequential = _sequential_f0("kmv", items)
         recovered = make_f0_estimator("kmv", UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={2: ShardFault("raise")})
-        execute_plan(plan, recovered, workers=1, execution="inline")
+        execute_plan(plan, recovered, workers=1)
         assert recovered.state_dict() == sequential.state_dict()
 
     def test_inline_downgrades_kill_to_raise(self, items):
@@ -159,7 +153,7 @@ class TestShardFaultRecovery:
         sequential = _sequential_f0("hyperloglog", items)
         recovered = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={0: ShardFault("kill")})
-        execute_plan(plan, recovered, workers=1, execution="inline")
+        execute_plan(plan, recovered, workers=1)
         assert recovered.state_dict() == sequential.state_dict()
 
     def test_keyed_plan_recovers_bit_identical(self):
@@ -187,7 +181,7 @@ class TestShardFaultRecovery:
                 shards=shard_keyed_updates(keys, values, shards=SHARDS),
                 fault=fault,
             )
-            execute_plan(plan, store, workers=2, execution="processes")
+            execute_plan(plan, store, workers=2)
             return store
 
         reference = run(None)
@@ -210,82 +204,37 @@ class TestShardFaultRecovery:
             recipe="template-epochs",
             discipline="adopt-in-order",
             kind="epochs",
-            shards=_epoch_shards(epochs, values, None, None, None, SHARDS),
+            shards=_epoch_shards(epochs, values, None, None, SHARDS),
             batch_size=None,
             meta=("sketch", recovered.turnstile),
             fault={0: ShardFault("raise")},
         )
-        execute_plan(plan, recovered, workers=2, execution="processes")
+        execute_plan(plan, recovered, workers=2)
         assert recovered.state_dict() == sequential.state_dict()
 
     def test_retry_budget_exhaustion_raises(self, items):
         estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={1: ShardFault("raise", failures=5)})
         with pytest.raises(WorkerFailureError):
-            execute_plan(plan, estimator, workers=1, execution="inline")
+            execute_plan(plan, estimator, workers=1)
 
     def test_retry_budget_exhaustion_raises_in_processes(self, items):
         estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={1: ShardFault("kill", failures=5)})
         with pytest.raises(WorkerFailureError):
-            execute_plan(plan, estimator, workers=2, execution="processes")
+            execute_plan(plan, estimator, workers=2)
 
     def test_zero_retries_fails_on_first_fault(self, items):
         estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
         plan = _f0_plan(items, fault={0: ShardFault("raise")}, retries=0)
         with pytest.raises(WorkerFailureError):
-            execute_plan(plan, estimator, workers=1, execution="inline")
-
-    def test_caller_owned_executor_survives_raise_faults(self, items):
-        sequential = _sequential_f0("hyperloglog", items)
-        recovered = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
-        plan = _f0_plan(items, fault={1: ShardFault("raise")})
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            execute_plan(plan, recovered, executor=pool)
-        assert recovered.state_dict() == sequential.state_dict()
-
-    def test_caller_owned_executor_broken_by_kill_is_not_rebuilt(self, items):
-        estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
-        plan = _f0_plan(items, fault={1: ShardFault("kill")})
-        pool = ProcessPoolExecutor(max_workers=2)
-        try:
-            with pytest.raises(WorkerFailureError):
-                execute_plan(plan, estimator, executor=pool)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            execute_plan(plan, estimator, workers=1)
 
     def test_fault_spec_validation(self):
         with pytest.raises(ParameterError):
             ShardFault(mode="explode")
         with pytest.raises(ParameterError):
             ShardFault(failures=0)
-
-
-class TestHandoff:
-    """Pipelined and barrier handoff must agree byte-for-byte."""
-
-    @pytest.mark.parametrize("name", ["hyperloglog", "kmv", "linear-counting"])
-    def test_handoffs_bit_identical(self, items, name):
-        states = {}
-        for handoff in ("pipelined", "barrier"):
-            estimator = make_f0_estimator(name, UNIVERSE, EPS, seed=SEED)
-            parallel_merge_shards(
-                estimator,
-                shard_items(items, SHARDS),
-                workers=2,
-                execution="processes",
-                handoff=handoff,
-            )
-            states[handoff] = estimator.state_dict()
-        assert states["pipelined"] == states["barrier"]
-        assert states["pipelined"] == _sequential_f0(name, items).state_dict()
-
-    def test_unknown_handoff_rejected(self, items):
-        estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
-        with pytest.raises(ParameterError):
-            parallel_merge_shards(
-                estimator, shard_items(items, SHARDS), handoff="osmosis"
-            )
 
 
 class TestPlanValidation:

@@ -20,7 +20,7 @@ from repro.baselines.loglog import LogLogCounter
 from repro.core.rough_estimator import RoughEstimator
 from repro.estimators.registry import make_l0_estimator
 from repro.exceptions import MergeError, ParameterError, UpdateError
-from repro.parallel import parallel_ingest_keyed, shard_keyed_updates
+from repro.parallel import parallel_ingest_into, shard_keyed_updates
 from repro.store import (
     ObjectSketchArray,
     SketchStore,
@@ -472,9 +472,7 @@ class TestKeyedSharding:
         serial = _make_store("hyperloglog", {})
         serial.update_grouped(keys, items)
         sharded = _make_store("hyperloglog", {})
-        parallel_ingest_keyed(
-            sharded, keys, items, shards=shards, execution="inline"
-        )
+        parallel_ingest_into(sharded, items, keys=keys, workers=1, shards=shards)
         for key in serial.keys:
             assert sharded.sketch(key).state_dict() == serial.sketch(key).state_dict()
 
@@ -488,9 +486,7 @@ class TestKeyedSharding:
         )
         serial.update_grouped(keys, items, deltas)
         sharded = serial.spawn_empty()
-        parallel_ingest_keyed(
-            sharded, keys, items, deltas, shards=3, execution="inline"
-        )
+        parallel_ingest_into(sharded, items, deltas, keys=keys, workers=1, shards=3)
         for key in serial.keys:
             assert sharded.sketch(key).state_dict() == serial.sketch(key).state_dict()
 
@@ -502,7 +498,7 @@ class TestKeyedSharding:
         serial = _make_store("hyperloglog", {})
         serial.update_grouped(keys, items)
         sharded = _make_store("hyperloglog", {})
-        parallel_ingest_keyed(sharded, keys, items, workers=2)
+        parallel_ingest_into(sharded, items, keys=keys, workers=2)
         assert sharded.estimate_all() == serial.estimate_all()
 
 

@@ -17,8 +17,7 @@ from repro.exceptions import MergeError, ParameterError, UpdateError
 from repro.parallel import (
     mergeable_f0_names,
     mergeable_l0_names,
-    parallel_ingest_windowed,
-    parallel_ingest_windowed_keyed,
+    parallel_ingest_into,
     shard_epoch_slices,
 )
 from repro.store import SketchStore
@@ -256,13 +255,13 @@ class TestShardedWindowedIngestion:
             workload.epochs, workload.items, batch_size=128
         )
         sharded = _f0_ring("hyperloglog", retention=8)
-        parallel_ingest_windowed(
+        parallel_ingest_into(
             sharded,
-            workload.epochs,
             workload.items,
+            epochs=workload.epochs,
+            workers=1,
             shards=shards,
             batch_size=128,
-            execution="inline",
         )
         assert sharded.state_dict() == sequential.state_dict()
 
@@ -270,13 +269,12 @@ class TestShardedWindowedIngestion:
         sequential = _f0_ring("kmv", retention=8)
         sequential.ingest_timestamped(workload.epochs, workload.items)
         sharded = _f0_ring("kmv", retention=8)
-        parallel_ingest_windowed(
+        parallel_ingest_into(
             sharded,
-            workload.epochs,
             workload.items,
+            epochs=workload.epochs,
             workers=2,
             shards=3,
-            execution="processes",
         )
         assert sharded.state_dict() == sequential.state_dict()
 
@@ -287,14 +285,14 @@ class TestShardedWindowedIngestion:
             workload.epochs, workload.items, deltas, batch_size=200
         )
         sharded = _l0_ring("ganguly", retention=8)
-        parallel_ingest_windowed(
+        parallel_ingest_into(
             sharded,
-            workload.epochs,
             workload.items,
             deltas,
+            epochs=workload.epochs,
+            workers=1,
             shards=4,
             batch_size=200,
-            execution="inline",
         )
         assert sharded.state_dict() == sequential.state_dict()
 
@@ -305,22 +303,22 @@ class TestShardedWindowedIngestion:
         sequential.ingest_timestamped(workload.epochs, workload.items)
         staged = _f0_ring("hyperloglog", retention=8)
         staged.ingest_timestamped(workload.epochs[:half], workload.items[:half])
-        parallel_ingest_windowed(
+        parallel_ingest_into(
             staged,
-            workload.epochs[half:],
             workload.items[half:],
+            epochs=workload.epochs[half:],
+            workers=1,
             shards=3,
-            execution="inline",
         )
         assert staged.state_dict() == sequential.state_dict()
 
     def test_empty_stream_is_noop(self):
         ring = _f0_ring("hyperloglog")
         before = ring.to_bytes()
-        parallel_ingest_windowed(
+        parallel_ingest_into(
             ring,
-            np.asarray([], dtype=np.int64),
             np.asarray([], dtype=np.uint64),
+            epochs=np.asarray([], dtype=np.int64),
             shards=3,
         )
         assert ring.to_bytes() == before
@@ -331,20 +329,20 @@ class TestShardedWindowedIngestion:
         deltas = np.ones(len(workload), dtype=np.int64)
         f0 = _f0_ring("hyperloglog")
         with pytest.raises(UpdateError):
-            parallel_ingest_windowed(
-                f0, workload.epochs, workload.items, deltas,
-                shards=shards, execution="inline",
+            parallel_ingest_into(
+                f0, workload.items, deltas, epochs=workload.epochs,
+                workers=1, shards=shards,
             )
         l0 = _l0_ring("ganguly")
         with pytest.raises(UpdateError):
-            parallel_ingest_windowed(
-                l0, workload.epochs, workload.items,
-                shards=shards, execution="inline",
+            parallel_ingest_into(
+                l0, workload.items, epochs=workload.epochs,
+                workers=1, shards=shards,
             )
         with pytest.raises(UpdateError):
-            parallel_ingest_windowed(
-                l0, workload.epochs, workload.items, deltas[:-1],
-                shards=shards, execution="inline",
+            parallel_ingest_into(
+                l0, workload.items, deltas[:-1], epochs=workload.epochs,
+                workers=1, shards=shards,
             )
         # rejected calls mutate nothing
         assert f0.to_bytes() == _f0_ring("hyperloglog").to_bytes()
@@ -431,14 +429,14 @@ class TestWindowedSketchStore:
         )
         for shards in (2, 5):
             sharded = self._store_ring(retention=8)
-            parallel_ingest_windowed_keyed(
+            parallel_ingest_into(
                 sharded,
-                workload.epochs,
-                keyed,
                 workload.items,
+                keys=keyed,
+                epochs=workload.epochs,
+                workers=1,
                 shards=shards,
                 batch_size=150,
-                execution="inline",
             )
             assert sharded.state_dict() == sequential.state_dict()
 

@@ -51,7 +51,6 @@ from repro.parallel import (
     mergeable_f0_names,
     mergeable_l0_names,
     parallel_ingest_into,
-    parallel_ingest_updates_into,
 )
 from repro.store import SketchStore
 from repro.streams import (
@@ -191,7 +190,7 @@ def test_f0_cross_path_bit_identity(family, cls_name):
     if family in mergeable_f0_names():
         if _shard_deterministic(fresh):
             sharded = fresh()
-            parallel_ingest_into(sharded, items, shards=4, execution="inline")
+            parallel_ingest_into(sharded, items, workers=1, shards=4)
             assert canonical_state(sharded) == reference_state
             assert sharded.estimate() == reference_estimate
         else:
@@ -202,7 +201,7 @@ def test_f0_cross_path_bit_identity(family, cls_name):
             errors = []
             for seed in ENVELOPE_SEEDS:
                 sharded = fresh(seed)
-                parallel_ingest_into(sharded, items, shards=4, execution="inline")
+                parallel_ingest_into(sharded, items, workers=1, shards=4)
                 errors.append(abs(sharded.estimate() - truth) / max(truth, 1))
             assert statistics.median(errors) <= ENVELOPE[family]
 
@@ -254,9 +253,7 @@ def test_l0_cross_path_bit_identity(family, cls_name):
 
     if family in mergeable_l0_names():
         sharded = fresh()
-        parallel_ingest_updates_into(
-            sharded, (items, deltas), shards=4, execution="inline"
-        )
+        parallel_ingest_into(sharded, items, deltas, workers=1, shards=4)
         assert canonical_state(sharded) == reference_state
         assert sharded.estimate() == reference_estimate
 
