@@ -88,7 +88,7 @@ def _parallel_seconds(name: str, items: np.ndarray) -> "tuple[float, float]":
 
 
 def test_parallel_ingest_speedup(benchmark):
-    """E-parallel: 8-worker sharded ingest vs serial batched ingest."""
+    """E-parallel: WORKERS-way sharded ingest vs serial batched ingest."""
     items = _stream()
     truth_scale = len(items)
 
@@ -103,7 +103,8 @@ def test_parallel_ingest_speedup(benchmark):
 
     rows = run_once(benchmark, experiment)
     lines = [
-        "%-12s %10s %10s %9s" % ("algorithm", "serial s", "8-way s", "speedup")
+        "%-12s %10s %10s %9s"
+        % ("algorithm", "serial s", "%d-way s" % WORKERS, "speedup")
     ]
     for name, (serial_s, parallel_s, speedup, _, _) in rows.items():
         lines.append(

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from .. import serialize
-from ..exceptions import PersistenceError, SerializationError
+from ..exceptions import FormatVersionError, PersistenceError, SerializationError
 from .log import (
     RECORD_KIND_DELTA,
     RECORD_KIND_SNAPSHOT,
@@ -170,6 +170,12 @@ def _load_snapshot(log: DurableLog, report: RecoveryReport) -> Any:
         ):
             try:
                 target = serialize.loads(scan.records[0].payload)
+            except FormatVersionError as error:
+                # Intact, but another build's format: not damage to walk past.
+                raise PersistenceError(
+                    "snapshot %r is in serialization format version %d; this "
+                    "build reads only version %d" % (path, error.found, error.expected)
+                ) from error
             except SerializationError:
                 report.snapshots_skipped.append(path)
                 continue
@@ -242,8 +248,10 @@ def recover(directory: str, sync: bool = True) -> Tuple[Any, RecoveryReport]:
     bit-identical to the state at the last durably-acknowledged record,
     and ``report`` describes anything that had to be dropped.  Raises
     :class:`~repro.exceptions.PersistenceError` only when there is
-    nothing usable at all (no intact snapshot) or the directory is
-    locked by a live writer — damaged data alone never raises.
+    nothing usable at all (no intact snapshot), when the newest intact
+    snapshot is in another serialization format version (the message
+    names both versions), or when the directory is locked by a live
+    writer — damaged data alone never raises.
     """
     with DurableLog(directory, sync=sync) as log:
         return _recover_with_log(log)

@@ -40,12 +40,21 @@ __all__ = [
     "CardinalityEstimator",
     "TurnstileEstimator",
     "describe_estimator",
+    "universe_bound",
 ]
 
 #: The types accepted by ``update_batch``: any integer sequence, including
 #: a NumPy integer ndarray (the zero-copy fast path for vectorized
 #: overrides).
 ItemBatch = Union[Sequence[int], "object"]
+
+
+def universe_bound(estimator) -> Optional[int]:
+    """An estimator's universe size; amplification wrappers carry their copies'."""
+    copies = getattr(estimator, "copies", None)
+    if copies:
+        estimator = copies[0]
+    return getattr(estimator, "universe_size", None)
 
 
 class SerializableState:

@@ -72,10 +72,12 @@ class PersistenceError(ReproError, RuntimeError):
 
     Raised when a :class:`repro.durability.DurableLog` directory is already
     held by another writer (single-writer advisory lock), when no usable
-    snapshot survives in a directory being recovered, or when a durable
-    result spool does not match the plan being resumed.  Note that *damaged
-    data* (torn tails, checksum failures) does **not** raise — recovery
-    quarantines it and reports through ``RecoveryReport`` instead.
+    snapshot survives in a directory being recovered, when a durable
+    result spool does not match the plan being resumed, or when a log or
+    spool was written in another serialization format version.  Note that
+    *damaged data* (torn tails, checksum failures) does **not** raise —
+    recovery quarantines it and reports through ``RecoveryReport``
+    instead.
     """
 
 
@@ -102,3 +104,21 @@ class SerializationError(ReproError, ValueError):
     ``from_bytes`` is asked to revive a payload whose recorded class does
     not match the requested one.
     """
+
+
+class FormatVersionError(SerializationError):
+    """A framed payload was written in another serialization format version.
+
+    Decoding raises this instead of a plain :class:`SerializationError`
+    so that durable logs and result spools can tell a well-formed payload
+    of another build from damage: ``found`` is the payload's version byte
+    and ``expected`` the one version this build reads.
+    """
+
+    def __init__(self, found: int, expected: int) -> None:
+        super().__init__(
+            "unsupported serialization format version %d (expected %d)"
+            % (found, expected)
+        )
+        self.found = found
+        self.expected = expected

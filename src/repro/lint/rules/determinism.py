@@ -57,7 +57,9 @@ _WALL_CLOCK = frozenset(
 )
 
 #: serialize.py functions that produce the canonical encoding.
-_CANONICAL_ENCODERS = frozenset({"encode", "snapshot", "dumps_tree", "_encode_tree"})
+_CANONICAL_ENCODERS = frozenset(
+    {"encode", "snapshot", "dumps_tree", "_encode_tree", "_int_block", "_int_column"}
+)
 
 
 def _first_arg_is_seedless(node: ast.Call) -> bool:

@@ -27,14 +27,14 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-from ..estimators.base import CardinalityEstimator, TurnstileEstimator
+from ..estimators.base import CardinalityEstimator, TurnstileEstimator, universe_bound
 from ..estimators.registry import (
     f0_algorithm_names,
     l0_algorithm_names,
     make_f0_estimator,
     make_l0_estimator,
 )
-from ..exceptions import ParameterError, UpdateError
+from ..exceptions import ParameterError
 from ..store.store import SketchStore
 from ..streams.model import MaterializedStream
 from ..vectorize import as_delta_array, as_key_array
@@ -156,14 +156,6 @@ def _plan_for(target, items, deltas, keys, epochs, count, batch_size) -> IngestP
     )
 
 
-def _universe_size(estimator) -> Optional[int]:
-    """An estimator's universe bound; median wrappers carry their copies'."""
-    copies = getattr(estimator, "copies", None)
-    if copies:
-        estimator = copies[0]
-    return getattr(estimator, "universe_size", None)
-
-
 def _estimator_batch(target, items, deltas):
     """Validate an estimator's input as its own ``update_batch`` would."""
     turnstile = isinstance(target, TurnstileEstimator)
@@ -181,44 +173,24 @@ def _estimator_batch(target, items, deltas):
         raise ParameterError("turnstile estimators need one delta per item")
     if deltas is not None and not turnstile:
         raise ParameterError("insertion-only estimators take no deltas")
-    items = as_key_array(items, _universe_size(target))
+    items = as_key_array(items, universe_bound(target))
     if turnstile:
         deltas = as_delta_array(deltas, len(items))
     return items, deltas
 
 
 def _epoch_plan(target, epochs, keys, items, deltas, count, batch_size) -> IngestPlan:
-    """Validate a timestamped stream against a ring and build its epoch plan.
+    """Validate a timestamped stream with the ring's own check; build its plan.
 
-    Mirrors the ring's ``ingest_timestamped`` checks (exception types
-    included) and adds the item/delta validation its per-epoch batches
-    would apply, so no shard ever fails on input the coordinator could
-    have rejected.
+    ``validate_timestamped`` is the check the ring's sequential
+    ``ingest_timestamped`` runs before it changes anything, so no shard
+    ever fails on input the coordinator could have rejected.
     """
-    runs = epoch_runs(epochs, expected_length=len(items))
     store = isinstance(target, WindowedSketchStore)
     if store:
-        if len(keys) != len(items):
-            raise ParameterError("windowed keyed ingestion needs one key per item")
-        if deltas is not None and len(deltas) != len(items):
-            raise ParameterError("windowed keyed ingestion needs one delta per item")
-        items, deltas = target.current.array.validate_batch(items, deltas)
+        _, items, deltas = target.validate_timestamped(epochs, keys, items, deltas)
     else:
-        if target.turnstile:
-            if deltas is None:
-                raise UpdateError("turnstile windowed ingestion needs deltas")
-            if len(deltas) != len(items):
-                raise UpdateError("windowed ingestion needs one delta per item")
-        elif deltas is not None:
-            raise UpdateError("insertion-only windowed ingestion takes no deltas")
-        items = as_key_array(items, _universe_size(target.current))
-        if deltas is not None:
-            deltas = as_delta_array(deltas, len(items))
-    if runs and runs[0][0] < target.epoch_index:
-        raise ParameterError(
-            "epoch %d precedes the open epoch %d; windowed ingestion only "
-            "moves forward" % (runs[0][0], target.epoch_index)
-        )
+        _, items, deltas = target.validate_timestamped(epochs, items, deltas)
     return IngestPlan(
         "epoch", "template-epochs", "adopt-in-order", "epochs",
         _epoch_shards(epochs, items, deltas, keys, count), batch_size,

@@ -59,7 +59,12 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .. import serialize
 from ..estimators.base import CardinalityEstimator, TurnstileEstimator
-from ..exceptions import ParameterError, PersistenceError, WorkerFailureError
+from ..exceptions import (
+    FormatVersionError,
+    ParameterError,
+    PersistenceError,
+    WorkerFailureError,
+)
 from ..vectorize import np
 from .pool import default_workers, get_pool, reset_pool
 from .workers import ShardFault, ingest_shard, _feed_items, _feed_updates
@@ -302,10 +307,18 @@ class _ResultSpool:
         if segments:
             first_scan = scan_segment(segments[0][1])
             head = first_scan.records[0] if first_scan.records else None
+            try:
+                meta = None if head is None else serialize.loads_tree(head.payload)
+            except FormatVersionError as error:
+                self._log.close()
+                raise PersistenceError(
+                    "result spool %r is in serialization format version %d; "
+                    "this build reads only version %d" % (directory, error.found, error.expected)
+                ) from error
             if (
-                head is None
+                not isinstance(meta, dict)
                 or head.kind != self._KIND_META
-                or serialize.loads_tree(head.payload).get("fingerprint") != fingerprint
+                or meta.get("fingerprint") != fingerprint
             ):
                 self._log.close()
                 raise PersistenceError(

@@ -17,12 +17,19 @@ components — hash families, bit structures, shared RNGs) without
   captured once and referenced thereafter, so reviving a snapshot
   restores the exact aliasing structure — a requirement for
   bit-identical *continued* ingestion, not just for frozen state.
+  Integer containers (the sketches' counter lists, coefficient tuples,
+  int→int memo dicts) become one *typed block* each: a ``bytes`` leaf
+  holding the container kind, the element count, and the elements at
+  the narrowest little-endian width their minimum and maximum fit, the
+  idea of Protocol Buffers' packed repeated fields.  The tree stays
+  plain, so snapshot equality is still state equality.
 * :func:`restore` — load a snapshot back into an existing instance
   (``load_state_dict()``), torch-style: construct the estimator with the
   same parameters, then restore.
 * :func:`dumps` / :func:`loads` — frame a snapshot as bytes
   (``to_bytes()`` / ``from_bytes()``): a magic header, a format version,
-  and a compact tag-length-value encoding of the tree.  Unlike
+  and a compact tag-length-value encoding of the tree in which every
+  string is written once and referenced by index after that.  Unlike
   ``pickle``, decoding only ever instantiates classes from inside the
   ``repro`` package (plus ``random.Random``), so a payload cannot name
   arbitrary importable callables.
@@ -36,16 +43,26 @@ encoding), ``str``, ``bytes``, ``bytearray``, ``list``, ``tuple``,
 Anything else raises :class:`~repro.exceptions.SerializationError` at
 *encode* time, so a sketch that grows unsupported state fails loudly in
 its own round-trip test rather than corrupting a worker transport.
+
+Equal state always encodes to equal bytes: dict keys and set members are
+sorted, a block's width depends only on its values, and the type check
+is exact (``True`` never packs as ``1``, a tuple never decodes as a
+list).  There is one decoder, for the current :data:`FORMAT_VERSION`; a
+frame of any other version raises
+:class:`~repro.exceptions.FormatVersionError`.
 """
 
 from __future__ import annotations
 
+import array
 import importlib
 import random
 import struct
+import sys
+from operator import countOf
 from typing import Any, Dict, List, Optional, Tuple
 
-from .exceptions import SerializationError
+from .exceptions import FormatVersionError, SerializationError
 from .vectorize import HAS_NUMPY, np
 
 __all__ = [
@@ -63,11 +80,165 @@ __all__ = [
 FORMAT_MAGIC = b"RPRS"
 
 #: Version byte following the magic; bumped on incompatible changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Only classes whose defining module lives under this package (or is the
 #: stdlib ``random`` module, for RNG state) may be revived by decoding.
 _TRUSTED_PACKAGE = __name__.split(".")[0]
+
+
+def _write_varint(out: bytearray, value: int) -> None:
+    if value < 0:
+        raise SerializationError("varint fields are unsigned")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def _varint_at(data: bytes, offset: int) -> Tuple[int, int]:
+    """Decode the varint at ``data[offset]``; return it and the next offset."""
+    byte = data[offset]
+    value = byte & 0x7F
+    shift = 7
+    while byte & 0x80:
+        if shift > 70:
+            raise SerializationError("varint overflow in payload")
+        offset += 1
+        byte = data[offset]
+        value |= (byte & 0x7F) << shift
+        shift += 7
+    return value, offset + 1
+
+
+# ---------------------------------------------------------------------------
+# Typed integer blocks
+# ---------------------------------------------------------------------------
+
+#: Container kinds a block stands for.  A map block holds a keys column and
+#: a values column (keys sorted); every other kind holds one column.
+_BLOCK_LIST, _BLOCK_TUPLE, _BLOCK_SET, _BLOCK_FROZENSET, _BLOCK_MAP = range(5)
+
+#: Width codes 0-7 are the ``array`` typecodes of the unsigned and signed
+#: 1-, 2-, 4- and 8-byte columns (code ``c`` is ``1 << (c >> 1)`` bytes wide,
+#: signed when odd).  Code ``_WIDE`` is a signed column wider than 8 bytes,
+#: its byte width written after the code.
+_TYPECODES = "BbHhIiQq"
+_WIDE = len(_TYPECODES)
+_SWAP = sys.byteorder == "big"  # columns are little-endian on the wire
+#: Columns at least this long take the NumPy packing path when they fit
+#: ``uint64``; shorter ones cost less through ``array`` alone.
+_NUMPY_COLUMN = 64
+
+
+def _all_ints(values) -> bool:
+    """Whether a container is non-empty and holds exact ``int``s only."""
+    return len(values) > 0 and countOf(map(type, values), int) == len(values)
+
+
+def _int_column(column: List[int]) -> Tuple[bytes, bytes]:
+    """A column's width spec and its raw bytes at the narrowest width.
+
+    The width follows from the column's minimum and maximum alone.
+    Unsigned 64-bit columns, the common case, pack in one C pass into a
+    ``uint64`` buffer that NumPy then measures and narrows.
+    """
+    values = None
+    if HAS_NUMPY and len(column) >= _NUMPY_COLUMN:
+        try:
+            values = np.frombuffer(array.array("Q", column), dtype=np.uint64)
+        except OverflowError:  # a negative or wider than 64-bit entry
+            pass
+    if values is not None:
+        lo, hi = 0, int(values.max())
+    else:
+        lo, hi = min(column), max(column)
+    signed = lo < 0
+    magnitude = max(~lo if signed else 0, hi).bit_length()
+    for code in range(signed, _WIDE, 2):
+        if magnitude + signed <= 8 << (code >> 1):
+            if values is not None:
+                return bytes((code,)), values.astype("<u%d" % (1 << (code >> 1))).tobytes()
+            packed = array.array(_TYPECODES[code], column)
+            if _SWAP:
+                packed.byteswap()
+            return bytes((code,)), packed.tobytes()
+    width = (magnitude + 8) // 8
+    spec = bytearray((_WIDE,))
+    _write_varint(spec, width)
+    return bytes(spec), b"".join([v.to_bytes(width, "little", signed=True) for v in column])
+
+
+def _int_block(kind: int, *columns: List[int]) -> Dict[str, bytes]:
+    """Pack equal-length columns of exact ints into one ``__ints__`` node.
+
+    Layout: ``kind:u8 count:varint``, each column's width spec (a width
+    code, plus the byte width when wide), then each column's raw
+    little-endian bytes — so the sizes are known before any is read.
+    """
+    head = bytearray((kind,))
+    _write_varint(head, len(columns[0]))
+    raw = []
+    for column in columns:
+        spec, packed = _int_column(column)
+        head += spec
+        raw.append(packed)
+    return {"__ints__": bytes(head) + b"".join(raw)}
+
+
+def _read_int_block(block: Any) -> Any:
+    """Unpack an ``__ints__`` node; every size is checked before reading."""
+    if not isinstance(block, bytes) or not block:
+        raise SerializationError("malformed __ints__ node")
+    kind = block[0]
+    if kind > _BLOCK_MAP:
+        raise SerializationError("unknown int block kind %d" % kind)
+    count, offset = _varint_at(block, 1)
+    columns = []
+    for _ in range(2 if kind == _BLOCK_MAP else 1):
+        code = block[offset]
+        offset += 1
+        if code < _WIDE:
+            width = 1 << (code >> 1)
+        elif code == _WIDE:
+            width, offset = _varint_at(block, offset)
+            if width <= 8:
+                raise SerializationError("wide int column of only %d bytes" % width)
+        else:
+            raise SerializationError("unknown int width code %d" % code)
+        columns.append((code, width))
+    if count * sum(width for _, width in columns) != len(block) - offset:
+        raise SerializationError(
+            "int block of %d entries does not fit its %d bytes"
+            % (count, len(block) - offset)
+        )
+    values = []
+    for code, width in columns:
+        end = offset + count * width
+        if code == _WIDE:
+            values.append([
+                int.from_bytes(block[at : at + width], "little", signed=True)
+                for at in range(offset, end, width)
+            ])
+        else:
+            packed = array.array(_TYPECODES[code], block[offset:end])
+            if _SWAP:
+                packed.byteswap()
+            values.append(packed.tolist())
+        offset = end
+    if kind == _BLOCK_LIST:
+        return values[0]
+    if kind == _BLOCK_TUPLE:
+        return tuple(values[0])
+    if kind == _BLOCK_SET:
+        return set(values[0])
+    if kind == _BLOCK_FROZENSET:
+        return frozenset(values[0])
+    return dict(zip(values[0], values[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +288,17 @@ class _Snapshotter:
         if isinstance(value, bytearray):
             return {"__bytearray__": bytes(value)}
         if isinstance(value, list):
+            if _all_ints(value):
+                return _int_block(_BLOCK_LIST, value)
             return [self.encode(entry) for entry in value]
         if isinstance(value, tuple):
+            if _all_ints(value):
+                return _int_block(_BLOCK_TUPLE, value)
             return {"__tuple__": [self.encode(entry) for entry in value]}
         if isinstance(value, dict):
+            if _all_ints(value) and _all_ints(value.values()):
+                keys = sorted(value)
+                return _int_block(_BLOCK_MAP, keys, list(map(value.__getitem__, keys)))
             items = list(value.items())
             # Canonical key order: two dicts holding equal entries must
             # snapshot identically even when their *insertion* orders
@@ -135,11 +313,14 @@ class _Snapshotter:
                 ]
             }
         if isinstance(value, (set, frozenset)):
+            frozen = isinstance(value, frozenset)
+            if _all_ints(value):
+                return _int_block(_BLOCK_FROZENSET if frozen else _BLOCK_SET, sorted(value))
             try:
                 ordered = sorted(value)
             except TypeError:
                 ordered = list(value)
-            marker = "__frozenset__" if isinstance(value, frozenset) else "__set__"
+            marker = "__frozenset__" if frozen else "__set__"
             return {marker: [self.encode(entry) for entry in ordered]}
         if HAS_NUMPY and isinstance(value, np.ndarray):
             if value.dtype == object:
@@ -188,8 +369,9 @@ def snapshot(value: Any) -> Dict[str, Any]:
     """Return a ``state_dict`` tree capturing ``value``'s complete state.
 
     The result contains only plain Python values (plus ``bytes`` for raw
-    buffers) and is safe to hold, compare, or encode with :func:`dumps`.
-    Two sketches with equal snapshots are in bit-identical state.
+    buffers and typed integer blocks) and is safe to hold, compare, or
+    encode with :func:`dumps`.  Two sketches with equal snapshots are in
+    bit-identical state.
     """
     tree = _Snapshotter().encode(value)
     if not (isinstance(tree, dict) and "__object__" in tree):
@@ -241,6 +423,7 @@ _DECODE_ERRORS = (
     AttributeError,
     OverflowError,
     MemoryError,
+    RecursionError,
     struct.error,
 )
 
@@ -268,6 +451,8 @@ class _Rebuilder:
         if isinstance(node, list):
             return [self.decode(entry) for entry in node]
         if isinstance(node, dict):
+            if "__ints__" in node:
+                return _read_int_block(node["__ints__"])
             if "__tuple__" in node:
                 return tuple(self.decode(entry) for entry in node["__tuple__"])
             if "__map__" in node:
@@ -293,10 +478,10 @@ class _Rebuilder:
                 if spec["dtype"] == "object":
                     if "items" not in spec or not isinstance(spec["items"], list):
                         raise SerializationError("malformed object-dtype __ndarray__ node")
-                    array = np.empty(len(spec["items"]), dtype=object)
+                    revived = np.empty(len(spec["items"]), dtype=object)
                     for index, entry in enumerate(spec["items"]):
-                        array[index] = self.decode(entry)
-                    return array.reshape(spec["shape"])
+                        revived[index] = self.decode(entry)
+                    return revived.reshape(spec["shape"])
                 if "data" not in spec or not isinstance(spec["data"], bytes):
                     raise SerializationError("__ndarray__ node is missing its buffer")
                 return np.frombuffer(
@@ -318,14 +503,7 @@ class _Rebuilder:
                 # overwritten by the recorded state on the next line.
                 rng = random.Random()  # lint: allow[det-unseeded-rng] state is setstate()d from the payload below
                 self._memo[node["__random__"]] = rng
-                state = self.decode(node["__state__"])
-                # getstate() round-trips through list encoding; setstate
-                # needs the exact (version, tuple, gauss_next) shape back.
-                rng.setstate(
-                    (state[0], tuple(state[1]), state[2])
-                    if isinstance(state, (list, tuple))
-                    else state
-                )
+                rng.setstate(self.decode(node["__state__"]))
                 return rng
             if "__object__" in node:
                 if not isinstance(node.get("__object__"), str):
@@ -392,69 +570,64 @@ def revive(state: Dict[str, Any]) -> Any:
 _TAG_NONE = 0x00
 _TAG_TRUE = 0x01
 _TAG_FALSE = 0x02
-_TAG_INT = 0x03
-_TAG_FLOAT = 0x04
-_TAG_STR = 0x05
-_TAG_BYTES = 0x06
-_TAG_LIST = 0x07
-_TAG_DICT = 0x08
+_TAG_FLOAT = 0x03  # 8 IEEE-754 bytes follow; every later tag is followed by a varint:
+_TAG_INT = 0x04  # byte length of the signed little-endian value that follows
+_TAG_STR = 0x05  # byte length of the UTF-8 text that follows
+_TAG_BYTES = 0x06  # byte length of the raw bytes that follow
+_TAG_LIST = 0x07  # element count
+_TAG_DICT = 0x08  # entry count
+_TAG_STR_REF = 0x09  # index of a string written earlier in the frame
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise SerializationError("varint fields are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
+def _write_head(out: bytearray, tag: int, value: int) -> None:
+    out.append(tag)
+    if value < 0x80:
+        out.append(value)
+    else:
+        _write_varint(out, value)
+
+
+def _encode_tree(out: bytearray, node: Any, strings: Dict[str, int]) -> None:
+    if isinstance(node, str):
+        index = strings.get(node)
+        if index is None:
+            strings[node] = len(strings)
+            raw = node.encode("utf-8")
+            _write_head(out, _TAG_STR, len(raw))
+            out += raw
         else:
-            out.append(byte)
-            return
-
-
-def _encode_tree(out: bytearray, node: Any) -> None:
-    if node is None:
+            _write_head(out, _TAG_STR_REF, index)
+    elif isinstance(node, dict):
+        _write_head(out, _TAG_DICT, len(node))
+        # Order-safe: _encode_tree only ever sees snapshotter output, where
+        # plain dicts have already been canonicalized into sorted __map__
+        # or __ints__ marker nodes; the dicts reaching here are marker
+        # wrappers and __state__ dicts built in deterministic order.
+        for key, entry in node.items():  # lint: allow[det-serialize-dict-order] input is canonical snapshotter output
+            if not isinstance(key, str):
+                raise SerializationError("snapshot tree keys must be strings")
+            _encode_tree(out, key, strings)
+            _encode_tree(out, entry, strings)
+    elif node is None:
         out.append(_TAG_NONE)
     elif node is True:
         out.append(_TAG_TRUE)
     elif node is False:
         out.append(_TAG_FALSE)
     elif isinstance(node, int):
-        out.append(_TAG_INT)
-        length = (node.bit_length() + 8) // 8 or 1
-        raw = node.to_bytes(length, "little", signed=True)
-        _write_varint(out, len(raw))
-        out.extend(raw)
+        length = (node.bit_length() + 8) // 8
+        _write_head(out, _TAG_INT, length)
+        out += node.to_bytes(length, "little", signed=True)
+    elif isinstance(node, bytes):
+        _write_head(out, _TAG_BYTES, len(node))
+        out += node
+    elif isinstance(node, list):
+        _write_head(out, _TAG_LIST, len(node))
+        for entry in node:
+            _encode_tree(out, entry, strings)
     elif isinstance(node, float):
         out.append(_TAG_FLOAT)
-        out.extend(struct.pack("<d", node))
-    elif isinstance(node, str):
-        raw = node.encode("utf-8")
-        out.append(_TAG_STR)
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(node, bytes):
-        out.append(_TAG_BYTES)
-        _write_varint(out, len(node))
-        out.extend(node)
-    elif isinstance(node, list):
-        out.append(_TAG_LIST)
-        _write_varint(out, len(node))
-        for entry in node:
-            _encode_tree(out, entry)
-    elif isinstance(node, dict):
-        out.append(_TAG_DICT)
-        _write_varint(out, len(node))
-        # Order-safe: _encode_tree only ever sees snapshotter output, where
-        # plain dicts have already been canonicalized into sorted __map__
-        # marker nodes; the dicts reaching here are single-marker wrappers
-        # and __state__ dicts built in deterministic construction order.
-        for key, entry in node.items():  # lint: allow[det-serialize-dict-order] input is canonical snapshotter output
-            if not isinstance(key, str):
-                raise SerializationError("snapshot tree keys must be strings")
-            _encode_tree(out, key)
-            _encode_tree(out, entry)
+        out += struct.pack("<d", node)
     else:
         raise SerializationError(
             "snapshot tree contains an unencodable %r" % type(node).__name__
@@ -462,85 +635,74 @@ def _encode_tree(out: bytearray, node: Any) -> None:
 
 
 class _Reader:
+    """Decodes one frame's tree; strings are numbered as they first appear.
+
+    Reading past the end raises ``IndexError``, which the decode guard
+    reports as ``SerializationError``; lengths and counts are checked
+    against the bytes left before they are used.
+    """
+
     def __init__(self, data: bytes, offset: int) -> None:
         self._data = data
         self._offset = offset
-
-    def _take(self, count: int) -> bytes:
-        end = self._offset + count
-        if end > len(self._data):
-            raise SerializationError("truncated payload")
-        piece = self._data[self._offset : end]
-        self._offset = end
-        return piece
-
-    def read_varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self._take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 70:
-                raise SerializationError("varint overflow in payload")
+        self._strings: List[str] = []
 
     def read_tree(self) -> Any:
-        tag = self._take(1)[0]
-        if tag == _TAG_NONE:
-            return None
-        if tag == _TAG_TRUE:
-            return True
-        if tag == _TAG_FALSE:
-            return False
-        if tag == _TAG_INT:
-            return int.from_bytes(self._take(self.read_varint()), "little", signed=True)
-        if tag == _TAG_FLOAT:
-            return struct.unpack("<d", self._take(8))[0]
-        if tag == _TAG_STR:
-            try:
-                return self._take(self.read_varint()).decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise SerializationError("malformed utf-8 string in payload") from error
-        if tag == _TAG_BYTES:
-            return bytes(self._take(self.read_varint()))
-        if tag == _TAG_LIST:
-            return [self.read_tree() for _ in range(self._read_count())]
+        data = self._data
+        offset = self._offset
+        tag = data[offset]
+        if tag <= _TAG_FLOAT:
+            if tag < _TAG_FLOAT:
+                self._offset = offset + 1
+                return (None, True, False)[tag]
+            self._offset = offset + 9
+            return struct.unpack_from("<d", data, offset + 1)[0]
+        if tag > _TAG_STR_REF:
+            raise SerializationError("unknown tag 0x%02x in payload" % tag)
+        value = data[offset + 1]
+        if value < 0x80:
+            offset += 2
+        else:
+            value, offset = _varint_at(data, offset + 1)
+        if value > len(data) - offset and tag != _TAG_STR_REF:
+            raise SerializationError("length or count exceeds the remaining payload")
+        self._offset = offset
+        if tag == _TAG_STR_REF:
+            return self._strings[value]
         if tag == _TAG_DICT:
             result: Dict[str, Any] = {}
-            for _ in range(self._read_count()):
+            for _ in range(value):
                 key = self.read_tree()
                 if not isinstance(key, str):
                     raise SerializationError("snapshot tree keys must be strings")
                 result[key] = self.read_tree()
             return result
-        raise SerializationError("unknown tag 0x%02x in payload" % tag)
-
-    def _read_count(self) -> int:
-        """Read an element count, bounded by the bytes actually left.
-
-        Every encoded element occupies at least one byte, so a count
-        exceeding the remaining payload proves corruption immediately —
-        without first looping until a truncation error fires.
-        """
-        count = self.read_varint()
-        if count > len(self._data) - self._offset:
-            raise SerializationError("element count exceeds remaining payload")
-        return count
+        if tag == _TAG_LIST:
+            return [self.read_tree() for _ in range(value)]
+        end = offset + value
+        self._offset = end
+        if tag == _TAG_STR:
+            text = data[offset:end].decode("utf-8")
+            self._strings.append(text)
+            return text
+        if tag == _TAG_INT:
+            return int.from_bytes(data[offset:end], "little", signed=True)
+        return data[offset:end]  # _TAG_BYTES
 
     def finished(self) -> bool:
         return self._offset == len(self._data)
 
 
+def _framed(tree: Any) -> bytes:
+    out = bytearray(FORMAT_MAGIC)
+    out.append(FORMAT_VERSION)
+    _encode_tree(out, tree, {})
+    return bytes(out)
+
+
 def dumps(value: Any, state: Optional[Dict[str, Any]] = None) -> bytes:
     """Serialize a library object (or a pre-taken snapshot) to framed bytes."""
-    tree = state if state is not None else snapshot(value)
-    out = bytearray()
-    out.extend(FORMAT_MAGIC)
-    out.append(FORMAT_VERSION)
-    _encode_tree(out, tree)
-    return bytes(out)
+    return _framed(state if state is not None else snapshot(value))
 
 
 def dumps_tree(value: Any) -> bytes:
@@ -548,17 +710,13 @@ def dumps_tree(value: Any) -> bytes:
 
     Unlike :func:`dumps`, the input need not be a library object: plain
     dicts, lists, scalars, and NumPy arrays are accepted directly, with
-    the same canonicalisation rules (sorted dict keys, contiguous array
-    buffers) the object path uses.  Two structurally equal trees encode
-    to byte-identical payloads, which is what fingerprint-style callers
-    (e.g. :func:`repro.streams.workloads.workload_fingerprint`) rely on.
+    the same canonicalisation rules (sorted dict keys, typed integer
+    blocks, contiguous array buffers) the object path uses.  Two
+    structurally equal trees encode to byte-identical payloads, which is
+    what fingerprint-style callers (e.g.
+    :func:`repro.streams.workloads.workload_fingerprint`) rely on.
     """
-    tree = _Snapshotter().encode(value)
-    out = bytearray()
-    out.extend(FORMAT_MAGIC)
-    out.append(FORMAT_VERSION)
-    _encode_tree(out, tree)
-    return bytes(out)
+    return _framed(_Snapshotter().encode(value))
 
 
 def decode_frame(data: bytes, require_object: bool = True) -> Any:
@@ -570,10 +728,7 @@ def decode_frame(data: bytes, require_object: bool = True) -> Any:
         raise SerializationError("payload does not start with the %r frame" % FORMAT_MAGIC)
     version = data[len(FORMAT_MAGIC)]
     if version != FORMAT_VERSION:
-        raise SerializationError(
-            "unsupported serialization format version %d (expected %d)"
-            % (version, FORMAT_VERSION)
-        )
+        raise FormatVersionError(version, FORMAT_VERSION)
     reader = _Reader(data, len(FORMAT_MAGIC) + 1)
     tree = _guarded(reader.read_tree)
     if not reader.finished():

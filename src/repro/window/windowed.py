@@ -50,10 +50,11 @@ from ..estimators.base import (
     CardinalityEstimator,
     SerializableState,
     TurnstileEstimator,
+    universe_bound,
 )
 from ..exceptions import MergeError, ParameterError, UpdateError
 from ..store.store import SketchStore
-from ..vectorize import np, require_numpy
+from ..vectorize import as_delta_array, as_key_array, np, require_numpy
 
 __all__ = [
     "WindowedSketch",
@@ -100,6 +101,11 @@ def epoch_runs(epochs, expected_length: Optional[int] = None) -> List[Tuple[int,
     ]
 
 
+def _check_batch_size(batch_size: Optional[int]) -> None:
+    if batch_size is not None and batch_size <= 0:
+        raise ParameterError("batch_size must be positive")
+
+
 def _feed_epoch(sketch, items, deltas, batch_size: Optional[int], turnstile: bool) -> None:
     """Drive one epoch's updates into ``sketch`` via ``update_batch`` chunks.
 
@@ -107,8 +113,7 @@ def _feed_epoch(sketch, items, deltas, batch_size: Optional[int], turnstile: boo
     and the sharded worker bodies, so both build bit-identical epoch
     sketches (``batch_size=None`` means one batch for the whole run).
     """
-    if batch_size is not None and batch_size <= 0:
-        raise ParameterError("batch_size must be positive")
+    _check_batch_size(batch_size)
     total = len(items)
     step = batch_size if batch_size is not None else max(total, 1)
     for start in range(0, total, step):
@@ -121,8 +126,7 @@ def _feed_epoch(sketch, items, deltas, batch_size: Optional[int], turnstile: boo
 
 def _feed_epoch_store(store, keys, items, deltas, batch_size: Optional[int]) -> None:
     """The keyed counterpart of :func:`_feed_epoch`: grouped chunk driving."""
-    if batch_size is not None and batch_size <= 0:
-        raise ParameterError("batch_size must be positive")
+    _check_batch_size(batch_size)
     total = len(items)
     step = batch_size if batch_size is not None else max(total, 1)
     for start in range(0, total, step):
@@ -232,6 +236,13 @@ class _EpochRing(SerializableState):
     def _fresh(self):
         return serialize.loads(self._template_blob)
 
+    def _check_forward(self, epoch: int) -> None:
+        if epoch < self._epoch_index:
+            raise ParameterError(
+                "epoch %d precedes the open epoch %d; windowed ingestion "
+                "only moves forward" % (epoch, self._epoch_index)
+            )
+
     @staticmethod
     def _clone(obj):
         return serialize.loads(obj.to_bytes())
@@ -311,11 +322,7 @@ class _EpochRing(SerializableState):
         """
         for epoch, state in pairs:
             epoch = int(epoch)
-            if epoch < self._epoch_index:
-                raise ParameterError(
-                    "epoch %d precedes the open epoch %d; windowed ingestion "
-                    "only moves forward" % (epoch, self._epoch_index)
-                )
+            self._check_forward(epoch)
             if epoch > self._epoch_index:
                 self.advance_epoch(epoch - self._epoch_index)
             if type(state) is not type(self._open):
@@ -445,7 +452,9 @@ class WindowedSketch(_EpochRing):
         and feeds each run through the shared chunking policy, so a
         sharded ingest of the same stream
         (:func:`repro.parallel.parallel_ingest_into`) builds
-        byte-identical epochs.
+        byte-identical epochs.  The whole call is validated first
+        (:meth:`validate_timestamped`): a rejected call leaves the ring
+        untouched.
 
         Args:
             epochs: one non-decreasing epoch number per update.
@@ -454,19 +463,8 @@ class WindowedSketch(_EpochRing):
             batch_size: ``update_batch`` chunk length within each epoch
                 run (``None`` = one batch per run).
         """
-        runs = epoch_runs(epochs, expected_length=len(items))
-        if self.turnstile:
-            if deltas is None:
-                raise UpdateError("turnstile windowed ingestion needs deltas")
-            if len(deltas) != len(items):
-                raise UpdateError("windowed ingestion needs one delta per item")
-        elif deltas is not None:
-            raise UpdateError("insertion-only windowed ingestion takes no deltas")
-        if runs and runs[0][0] < self._epoch_index:
-            raise ParameterError(
-                "epoch %d precedes the open epoch %d; windowed ingestion "
-                "only moves forward" % (runs[0][0], self._epoch_index)
-            )
+        runs, items, deltas = self.validate_timestamped(epochs, items, deltas)
+        _check_batch_size(batch_size)
         for epoch, start, stop in runs:
             if epoch > self._epoch_index:
                 self.advance_epoch(epoch - self._epoch_index)
@@ -478,6 +476,32 @@ class WindowedSketch(_EpochRing):
                 self.turnstile,
             )
             self._open_dirty = True
+
+    def validate_timestamped(self, epochs, items, deltas=None):
+        """Check a whole :meth:`ingest_timestamped` call; change nothing.
+
+        Checks the epoch runs, turnstile ↔ deltas, the delta length, the
+        open epoch, and the items and deltas against the open sketch, and
+        raises what the sequential feed would raise.
+
+        Returns:
+            ``(runs, items, deltas)``: the :func:`epoch_runs` triples and
+            the validated item and delta arrays.
+        """
+        runs = epoch_runs(epochs, expected_length=len(items))
+        if self.turnstile:
+            if deltas is None:
+                raise UpdateError("turnstile windowed ingestion needs deltas")
+            if len(deltas) != len(items):
+                raise UpdateError("windowed ingestion needs one delta per item")
+        elif deltas is not None:
+            raise UpdateError("insertion-only windowed ingestion takes no deltas")
+        if runs:
+            self._check_forward(runs[0][0])
+        items = as_key_array(items, universe_bound(self._open))
+        if deltas is not None:
+            deltas = as_delta_array(deltas, len(items))
+        return runs, items, deltas
 
     # -- reporting ------------------------------------------------------------------
 
@@ -586,16 +610,8 @@ class WindowedSketchStore(_EpochRing):
     ) -> None:
         """Ingest a timestamped keyed stream (see
         :meth:`WindowedSketch.ingest_timestamped`; adds the key column)."""
-        runs = epoch_runs(epochs, expected_length=len(items))
-        if len(keys) != len(items):
-            raise ParameterError("windowed keyed ingestion needs one key per item")
-        if deltas is not None and len(deltas) != len(items):
-            raise ParameterError("windowed keyed ingestion needs one delta per item")
-        if runs and runs[0][0] < self._epoch_index:
-            raise ParameterError(
-                "epoch %d precedes the open epoch %d; windowed ingestion "
-                "only moves forward" % (runs[0][0], self._epoch_index)
-            )
+        runs, items, deltas = self.validate_timestamped(epochs, keys, items, deltas)
+        _check_batch_size(batch_size)
         for epoch, start, stop in runs:
             if epoch > self._epoch_index:
                 self.advance_epoch(epoch - self._epoch_index)
@@ -607,6 +623,23 @@ class WindowedSketchStore(_EpochRing):
                 batch_size,
             )
             self._open_dirty = True
+
+    def validate_timestamped(self, epochs, keys, items, deltas=None):
+        """Check a whole keyed :meth:`ingest_timestamped` call; change nothing.
+
+        The keyed counterpart of :meth:`WindowedSketch.validate_timestamped`:
+        the key and delta lengths, the open epoch, then the items and
+        deltas against the open store (``validate_batch``).
+        """
+        runs = epoch_runs(epochs, expected_length=len(items))
+        if len(keys) != len(items):
+            raise ParameterError("windowed keyed ingestion needs one key per item")
+        if deltas is not None and len(deltas) != len(items):
+            raise ParameterError("windowed keyed ingestion needs one delta per item")
+        if runs:
+            self._check_forward(runs[0][0])
+        items, deltas = self._open.array.validate_batch(items, deltas)
+        return runs, items, deltas
 
     # -- reporting ------------------------------------------------------------------
 

@@ -556,3 +556,72 @@ class TestMonitorRollingWindows:
             monitor.distinct_flows_last(2)
         with pytest.raises(ParameterError):
             monitor.distinct_flows_last(5)  # beyond window_history
+
+
+class TestAllOrNothingTimestampedIngestion:
+    """A rejected timestamped call leaves the ring as it was.
+
+    Both ring types check the whole call (epoch runs, deltas, keys, the
+    open epoch, every item) before they advance or feed anything, so an
+    out-of-universe item in a *later* epoch run cannot leave the earlier
+    runs fed — and a ``Checkpointer`` that skips the rejected record
+    recovers exactly the live state.
+    """
+
+    KINDS = ["sketch-f0", "sketch-l0", "store-f0", "store-l0"]
+
+    @staticmethod
+    def _ring(kind):
+        if kind == "sketch-f0":
+            template = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=5)
+            return WindowedSketch(template, retention=4)
+        if kind == "sketch-l0":
+            template = make_l0_estimator("knw-l0", UNIVERSE, 0.25, 1 << 10, seed=5)
+            return WindowedSketch(template, retention=4)
+        family, params = (
+            ("hyperloglog", {}) if kind == "store-f0"
+            else ("knw-l0", {"magnitude_bound": 1 << 10})
+        )
+        store = SketchStore.for_family(family, UNIVERSE, eps=0.25, seed=5, **params)
+        return WindowedSketchStore(store, retention=4)
+
+    @staticmethod
+    def _ingest(ring, epochs, items, checkpointer=None):
+        items = np.asarray(items, dtype=np.uint64)
+        deltas = np.ones(len(items), dtype=np.int64) if ring.turnstile else None
+        keys = None
+        if isinstance(ring, WindowedSketchStore):
+            keys = np.arange(len(items), dtype=np.int64) % 3
+        if checkpointer is not None:
+            checkpointer.ingest(items, deltas=deltas, keys=keys, ts=epochs)
+        elif keys is not None:
+            ring.ingest_timestamped(epochs, keys, items, deltas)
+        else:
+            ring.ingest_timestamped(epochs, items, deltas)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_item_in_a_later_run_changes_nothing(self, kind):
+        ring = self._ring(kind)
+        self._ingest(ring, [0, 0, 1, 1], [10, 11, 12, 13])
+        before, epoch = ring.to_bytes(), ring.epoch_index
+        with pytest.raises(ParameterError):
+            self._ingest(ring, [1, 1, 2, 2, 3, 3], [20, 21, 22, 23, 24, UNIVERSE])
+        assert ring.to_bytes() == before
+        assert ring.epoch_index == epoch
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_checkpointed_rejection_recovers_the_live_state(self, kind, tmp_path):
+        from repro.durability import Checkpointer, recover
+
+        ring = self._ring(kind)
+        with Checkpointer(ring, str(tmp_path)) as checkpointer:
+            self._ingest(ring, [0, 0, 1, 1], [10, 11, 12, 13], checkpointer)
+            with pytest.raises(ParameterError):
+                self._ingest(
+                    ring, [1, 1, 2, 2, 3, 3], [20, 21, 22, 23, 24, UNIVERSE], checkpointer
+                )
+            self._ingest(ring, [3, 3, 3, 3], [30, 31, 32, 33], checkpointer)
+        recovered, report = recover(str(tmp_path))
+        assert report.replayed_records == 2
+        assert recovered.to_bytes() == ring.to_bytes()
+        assert recovered.estimate_window(3) == ring.estimate_window(3)
