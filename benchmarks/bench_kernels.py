@@ -7,7 +7,10 @@ passes should dominate:
 * ``hash_affine`` — the fused pairwise Carter--Wegman chain
   (``affine_mod_range``) with the 2^61 - 1 Mersenne field.
 * ``hash_kwise`` — the fused k-wise Horner chain (``kwise_mod_range``)
-  at the independence the KNW F0 estimator actually draws (k = 12).
+  over 2^61 - 1 at k = 12.
+* ``hash_kwise_m31`` — the same chain as the KNW hash bundle's ``h3``
+  draws it at eps = 0.05: 10-wise over 2^31 - 1, keys below 2^30 and
+  range 1024 (the compiled backend's lane-blocked Horner).
 * ``residue_scatter`` — ``grouped_residue_sums``, the turnstile
   scatter-accumulate core.
 * ``grouped_max`` / ``grouped_or`` — the sketch-store register scatters.
@@ -48,9 +51,16 @@ GATE_SPEEDUP = 5.0
 GATE_KERNELS = 2
 
 MERSENNE61 = (1 << 61) - 1
+MERSENNE31 = (1 << 31) - 1
 
-#: Independence drawn by the KNW F0 estimator's h3 at typical parameters.
+#: Coefficients of the 2^61 - 1 Horner row.
 KWISE_K = 12
+
+#: The bundle h3 of a KNW sketch at eps = 0.05 (K = 512): Lemma 2's
+#: independence over the domain (2K)^3 = 2^30, into 2K = 1024 bins.
+BUNDLE_H3_K = 10
+BUNDLE_H3_DOMAIN = 1 << 30
+BUNDLE_H3_RANGE = 1 << 10
 
 
 def _backends():
@@ -76,12 +86,17 @@ def _inputs():
     masks = (1 << (values % 8)).astype(np.uint8)
     coefficients = [int(c) for c in rng.integers(1, MERSENNE61, size=KWISE_K)]
     a, b = coefficients[0], coefficients[1]
+    bundle_keys = rng.integers(0, BUNDLE_H3_DOMAIN, size=ELEMENTS, dtype=np.uint64)
+    bundle_h3 = [int(c) for c in rng.integers(1, MERSENNE31, size=BUNDLE_H3_K)]
     kernels = {
         "hash_affine": lambda backend: backend.affine_mod_range(
             a, b, keys, MERSENNE61, 1 << 32, 1 << 16
         ),
         "hash_kwise": lambda backend: backend.kwise_mod_range(
             coefficients, keys, MERSENNE61, 1 << 32, 1 << 16
+        ),
+        "hash_kwise_m31": lambda backend: backend.kwise_mod_range(
+            bundle_h3, bundle_keys, MERSENNE31, BUNDLE_H3_DOMAIN, BUNDLE_H3_RANGE
         ),
         "residue_scatter": lambda backend: backend.grouped_residue_sums(
             groups, 1 << 16, field, MERSENNE61

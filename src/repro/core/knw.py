@@ -69,6 +69,29 @@ def _counter_bits(value: int) -> int:
     return ceil_log2(value + 2)
 
 
+def _total_counter_bits(counters) -> int:
+    """Return the paper's ``A``: the sum of :func:`_counter_bits` over counters.
+
+    Counters take few distinct values, so this charges each distinct value
+    once, times its multiplicity.
+    """
+    values, counts = np.unique(np.asarray(counters, dtype=np.int64), return_counts=True)
+    return sum(
+        _counter_bits(value) * count
+        for value, count in zip(values.tolist(), counts.tolist())
+    )
+
+
+def _shift_and_clamp(counters, shift: int):
+    """Return the counters moved by ``shift`` as an ``int64`` array.
+
+    Steps (a)-(c) of Figure 3: an occupied counter ``C >= 0`` becomes
+    ``max(-1, C + shift)`` and an empty one (``-1``) stays empty.
+    """
+    values = np.asarray(counters, dtype=np.int64)
+    return np.where(values >= 0, np.maximum(values + shift, -1), -1)
+
+
 class KNWFigure3Sketch(CardinalityEstimator):
     """The main space-optimal sketch of Figure 3 (valid for ``F0 >= K/32``).
 
@@ -165,7 +188,7 @@ class KNWFigure3Sketch(CardinalityEstimator):
         # draws than sequential ingestion (see the base-class attribute).
         self.shard_deterministic = self.rough.shard_deterministic
         self._counters: List[int] = [-1] * self.bins
-        self._bit_budget = sum(_counter_bits(c) for c in self._counters)  # the paper's A
+        self._bit_budget = _total_counter_bits(self._counters)  # the paper's A
         self._base_level = 0  # the paper's b
         self._est_exponent = 0  # the paper's est (2^est is the committed rough estimate)
         self._occupied = 0  # |{j : C_j >= 0}| maintained incrementally (the T of Step 7)
@@ -265,16 +288,11 @@ class KNWFigure3Sketch(CardinalityEstimator):
             0, self._est_exponent - int(math.log2(self.bins // self.offset_divisor))
         )
         if new_base != self._base_level:
-            shift = self._base_level - new_base
-            occupied = 0
-            for index, value in enumerate(self._counters):
-                shifted = max(-1, value + shift) if value >= 0 else -1
-                self._counters[index] = shifted
-                if shifted >= 0:
-                    occupied += 1
-            self._occupied = occupied
+            counters = _shift_and_clamp(self._counters, self._base_level - new_base)
+            self._counters = counters.tolist()
+            self._occupied = int(np.count_nonzero(counters >= 0))
             self._base_level = new_base
-        self._bit_budget = sum(_counter_bits(value) for value in self._counters)
+        self._bit_budget = _total_counter_bits(self._counters)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -329,16 +347,14 @@ class KNWFigure3Sketch(CardinalityEstimator):
                 "parameters and an identical, explicit seed"
             )
         target_base = max(self._base_level, other._base_level)
-        self._shift_to_base(target_base)
-        other_values = other._shifted_counters(target_base)
-        occupied = 0
-        for index in range(self.bins):
-            merged = max(self._counters[index], other_values[index])
-            self._counters[index] = merged
-            if merged >= 0:
-                occupied += 1
-        self._occupied = occupied
-        self._bit_budget = sum(_counter_bits(value) for value in self._counters)
+        merged = np.maximum(
+            _shift_and_clamp(self._counters, self._base_level - target_base),
+            _shift_and_clamp(other._counters, other._base_level - target_base),
+        )
+        self._counters = merged.tolist()
+        self._base_level = target_base
+        self._occupied = int(np.count_nonzero(merged >= 0))
+        self._bit_budget = _total_counter_bits(merged)
         self._est_exponent = max(self._est_exponent, other._est_exponent)
         self._failed = self._failed or other._failed
         if self._owns_rough and other._owns_rough:
@@ -357,22 +373,6 @@ class KNWFigure3Sketch(CardinalityEstimator):
                 self._rebase(rough_estimate)
         if self._bit_budget > self.FAIL_FACTOR * self.bins:
             self._failed = True
-
-    def _shift_to_base(self, new_base: int) -> None:
-        if new_base == self._base_level:
-            return
-        shift = self._base_level - new_base
-        self._counters = [
-            max(-1, value + shift) if value >= 0 else -1 for value in self._counters
-        ]
-        self._occupied = sum(1 for value in self._counters if value >= 0)
-        self._base_level = new_base
-
-    def _shifted_counters(self, new_base: int) -> List[int]:
-        shift = self._base_level - new_base
-        return [
-            max(-1, value + shift) if value >= 0 else -1 for value in self._counters
-        ]
 
     # -- space accounting -----------------------------------------------------------
 

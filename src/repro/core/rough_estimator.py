@@ -288,8 +288,9 @@ class RoughEstimator(SerializableState):
         ):
             raise ParameterError("cannot merge RoughEstimators with different parameters")
         for mine, theirs in zip(self._copies, other._copies):
-            for index in range(mine.counters.length):
-                mine.counters.maximize(index, theirs.counters.get(index))
+            mine.counters.maximize_many(
+                np.arange(mine.counters.length), theirs.counters.to_numpy()
+            )
         if other._monotone_floor > self._monotone_floor:
             self._monotone_floor = other._monotone_floor
 

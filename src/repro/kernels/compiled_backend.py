@@ -499,6 +499,7 @@ def _self_test(backend: CompiledKernels) -> None:
     rng = np.random.default_rng(0xC0DE)
     words = rng.integers(0, _U64_MAX, size=64, dtype=np.uint64)
     words[:4] = [0, 1, _I64_MAX, _U64_MAX]
+    checks = []
     for prime in ((1 << 31) - 1, (1 << 61) - 1, 1_000_003):
         # Keys drawn from the universe the hash families actually pair with
         # each field prime (so the reference stays on its exact word paths
@@ -508,26 +509,48 @@ def _self_test(backend: CompiledKernels) -> None:
         field = words % np.uint64(prime)
         a = int(prime - 2)
         b = int(prime // 3)
-        checks = [
-            (backend.mulmod(a, keys, prime, key_bound),
-             _ref.mulmod(a, keys, prime, key_bound)),
-            (backend.affine_mod(a, b, keys, prime, key_bound),
-             _ref.affine_mod(a, b, keys, prime, key_bound)),
-            (backend.affine_mod_range(a, b, keys, prime, key_bound, 1 << 10),
-             _ref.affine_mod_range(a, b, keys, prime, key_bound, 1 << 10)),
-            (backend.kwise_mod_range([3, 1, a], keys, prime, key_bound, 1000),
-             _ref.kwise_mod_range([3, 1, a], keys, prime, key_bound, 1000)),
-            (backend.mulmod_arrays(field, keys, prime, key_bound),
-             _ref.mulmod_arrays(field, keys, prime, key_bound)),
-            (backend.mod_range(words, 1000), _ref.mod_range(words, 1000)),
-            (backend.lsb64_batch(words, 64), _ref.lsb64_batch(words, 64)),
+        checks += [
+            ("mulmod", (a, keys, prime, key_bound)),
+            ("affine_mod", (a, b, keys, prime, key_bound)),
+            ("affine_mod_range", (a, b, keys, prime, key_bound, 1 << 10)),
+            ("kwise_mod_range", ([3, 1, a], keys, prime, key_bound, 1000)),
+            ("mulmod_arrays", (field, keys, prime, key_bound)),
         ]
-        for got, expected in checks:
-            if got.dtype != expected.dtype or got.tolist() != expected.tolist():
-                raise KernelBackendError(
-                    "compiled kernel self-test failed for prime %d; refusing "
-                    "the backend (set REPRO_KERNEL_BACKEND=numpy)" % prime
-                )
+    # The Mersenne fast paths at their edges.  Over 2^31 - 1: a 10-wise
+    # Horner on 61 keys (seven lane blocks and a 5-key tail) with keys 0,
+    # 1, p - 2 and p - 1, whose coefficients sum to 0 mod p so that key 1
+    # ends a lane on the unreduced value p; the block at 8..15 holds a
+    # 33-bit key, which must take the __int128 loop.  Over 2^61 - 1: every
+    # reduction at the largest operands its wrapper keeps on the C path
+    # (33-bit keys), and a Horner step whose sum is exactly p.
+    p31, p61, top = (1 << 31) - 1, (1 << 61) - 1, (1 << 33) - 1
+    keys31 = words[:61] % np.uint64(p31)
+    keys31[:4] = [0, 1, p31 - 2, p31 - 1]
+    keys31[11] = top
+    poly31 = [p31 - 1 - 7919 * j for j in range(1, 10)]
+    poly31.insert(0, -sum(poly31) % p31)
+    wide = words % np.uint64(top + 1)
+    wide[:2] = [top, top]
+    field61 = words % np.uint64(p61)
+    field61[:2] = [p61 - 1, p61 - 2]
+    checks += [
+        ("kwise_mod_range", (poly31, keys31, p31, top + 1, 1000)),
+        ("mulmod", (p61 - 1, wide, p61, top + 1)),
+        ("affine_mod_range", (p61 - 1, p61 - 1, wide, p61, top + 1, 1000)),
+        ("mulmod_arrays", (field61, wide, p61, top + 1)),
+        ("kwise_mod_range", ([p61 - 1] * 5, wide, p61, top + 1, 1 << 10)),
+        ("kwise_mod_range", ([p61 - top, 1], wide, p61, top + 1, 1000)),
+        ("mod_range", (words, 1000)),
+        ("lsb64_batch", (words, 64)),
+    ]
+    for kernel, args in checks:
+        got = getattr(backend, kernel)(*args)
+        expected = getattr(_ref, kernel)(*args)
+        if got.dtype != expected.dtype or got.tolist() != expected.tolist():
+            raise KernelBackendError(
+                "compiled kernel self-test failed for %s; refusing the "
+                "backend (set REPRO_KERNEL_BACKEND=numpy)" % kernel
+            )
     index = rng.integers(0, 8, size=64).astype(np.int64)
     residues = words % np.uint64((1 << 61) - 1)
     if backend.grouped_residue_sums(

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BitMatrixSkeleton,
@@ -11,6 +16,7 @@ from repro.core import (
     bins_for_eps,
 )
 from repro.exceptions import MergeError, ParameterError, SketchFailure
+from repro.hashing.bitops import ceil_log2
 from repro.streams import (
     distinct_items_stream,
     duplicated_union_streams,
@@ -219,3 +225,98 @@ class TestSkeletonAgreement:
         skeleton = BitMatrixSkeleton(UNIVERSE, eps=0.05, seed=23)
         compressed = KNWFigure3Sketch(UNIVERSE, eps=0.05, seed=23)
         assert skeleton.matrix.space_bits() > 4 * compressed.bins
+
+
+# ---------------------------------------------------------------------------
+# The array merge and rebase against the per-counter loops they replaced.
+# ---------------------------------------------------------------------------
+
+
+def _loop_shift(counters, shift):
+    return [max(-1, value + shift) if value >= 0 else -1 for value in counters]
+
+
+def _loop_rebase(sketch, rough_estimate):
+    """``KNWFigure3Sketch._rebase`` as a loop over the counters."""
+    sketch._est_exponent = max(int(math.ceil(math.log2(rough_estimate))), 0)
+    new_base = max(
+        0, sketch._est_exponent - int(math.log2(sketch.bins // sketch.offset_divisor))
+    )
+    if new_base != sketch._base_level:
+        sketch._counters = _loop_shift(sketch._counters, sketch._base_level - new_base)
+        sketch._occupied = sum(1 for value in sketch._counters if value >= 0)
+        sketch._base_level = new_base
+    sketch._bit_budget = sum(ceil_log2(value + 2) for value in sketch._counters)
+
+
+def _loop_merge(sketch, other):
+    """``KNWFigure3Sketch.merge`` (and ``RoughEstimator.merge_max``) as loops."""
+    target = max(sketch._base_level, other._base_level)
+    mine = _loop_shift(sketch._counters, sketch._base_level - target)
+    theirs = _loop_shift(other._counters, other._base_level - target)
+    sketch._counters = [max(a, b) for a, b in zip(mine, theirs)]
+    sketch._base_level = target
+    sketch._occupied = sum(1 for value in sketch._counters if value >= 0)
+    sketch._bit_budget = sum(ceil_log2(value + 2) for value in sketch._counters)
+    sketch._est_exponent = max(sketch._est_exponent, other._est_exponent)
+    sketch._failed = sketch._failed or other._failed
+    if sketch._owns_rough and other._owns_rough:
+        rough, other_rough = sketch.rough, other.rough
+        for copy, other_copy in zip(rough._copies, other_rough._copies):
+            for index in range(copy.counters.length):
+                copy.counters.maximize(index, other_copy.counters.get(index))
+        rough._monotone_floor = max(rough._monotone_floor, other_rough._monotone_floor)
+        rough_estimate = rough.estimate()
+        if rough_estimate > float(1 << sketch._est_exponent):
+            _loop_rebase(sketch, rough_estimate)
+    if sketch._bit_budget > sketch.FAIL_FACTOR * sketch.bins:
+        sketch._failed = True
+
+
+def _random_sketch(data, label):
+    """A Figure 3 sketch fed a random stream, then optionally overwritten
+    with arbitrary counters and base level, or latched to FAIL."""
+    sketch = KNWFigure3Sketch(UNIVERSE, bins=64, seed=41, offset_divisor=2)
+    items = data.draw(
+        st.lists(st.integers(0, UNIVERSE - 1), max_size=3000), label=label + " items"
+    )
+    if items:
+        sketch.update_batch(items)
+    if data.draw(st.booleans(), label=label + " arbitrary counters"):
+        sketch._counters = data.draw(
+            st.lists(st.integers(-1, 12), min_size=64, max_size=64),
+            label=label + " counters",
+        )
+        sketch._base_level = data.draw(st.integers(0, 9), label=label + " base")
+    if data.draw(st.booleans(), label=label + " failed"):
+        sketch._failed = True
+    return sketch
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_merge_matches_the_counter_loops(data):
+    sketch = _random_sketch(data, "left")
+    other = _random_sketch(data, "right")
+    oracle, other_before = copy.deepcopy(sketch), other.to_bytes()
+    sketch.merge(other)
+    _loop_merge(oracle, other)
+    assert sketch.to_bytes() == oracle.to_bytes()
+    assert other.to_bytes() == other_before
+    assert all(type(value) is int for value in sketch._counters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counters=st.lists(st.integers(-1, 12), min_size=64, max_size=64),
+    base=st.integers(0, 9),
+    exponent=st.integers(1, 30),
+)
+def test_array_rebase_matches_the_counter_loop(counters, base, exponent):
+    sketch = KNWFigure3Sketch(UNIVERSE, bins=64, seed=41, offset_divisor=2)
+    sketch._counters, sketch._base_level = counters, base
+    oracle = copy.deepcopy(sketch)
+    sketch._rebase(float(1 << exponent) + 0.5)
+    _loop_rebase(oracle, float(1 << exponent) + 0.5)
+    assert sketch.to_bytes() == oracle.to_bytes()
+    assert all(type(value) is int for value in sketch._counters)

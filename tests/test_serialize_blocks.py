@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import serialize
 from repro.exceptions import FormatVersionError, SerializationError
 from repro.serialize import FORMAT_MAGIC, FORMAT_VERSION, dumps_tree, loads_tree
 
@@ -134,6 +135,28 @@ def test_set_bytes_ignore_insertion_order(members, data):
     shuffled = data.draw(st.permutations(members))
     assert dumps_tree(set(shuffled)) == dumps_tree(set(members))
     assert dumps_tree(frozenset(shuffled)) == dumps_tree(frozenset(members))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.lists(
+        st.one_of(st.integers(0, 2**64 - 1), edge_ints), min_size=60, max_size=200, unique=True
+    ),
+    data=st.data(),
+)
+def test_long_int_sets_encode_as_sorted_does(members, data):
+    """Long ``uint64`` sets sort in NumPy; every insertion order must give
+    the bytes that ``sorted()`` gives, and so must the sets that hold a
+    negative or wider entry and keep ``sorted()``."""
+
+    def sets_of(order):
+        return {"set": set(order), "frozenset": frozenset(order)}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_sorted_set", sorted)
+        expected = dumps_tree(sets_of(members))
+    assert dumps_tree(sets_of(members)) == expected
+    assert dumps_tree(sets_of(data.draw(st.permutations(members)))) == expected
 
 
 # ---------------------------------------------------------------------------
