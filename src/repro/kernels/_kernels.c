@@ -28,7 +28,7 @@ typedef uint8_t u8;
 #define EXPORT __attribute__((visibility("default")))
 
 /* ABI version checked by the loader; bump when a signature changes. */
-EXPORT int repro_kernels_abi(void) { return 1; }
+EXPORT int repro_kernels_abi(void) { return 2; }
 
 /* Reduce x modulo p = 2^61 - 1 without a branch.  Since 2^61 = 1
  * (mod p), the three limbs of x at bits 0, 61 and 122 sum to x (mod p);
@@ -184,18 +184,16 @@ EXPORT void repro_kwise_mod_range(const u64 *coeffs, i64 k, const u64 *keys,
     }
 }
 
-/* Exact per-group sums of u64 residues with 128-bit accumulators split
- * into (lo, hi) word arrays — the turnstile scatter-accumulate core with
- * no split-32-bit passes and no intermediate arrays. */
-EXPORT void repro_grouped_residue_sums(const i64 *group_index, i64 n,
-                                       const u64 *residues, u64 *lo,
-                                       u64 *hi) {
+/* target[idx] = (target[idx] + residue) mod p in place, one linear pass:
+ * the turnstile counter scatter.  Counters and residues lie in [0, p) with
+ * p < 2^63, so every sum is below 2^64 and one conditional subtract
+ * reduces it. */
+EXPORT void repro_grouped_residue_sums(u64 *target, const i64 *indices,
+                                       const u64 *residues, i64 n, u64 p) {
     for (i64 i = 0; i < n; i++) {
-        i64 g = group_index[i];
-        u64 before = lo[g];
-        u64 after = before + residues[i];
-        hi[g] += (after < before); /* carry into the high word */
-        lo[g] = after;
+        i64 t = indices[i];
+        u64 sum = target[t] + residues[i];
+        target[t] = sum >= p ? sum - p : sum;
     }
 }
 

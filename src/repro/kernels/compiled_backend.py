@@ -33,7 +33,7 @@ from . import numpy_backend as _ref
 from .numpy_backend import np
 
 #: Bumped together with ``repro_kernels_abi()`` in ``_kernels.c``.
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 
@@ -413,26 +413,28 @@ class CompiledKernels:
 
     # -- grouped scatter reductions --------------------------------------------------
 
-    def grouped_residue_sums(self, group_index, group_count, residues, prime):
-        if residues.dtype == object:
-            return _ref.grouped_residue_sums(
-                group_index, group_count, residues, prime
-            )
-        group_index = self._as_i64(group_index)
+    def grouped_residue_sums(self, target, indices, residues, prime):
+        if (
+            target.dtype != np.uint64
+            or not target.flags.c_contiguous
+            or prime >= (1 << 63)
+        ):
+            return _ref.grouped_residue_sums(target, indices, residues, prime)
+        indices = self._as_i64(indices)
         residues = self._as_u64(residues)
-        low = np.zeros(group_count, dtype=np.uint64)
-        high = np.zeros(group_count, dtype=np.uint64)
+        # The C loop writes target[index] unchecked.
+        if residues.size != indices.size:
+            raise ValueError("grouped_residue_sums takes one residue per index")
+        if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= target.size):
+            raise IndexError("grouped_residue_sums index outside the target")
         self._lib.repro_grouped_residue_sums(
-            _ptr(group_index),
-            ctypes.c_int64(group_index.size),
+            _ptr(target),
+            _ptr(indices),
             _ptr(residues),
-            _ptr(low),
-            _ptr(high),
+            ctypes.c_int64(indices.size),
+            ctypes.c_uint64(prime),
         )
-        totals = low.tolist()  # uint64 tolist() yields Python ints
-        for group in np.flatnonzero(high).tolist():
-            totals[group] |= int(high[group]) << 64
-        return totals
+        return None
 
     def grouped_max_scatter(self, target, indices, values):
         suffix = _MAX_SCATTER_SUFFIXES.get(target.dtype.name)
@@ -552,10 +554,19 @@ def _self_test(backend: CompiledKernels) -> None:
                 "backend (set REPRO_KERNEL_BACKEND=numpy)" % kernel
             )
     index = rng.integers(0, 8, size=64).astype(np.int64)
-    residues = words % np.uint64((1 << 61) - 1)
-    if backend.grouped_residue_sums(
-        index, 8, residues, (1 << 61) - 1
-    ) != _ref.grouped_residue_sums(index, 8, residues, (1 << 61) - 1):
+    # The in-place residue scatter at the top of its domain: the largest
+    # prime below 2^63, counters and residues near it, repeated indices,
+    # and a ninth counter whose only sum lands exactly on the prime.
+    top_prime = (1 << 63) - 25
+    residues = np.uint64(top_prime - 1) - words % np.uint64(1 << 20)
+    start = residues[:9].copy()
+    landing = index.copy()
+    landing[0] = 8
+    residues[0] = np.uint64(top_prime) - start[8]
+    mine, reference = start.copy(), start.copy()
+    backend.grouped_residue_sums(mine, landing, residues, top_prime)
+    _ref.grouped_residue_sums(reference, landing, residues, top_prime)
+    if mine.tolist() != reference.tolist():
         raise KernelBackendError("compiled grouped_residue_sums self-test failed")
     mine, reference = np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8)
     values = rng.integers(0, 200, size=64).astype(np.int64)

@@ -15,8 +15,6 @@ functions with no dispatch indirection of their own.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 #: Registry name under which this module is exposed as a backend.
@@ -335,45 +333,53 @@ def kwise_mod_range(
 
 
 def grouped_residue_sums(
-    group_index: "np.ndarray",
-    group_count: int,
+    target: "np.ndarray",
+    indices: "np.ndarray",
     residues: "np.ndarray",
     prime: int,
-) -> List[int]:
-    """Sum residues per group exactly, returning plain Python ints.
+) -> None:
+    """Add each residue into ``target[index]`` modulo ``prime``, in place.
 
-    This is the scatter-accumulate core of the turnstile batch paths: the
-    per-item fingerprint/counter contributions (each already reduced to
-    ``[0, prime)``) are summed per touched cell, and the caller folds one
-    total into each cell with a single exact ``% prime``.  Equivalence
-    with the scalar loop is algebraic: ``(((c + r1) % p) + r2) % p ==
-    (c + r1 + r2) % p``.
+    The counter scatter of the turnstile batch paths: every entry of
+    ``target`` and every residue lies in ``[0, prime)``, and the result
+    equals applying ``target[i] = (target[i] + r) % prime`` one update at
+    a time in any order, since modular addition is commutative and
+    associative.
 
-    For word-sized residues the sums are accumulated in split 32-bit
-    halves so no intermediate can overflow ``uint64`` (exact for batches
-    up to ``2^32`` updates — far beyond any chunk size the pipeline
-    uses); object-dtype residues take the exact big-int path.
+    The batch is sorted by index (:func:`group_slices`) and each run is
+    summed once.  Word targets (``uint64``, ``prime < 2^63``) sum the low
+    and high 32-bit halves of the residues separately, which cannot wrap
+    for batches below ``2^32`` updates, and fold the high sum times
+    ``2^32`` back in by 32 modular doublings, each below ``2^64``.  Object
+    targets and residues take exact Python-int arithmetic.
 
     Args:
-        group_index: ``int64`` array mapping each residue to its group
-            (as produced by ``np.unique(..., return_inverse=True)``).
-        group_count: number of groups.
-        residues: per-item contributions in ``[0, prime)``.
-        prime: the modulus the residues were reduced by.
+        target: 1-D counter array, mutated in place.
+        indices: ``int64`` positions into ``target``; duplicates sum.
+        residues: per-update contributions in ``[0, prime)``.
+        prime: the counters' modulus.
     """
-    if residues.dtype == object:
-        sums = np.zeros(group_count, dtype=object)
-        np.add.at(sums, group_index, residues)
-        return [int(total) for total in sums.tolist()]
-    low = np.zeros(group_count, dtype=np.uint64)
-    np.add.at(low, group_index, residues & np.uint64(0xFFFFFFFF))
+    order, starts, touched = group_slices(indices)
+    if len(touched) == 0:
+        return
+    ordered = residues[order]
+    if target.dtype == object or ordered.dtype == object or prime >= (1 << 63):
+        totals = np.add.reduceat(ordered.astype(object), starts)
+        target[touched] = (target[touched].astype(object) + totals) % prime
+        return
+    ordered = ordered.astype(np.uint64, copy=False)
+    modulus = np.uint64(prime)
     if prime <= (1 << 32):
-        return [int(total) for total in low.tolist()]
-    high = np.zeros(group_count, dtype=np.uint64)
-    np.add.at(high, group_index, residues >> np.uint64(32))
-    return [
-        (int(h) << 32) + int(l) for h, l in zip(high.tolist(), low.tolist())
-    ]
+        total = np.add.reduceat(ordered, starts) % modulus
+    else:
+        total = np.add.reduceat(ordered >> np.uint64(32), starts) % modulus
+        for _ in range(32):
+            total += total
+            _reduce_in_place(total, prime)
+        total += np.add.reduceat(ordered & np.uint64(0xFFFFFFFF), starts) % modulus
+        _reduce_in_place(total, prime)
+    total += target[touched]
+    target[touched] = _reduce_in_place(total, prime)
 
 
 def group_slices(indices: "np.ndarray"):

@@ -39,6 +39,16 @@ from ..vectorize import (
 
 __all__ = ["FingerprintMatrix", "choose_fingerprint_prime"]
 
+
+def residue_counters(shape, prime: int) -> "np.ndarray":
+    """Zeroed counters over ``F_prime``, one array for a whole structure.
+
+    ``uint64`` when ``prime < 2^63``, so the sum of two residues cannot
+    wrap; an object array of exact Python ints otherwise.
+    """
+    return np.zeros(shape, dtype=np.uint64 if prime < (1 << 63) else object)
+
+
 #: Largest number of distinct delta residues for which the batched update
 #: precomputes the full ``bins x deltas`` weight-product table instead of
 #: multiplying per update (see :meth:`FingerprintMatrix.update_many`).
@@ -121,7 +131,7 @@ class FingerprintMatrix:
         # The random weight vector u in F_p^K and the collision-breaking h4.
         self._weights: List[int] = [rng.randrange(1, self.prime) for _ in range(bins)]
         self._h4 = PairwiseHash(max(bins ** 3, bins), bins, rng=rng)
-        self._cells: List[List[int]] = [[0] * bins for _ in range(levels)]
+        self._cells = residue_counters((levels, bins), self.prime)
         self._nonzero_per_row: List[int] = [0] * levels
 
     def update(self, level: int, column: int, spread_key: int, delta: int) -> None:
@@ -140,28 +150,27 @@ class FingerprintMatrix:
         if not 0 <= column < self.bins:
             raise ParameterError("column %d outside [0, %d)" % (column, self.bins))
         weight = self._weights[self._h4(spread_key % self._h4.universe_size)]
-        row = self._cells[level]
-        old = row[column]
+        old = self._cells.item(level, column)
         new = (old + delta * weight) % self.prime
         if old == 0 and new != 0:
             self._nonzero_per_row[level] += 1
         elif old != 0 and new == 0:
             self._nonzero_per_row[level] -= 1
-        row[column] = new
+        self._cells[level, column] = new
 
     def update_many(self, levels, columns, spread_keys, deltas) -> None:
         """Apply a whole batch of fingerprint updates in vectorized passes.
 
         The bulk form of :meth:`update`, and the inner loop of every
         turnstile ``update_batch``: one batched ``h4`` evaluation selects
-        the weights, one exact batched multiply
-        (:func:`repro.vectorize.mulmod_arrays`) forms the per-update
-        contributions ``delta * u[h4(h2(i))] mod p``, and the
-        contributions are scatter-summed per touched cell
-        (:func:`repro.vectorize.grouped_residue_sums`) so each cell pays
-        one exact ``% p`` fold regardless of how many updates hit it.
-        Cell arithmetic is additive modulo ``p``, so the result is
-        bit-identical to the scalar loop in any order.
+        the weights, the contributions ``delta * u[h4(h2(i))] mod p`` are
+        gathered from a weight-product table (or multiplied exactly by
+        :func:`repro.vectorize.mulmod_arrays` when the batch carries many
+        distinct deltas), and one in-place modular scatter
+        (:func:`repro.vectorize.grouped_residue_sums`) adds them into the
+        flat cells ``level * bins + column``.  Cell arithmetic is additive
+        modulo ``p``, so the result is bit-identical to the scalar loop in
+        any order; the per-row occupancies are recounted once.
 
         Args:
             levels: ``int64`` array of rows (already clamped by the caller,
@@ -171,25 +180,18 @@ class FingerprintMatrix:
             deltas: signed frequency changes (``int64`` or object array).
         """
         require_numpy("FingerprintMatrix.update_many")
-        count = len(levels)
-        if count == 0:
+        if len(levels) == 0:
             return
         prime = self.prime
         weight_keys = mod_range(spread_keys, self._h4.universe_size)
-        weight_index = self._h4.hash_batch_validated(weight_keys)
-        if weight_index.dtype == object:
-            weight_index = weight_index.astype(np.int64)
-        else:
-            weight_index = weight_index.astype(np.int64, copy=False)
+        weight_index = self._h4.hash_batch_validated(weight_keys).astype(np.int64, copy=False)
         residues = residues_mod(deltas, prime)
         delta_values, delta_rank = np.unique(residues, return_inverse=True)
-        if len(delta_values) <= _DELTA_TABLE_LIMIT and prime < (1 << 63):
+        if len(delta_values) <= _DELTA_TABLE_LIMIT:
             # Real turnstile streams carry a handful of distinct deltas
             # (usually just +1/-1), so the ``delta * u[j] mod p`` products
             # collapse to a ``bins x distinct-deltas`` table of exact
-            # Python-int multiplies, gathered back over the batch — this
-            # keeps even the large Lemma 6 primes (beyond the word-level
-            # Barrett range) entirely in ``uint64`` lanes.
+            # Python-int multiplies, gathered back over the batch.
             span = len(delta_values)
             key = tuple(int(value) for value in delta_values.tolist())
             memo = _WEIGHT_TABLE_MEMO.get(self)
@@ -199,7 +201,7 @@ class FingerprintMatrix:
             ):
                 table = memo[3]
             else:
-                table = np.empty(self.bins * span, dtype=np.uint64)
+                table = residue_counters(self.bins * span, prime)
                 table[:] = [
                     (weight * value) % prime
                     for weight in self._weights
@@ -208,32 +210,15 @@ class FingerprintMatrix:
                 _WEIGHT_TABLE_MEMO[self] = (self._weights, prime, key, table)
             contributions = table[weight_index * span + delta_rank]
         else:
-            if prime < (1 << 63):
-                weights = np.asarray(self._weights, dtype=np.uint64)
-            else:  # pragma: no cover - primes this large need object arithmetic
-                weights = np.empty(len(self._weights), dtype=object)
-                weights[:] = self._weights
+            weights = residue_counters(self.bins, prime)
+            weights[:] = self._weights
             contributions = mulmod_arrays(
                 weights[weight_index], residues, prime, prime
             )
-        if columns.dtype == object:
-            columns = columns.astype(np.int64)
-        cells = np.asarray(levels, dtype=np.int64) * np.int64(self.bins) + columns.astype(
-            np.int64, copy=False
-        )
-        touched, inverse = np.unique(cells, return_inverse=True)
-        totals = grouped_residue_sums(inverse, len(touched), contributions, prime)
-        bins = self.bins
-        for cell, total in zip(touched.tolist(), totals):
-            level, column = divmod(int(cell), bins)
-            row = self._cells[level]
-            old = row[column]
-            new = (old + total) % prime
-            if old == 0 and new != 0:
-                self._nonzero_per_row[level] += 1
-            elif old != 0 and new == 0:
-                self._nonzero_per_row[level] -= 1
-            row[column] = new
+        cells = np.asarray(levels, dtype=np.int64) * np.int64(self.bins)
+        cells += np.asarray(columns).astype(np.int64)
+        grouped_residue_sums(self._cells.reshape(-1), cells, contributions, prime)
+        self._nonzero_per_row = np.count_nonzero(self._cells, axis=1).tolist()
 
     def merge(self, other: "FingerprintMatrix") -> None:
         """Add another same-construction matrix into this one, cell-wise.
@@ -255,21 +240,17 @@ class FingerprintMatrix:
             raise MergeError(
                 "FingerprintMatrix merge requires identical shape, prime, and weights"
             )
-        prime = self.prime
-        for level in range(self.levels):
-            mine, theirs = self._cells[level], other._cells[level]
-            merged = [(a + b) % prime for a, b in zip(mine, theirs)]
-            self._cells[level] = merged
-            self._nonzero_per_row[level] = sum(1 for value in merged if value)
+        self._cells = (self._cells + other._cells) % self.prime
+        self._nonzero_per_row = np.count_nonzero(self._cells, axis=1).tolist()
 
     def clear(self) -> None:
         """Zero every cell, keeping the prime, weights, and ``h4``."""
-        self._cells = [[0] * self.bins for _ in range(self.levels)]
+        self._cells.fill(0)
         self._nonzero_per_row = [0] * self.levels
 
     def is_occupied(self, level: int, column: int) -> bool:
         """Return True when the cell's fingerprint is non-zero."""
-        return self._cells[level][column] != 0
+        return bool(self._cells[level, column])
 
     def row_occupancy(self, level: int) -> int:
         """Return the number of non-zero cells in ``level`` (O(1), maintained)."""

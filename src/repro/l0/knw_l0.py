@@ -174,10 +174,10 @@ class KNWHammingNormEstimator(TurnstileEstimator):
         * the subsampled matrix and the unsampled ``2K`` row ingest the
           chunk through :meth:`FingerprintMatrix.update_many
           <repro.l0.fingerprint.FingerprintMatrix.update_many>` (batched
-          weight selection, exact batched multiply, one ``% p`` fold per
-          touched cell);
+          weight selection, then one in-place modular scatter into the
+          cell array);
         * the Lemma 8 exact structure and the rough estimator take their
-          own batched paths.
+          own batched paths, one scatter over each one's counter array.
 
         The whole chunk is validated before any component is mutated, so a
         rejected batch leaves the sketch untouched; zero deltas are

@@ -24,8 +24,9 @@ from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
 from ..hashing.bitops import lsb, lsb_batch, msb
 from ..hashing.universal import PairwiseHash
-from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, np, residues_mod
-from .small_l0 import SmallL0Recovery, make_trial_hashes, trials_for_failure_probability
+from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, np
+from .fingerprint import residue_counters
+from .small_l0 import choose_small_prime, make_trial_hashes, trials_for_failure_probability
 
 __all__ = ["RoughL0Estimator", "ROUGH_L0_CAPACITY", "ROUGH_L0_THRESHOLD", "ROUGH_L0_FACTOR"]
 
@@ -41,6 +42,12 @@ ROUGH_L0_FACTOR = 110
 
 class RoughL0Estimator(TurnstileEstimator):
     """Constant-factor Hamming-norm approximation valid under deletions.
+
+    The per-level Lemma 8 structures share their trial hashes, so their
+    bucket counters live in one ``(levels, trials, buckets)`` array, with
+    one prime per level; ``_nonzero`` holds each (level, trial) row's
+    nonzero-bucket count, and bit ``j`` of ``_live_word`` is set when
+    level ``j``'s largest count exceeds the threshold.
 
     Attributes:
         universe_size: the universe size ``n``.
@@ -78,35 +85,45 @@ class RoughL0Estimator(TurnstileEstimator):
         self._level_limit = max((universe_size - 1).bit_length(), 1)
         self.levels = self._level_limit + 1
         self._splitter = PairwiseHash(universe_size, universe_size, rng=rng)
-        buckets = capacity * capacity
-        trial_count = trials_for_failure_probability(delta)
+        self.buckets = capacity * capacity
+        self.trials = trials_for_failure_probability(delta)
         self._shared_hashes = make_trial_hashes(
-            universe_size, buckets, trial_count, rng=rng
+            universe_size, self.buckets, self.trials, rng=rng
         )
-        self._per_level: List[SmallL0Recovery] = [
-            SmallL0Recovery(
-                universe_size,
-                capacity=capacity,
-                magnitude_bound=magnitude_bound,
-                seed=rng.randrange(1 << 62),
-                trial_hashes=self._shared_hashes,
-            )
+        # Each level draws its prime from a generator seeded by the parent,
+        # as a standalone SmallL0Recovery(seed=...) would.
+        self._primes: List[int] = [
+            choose_small_prime(magnitude_bound, rng=random.Random(rng.randrange(1 << 62)))
             for _ in range(self.levels)
         ]
+        self._counters = residue_counters(
+            (self.levels, self.trials, self.buckets), max(self._primes)
+        )
+        self._nonzero: List[int] = [0] * (self.levels * self.trials)
         # The "live levels" bit-vector kept in a machine word for O(1) reporting.
         self._live_word = 0
 
     def update(self, item: int, delta: int) -> None:
-        """Route the update to its substream's recovery structure."""
+        """Route the update to its substream's bucket arrays."""
         if not 0 <= item < self.universe_size:
             raise ParameterError(
                 "item %d outside universe [0, %d)" % (item, self.universe_size)
             )
         level = lsb(self._splitter(item), zero_value=self._level_limit)
         level = min(level, self.levels - 1)
-        recovery = self._per_level[level]
-        recovery.update(item, delta)
-        if recovery.exceeds(ROUGH_L0_THRESHOLD):
+        prime = self._primes[level]
+        counters = self._counters[level]
+        first = level * self.trials
+        for trial, hash_function in enumerate(self._shared_hashes):
+            bucket = hash_function(item)
+            old = counters.item(trial, bucket)
+            new = (old + delta) % prime
+            if old == 0 and new != 0:
+                self._nonzero[first + trial] += 1
+            elif old != 0 and new == 0:
+                self._nonzero[first + trial] -= 1
+            counters[trial, bucket] = new
+        if max(self._nonzero[first : first + self.trials]) > ROUGH_L0_THRESHOLD:
             self._live_word |= 1 << level
         else:
             self._live_word &= ~(1 << level)
@@ -114,12 +131,15 @@ class RoughL0Estimator(TurnstileEstimator):
     def update_batch(self, items: ItemBatch, deltas: ItemBatch) -> None:
         """Route a whole chunk of updates through vectorized passes.
 
-        The splitter hash and the ``lsb`` level extraction run once over
-        the batch; updates are then grouped by level and each touched
-        level's Lemma 8 structure ingests its group through the shared
-        scatter-sum path.  The live-level word is recomputed from the
-        touched levels' final ``exceeds`` answers, which equals the
-        scalar loop's last write per level.
+        The splitter hash, the ``lsb`` level extraction and each shared
+        trial hash run once over the batch.  One ``np.add.at`` scatter adds
+        every update's residue (its delta modulo its level's prime) at the
+        flat index ``(level * trials + trial) * buckets + bucket``, and one
+        fold by the per-level prime column reduces the counters.  The fold
+        is exact because each counter gains at most ``len(keys)`` residues
+        below its prime, and the Lemma 8 primes are a few hundred.  The
+        nonzero counts and the live-level word are then recounted, which
+        equals the scalar loop's last write per level.
         """
         if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
             return super().update_batch(items, deltas)
@@ -131,24 +151,38 @@ class RoughL0Estimator(TurnstileEstimator):
             self._splitter.hash_batch_validated(keys), zero_value=self._level_limit
         )
         levels = np.minimum(levels, np.int64(self.levels - 1))
-        for level in np.unique(levels).tolist():
-            group = levels == level
-            recovery = self._per_level[int(level)]
-            residues = residues_mod(deltas[group], recovery.prime)
-            recovery._apply_residues(keys[group], residues)
-            if recovery.exceeds(ROUGH_L0_THRESHOLD):
-                self._live_word |= 1 << int(level)
-            else:
-                self._live_word &= ~(1 << int(level))
+        primes = np.asarray(self._primes, dtype=np.int64)
+        level_primes = primes[levels]
+        if deltas.dtype == object:  # deltas beyond int64: Python-int remainders
+            level_primes = level_primes.astype(object)
+        residues = (deltas % level_primes).astype(np.uint64)
+        rows = levels * (self.trials * self.buckets)
+        flat = np.concatenate([
+            rows
+            + trial * self.buckets
+            + hash_function.hash_batch_validated(keys).astype(np.int64)
+            for trial, hash_function in enumerate(self._shared_hashes)
+        ])
+        np.add.at(self._counters.reshape(-1), flat, np.tile(residues, self.trials))
+        np.remainder(
+            self._counters, primes.astype(np.uint64)[:, None, None], out=self._counters
+        )
+        self._recount()
+
+    def _recount(self) -> None:
+        """Recompute the per-row nonzero counts and the live-level word."""
+        counts = np.count_nonzero(self._counters, axis=2)
+        self._nonzero = counts.reshape(-1).tolist()
+        live = np.packbits(counts.max(axis=1) > ROUGH_L0_THRESHOLD, bitorder="little")
+        self._live_word = int.from_bytes(live.tobytes(), "little")
 
     def merge(self, other: "TurnstileEstimator") -> None:
         """Merge another same-seed rough estimator into this one.
 
-        All per-level Lemma 8 structures are linear, so they merge
-        counter-wise; the live-level word is then recomputed from the
-        merged structures.  Requires identical parameters and an explicit
-        shared seed (the per-level structures verify the actual hash
-        randomness matches as well).
+        The Lemma 8 bucket counters are linear, so they merge counter-wise
+        modulo each level's prime; the counts and the live-level word are
+        then recounted.  Requires identical parameters, primes and trial
+        hashes, and an explicit shared seed.
         """
         if not isinstance(other, RoughL0Estimator):
             raise MergeError("can only merge RoughL0Estimator with its own kind")
@@ -158,21 +192,24 @@ class RoughL0Estimator(TurnstileEstimator):
             or other.levels != self.levels
             or self.seed is None
             or other.seed != self.seed
+            or other._primes != self._primes
+            or any(
+                (a._a, a._b, a._prime) != (b._a, b._b, b._prime)
+                for a, b in zip(self._shared_hashes, other._shared_hashes)
+            )
         ):
             raise MergeError(
                 "RoughL0Estimator merge requires identical parameters and an "
                 "explicit shared seed"
             )
-        self._live_word = 0
-        for level, (mine, theirs) in enumerate(zip(self._per_level, other._per_level)):
-            mine.merge(theirs)
-            if mine.exceeds(ROUGH_L0_THRESHOLD):
-                self._live_word |= 1 << level
+        primes = np.asarray(self._primes, dtype=np.uint64)[:, None, None]
+        self._counters = (self._counters + other._counters) % primes
+        self._recount()
 
     def clear(self) -> None:
         """Zero every level's counters, keeping all hash randomness."""
-        for recovery in self._per_level:
-            recovery.clear()
+        self._counters.fill(0)
+        self._nonzero = [0] * (self.levels * self.trials)
         self._live_word = 0
 
     def deepest_live_level(self) -> int:
@@ -197,13 +234,20 @@ class RoughL0Estimator(TurnstileEstimator):
         return 1.0 if deepest < 0 else float(1 << deepest)
 
     def space_breakdown(self) -> SpaceBreakdown:
-        """Return the itemised space cost."""
+        """Return the itemised space cost.
+
+        Each level is charged as its own Lemma 8 structure: the bucket
+        counters and the prime, ``ceil(log2 p)`` bits each.
+        """
         breakdown = SpaceBreakdown(self.name)
         breakdown.add_component("splitter-hash", self._splitter)
         for index, hash_function in enumerate(self._shared_hashes):
             breakdown.add("trial-hash-%d" % index, hash_function.space_bits())
-        for level, recovery in enumerate(self._per_level):
-            breakdown.add("level-%d" % level, recovery.space_bits())
+        for level, prime in enumerate(self._primes):
+            counter_bits = max(prime.bit_length(), 1)
+            breakdown.add(
+                "level-%d" % level, (self.trials * self.buckets + 1) * counter_bits
+            )
         breakdown.add("live-level-word", self.levels)
         return breakdown
 

@@ -15,9 +15,10 @@ Two failure sources exist and both are handled as in the paper:
   ``O(1/ log(mM))`` per item by the prime's size, also absorbed by the
   trials).
 
-RoughL0Estimator (Appendix A.3) runs one instance of this structure per
-subsampling level, sharing the trial hash functions across levels exactly
-as the paper prescribes.
+RoughL0Estimator (Appendix A.3) keeps one such bucket array per
+subsampling level, all in one ``(levels, trials, buckets)`` array, and
+shares the trial hash functions across levels exactly as the paper
+prescribes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..vectorize import (
     np,
     residues_mod,
 )
+from .fingerprint import residue_counters
 
 __all__ = ["SmallL0Recovery", "make_trial_hashes", "choose_small_prime"]
 
@@ -145,9 +147,7 @@ class SmallL0Recovery(TurnstileEstimator):
                     )
         self._hashes: Sequence[PairwiseHash] = trial_hashes
         self.trials = len(self._hashes)
-        self._counters: List[List[int]] = [
-            [0] * self.buckets for _ in range(self.trials)
-        ]
+        self._counters = residue_counters((self.trials, self.buckets), self.prime)
         self._nonzero: List[int] = [0] * self.trials
 
     def update(self, item: int, delta: int) -> None:
@@ -158,25 +158,23 @@ class SmallL0Recovery(TurnstileEstimator):
             )
         for trial, hash_function in enumerate(self._hashes):
             bucket = hash_function(item)
-            row = self._counters[trial]
-            old = row[bucket]
+            old = self._counters.item(trial, bucket)
             new = (old + delta) % self.prime
             if old == 0 and new != 0:
                 self._nonzero[trial] += 1
             elif old != 0 and new == 0:
                 self._nonzero[trial] -= 1
-            row[bucket] = new
+            self._counters[trial, bucket] = new
 
     def update_batch(self, items: ItemBatch, deltas: ItemBatch) -> None:
         """Apply a chunk of signed updates through vectorized passes.
 
         One batched hash evaluation per trial replaces ``trials`` Python
-        hash calls per update, and each trial's bucket deltas are
-        scatter-summed once per touched bucket
-        (:func:`repro.vectorize.grouped_residue_sums`).  Bucket counters
-        are additive modulo the trial prime, so the state is bit-identical
-        to the scalar loop; the whole batch is validated before any trial
-        is mutated.
+        hash calls per update, and one in-place modular scatter
+        (:func:`repro.vectorize.grouped_residue_sums`) adds every trial's
+        bucket deltas.  Bucket counters are additive modulo the prime, so
+        the state is bit-identical to the scalar loop; the whole batch is
+        validated before any trial is mutated.
         """
         if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
             return super().update_batch(items, deltas)
@@ -184,55 +182,24 @@ class SmallL0Recovery(TurnstileEstimator):
         deltas = as_delta_array(deltas, expected_length=len(keys))
         if keys.size == 0:
             return
-        prime = self.prime
-        residues = residues_mod(deltas, prime)
-        self._apply_residues(keys, residues)
+        self._apply_residues(keys, residues_mod(deltas, self.prime))
 
     def _apply_residues(self, keys, residues) -> None:
-        """Scatter pre-reduced per-update residues into every trial.
+        """Scatter pre-reduced per-update residues into every trial at once.
 
-        Batches that blanket the bucket array take a *dense* path — one
-        ``np.add.at`` scatter into a full-width accumulator, one
-        vectorized ``(row + sums) % p`` fold, one ``count_nonzero`` —
-        while small batches keep the sparse per-touched-bucket fold.
-        Both are exact (the dense path is guarded so no ``uint64`` lane
-        can overflow) and bit-identical to the scalar loop.
+        The flat counter index of an update in trial ``t`` is
+        ``t * buckets + h_t(key)``; the per-trial nonzero counts are
+        recounted once afterwards.
         """
-        prime = self.prime
-        dense = (
-            residues.dtype != object
-            # Bucket sums stay below len * prime and the fold below
-            # 2^63 + prime, so uint64 lanes cannot overflow.
-            and prime < (1 << 31)
-            and len(keys) < (1 << 31)
-            and 2 * len(keys) >= self.buckets
+        flat = np.concatenate([
+            hash_function.hash_batch_validated(keys).astype(np.int64)
+            + trial * self.buckets
+            for trial, hash_function in enumerate(self._hashes)
+        ])
+        grouped_residue_sums(
+            self._counters.reshape(-1), flat, np.tile(residues, self.trials), self.prime
         )
-        for trial, hash_function in enumerate(self._hashes):
-            buckets = hash_function.hash_batch_validated(keys)
-            if buckets.dtype == object:
-                buckets = buckets.astype(np.int64)
-            if dense:
-                sums = np.zeros(self.buckets, dtype=np.uint64)
-                np.add.at(sums, buckets, residues)
-                row = np.asarray(self._counters[trial], dtype=np.uint64)
-                merged = (row + sums) % np.uint64(prime)
-                self._counters[trial] = [int(value) for value in merged.tolist()]
-                self._nonzero[trial] = int(np.count_nonzero(merged))
-                continue
-            touched, inverse = np.unique(buckets, return_inverse=True)
-            totals = grouped_residue_sums(inverse, len(touched), residues, prime)
-            row = self._counters[trial]
-            nonzero = self._nonzero[trial]
-            for bucket, total in zip(touched.tolist(), totals):
-                bucket = int(bucket)
-                old = row[bucket]
-                new = (old + total) % prime
-                if old == 0 and new != 0:
-                    nonzero += 1
-                elif old != 0 and new == 0:
-                    nonzero -= 1
-                row[bucket] = new
-            self._nonzero[trial] = nonzero
+        self._nonzero = np.count_nonzero(self._counters, axis=1).tolist()
 
     def merge(self, other: "TurnstileEstimator") -> None:
         """Add another same-randomness recovery structure into this one.
@@ -259,16 +226,12 @@ class SmallL0Recovery(TurnstileEstimator):
             raise MergeError(
                 "SmallL0Recovery merge requires identical parameters and hashes"
             )
-        prime = self.prime
-        for trial in range(self.trials):
-            mine, theirs = self._counters[trial], other._counters[trial]
-            merged = [(a + b) % prime for a, b in zip(mine, theirs)]
-            self._counters[trial] = merged
-            self._nonzero[trial] = sum(1 for value in merged if value)
+        self._counters = (self._counters + other._counters) % self.prime
+        self._nonzero = np.count_nonzero(self._counters, axis=1).tolist()
 
     def clear(self) -> None:
         """Zero every bucket counter, keeping the prime and trial hashes."""
-        self._counters = [[0] * self.buckets for _ in range(self.trials)]
+        self._counters.fill(0)
         self._nonzero = [0] * self.trials
 
     def estimate(self) -> float:

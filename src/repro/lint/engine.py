@@ -120,6 +120,14 @@ class _Suppression:
     used: bool = False
 
 
+#: Library names that re-export a whole module: ``from ..vectorize import
+#: np`` binds NumPy itself, so rules keyed on ``numpy.*`` must see it.
+_REEXPORTED_MODULES = {
+    "repro.vectorize.np": "numpy",
+    "repro.kernels.numpy_backend.np": "numpy",
+}
+
+
 class ModuleContext:
     """Everything a rule may need about the module being linted."""
 
@@ -164,7 +172,8 @@ class ModuleContext:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
-                    self.aliases[local] = "%s.%s" % (base, alias.name) if base else alias.name
+                    target = "%s.%s" % (base, alias.name) if base else alias.name
+                    self.aliases[local] = _REEXPORTED_MODULES.get(target, target)
 
     def resolve_import_from(
         self, node: ast.ImportFrom, package: Optional[List[str]] = None

@@ -58,7 +58,15 @@ _WALL_CLOCK = frozenset(
 
 #: serialize.py functions that produce the canonical encoding.
 _CANONICAL_ENCODERS = frozenset(
-    {"encode", "snapshot", "dumps_tree", "_encode_tree", "_int_block", "_int_column"}
+    {
+        "encode",
+        "snapshot",
+        "dumps_tree",
+        "_encode_tree",
+        "_int_block",
+        "_int_column",
+        "_int_array_block",
+    }
 )
 
 

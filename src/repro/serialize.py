@@ -21,8 +21,11 @@ components — hash families, bit structures, shared RNGs) without
   int→int memo dicts) become one *typed block* each: a ``bytes`` leaf
   holding the container kind, the element count, and the elements at
   the narrowest little-endian width their minimum and maximum fit, the
-  idea of Protocol Buffers' packed repeated fields.  The tree stays
-  plain, so snapshot equality is still state equality.
+  idea of Protocol Buffers' packed repeated fields.  Integer ndarrays
+  (the L0 counter arrays) are blocks too, holding their dtype and shape,
+  with their values dense or as a nonzero bitmap plus the nonzero
+  values, whichever is shorter.  The tree stays plain, so snapshot
+  equality is still state equality.
 * :func:`restore` — load a snapshot back into an existing instance
   (``load_state_dict()``), torch-style: construct the estimator with the
   same parameters, then restore.
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import array
 import importlib
+import math
 import random
 import struct
 import sys
@@ -80,7 +84,7 @@ __all__ = [
 FORMAT_MAGIC = b"RPRS"
 
 #: Version byte following the magic; bumped on incompatible changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Only classes whose defining module lives under this package (or is the
 #: stdlib ``random`` module, for RNG state) may be revived by decoding.
@@ -160,34 +164,45 @@ def _sorted_set(values) -> List[int]:
     return sorted(values)
 
 
-def _int_column(column: List[int]) -> Tuple[bytes, bytes]:
+def _width_code(lo: int, hi: int) -> Tuple[int, int]:
+    """The width code and byte width of a column spanning ``[lo, hi]``."""
+    signed = lo < 0
+    magnitude = max(~lo if signed else 0, hi).bit_length()
+    for code in range(signed, _WIDE, 2):
+        if magnitude + signed <= 8 << (code >> 1):
+            return code, 1 << (code >> 1)
+    return _WIDE, (magnitude + 8) // 8
+
+
+def _int_column(column) -> Tuple[bytes, bytes]:
     """A column's width spec and its raw bytes at the narrowest width.
 
-    The width follows from the column's minimum and maximum alone.
-    Unsigned 64-bit columns, the common case, pack in one C pass into a
+    The width follows from the column's minimum and maximum alone.  A
+    column is a sequence of exact ints or an integer ndarray.  Unsigned
+    64-bit sequences, the common case, pack in one C pass into a
     ``uint64`` buffer that NumPy then measures and narrows.
     """
-    values = None
-    if HAS_NUMPY and len(column) >= _NUMPY_COLUMN:
+    values = column if HAS_NUMPY and isinstance(column, np.ndarray) else None
+    if values is None and HAS_NUMPY and len(column) >= _NUMPY_COLUMN:
         try:
             values = np.frombuffer(array.array("Q", column), dtype=np.uint64)
         except OverflowError:  # a negative or wider than 64-bit entry
             pass
     if values is not None:
-        lo, hi = 0, int(values.max())
+        hi = int(values.max()) if values.size else 0
+        # An unsigned column's minimum never widens it.
+        lo = int(values.min()) if values.size and values.dtype.kind == "i" else 0
     else:
-        lo, hi = min(column), max(column)
-    signed = lo < 0
-    magnitude = max(~lo if signed else 0, hi).bit_length()
-    for code in range(signed, _WIDE, 2):
-        if magnitude + signed <= 8 << (code >> 1):
-            if values is not None:
-                return bytes((code,)), values.astype("<u%d" % (1 << (code >> 1))).tobytes()
-            packed = array.array(_TYPECODES[code], column)
-            if _SWAP:
-                packed.byteswap()
-            return bytes((code,)), packed.tobytes()
-    width = (magnitude + 8) // 8
+        lo, hi = (min(column), max(column)) if column else (0, 0)
+    code, width = _width_code(lo, hi)
+    if values is not None:
+        kind = "i" if code & 1 else "u"
+        return bytes((code,)), values.astype("<%s%d" % (kind, width)).tobytes()
+    if code < _WIDE:
+        packed = array.array(_TYPECODES[code], column)
+        if _SWAP:
+            packed.byteswap()
+        return bytes((code,)), packed.tobytes()
     spec = bytearray((_WIDE,))
     _write_varint(spec, width)
     return bytes(spec), b"".join([v.to_bytes(width, "little", signed=True) for v in column])
@@ -259,6 +274,131 @@ def _read_int_block(block: Any) -> Any:
     if kind == _BLOCK_FROZENSET:
         return frozenset(values[0])
     return dict(zip(values[0], values[1]))
+
+
+#: The two forms of an integer ndarray block's values: every entry, or a
+#: bitmap of the nonzero entries followed by those entries alone.
+_ARRAY_DENSE, _ARRAY_SPARSE = range(2)
+
+#: The dtypes an integer ndarray block may name, by ``dtype.str``: every
+#: integer width in either byte order, and object.  The decoder looks the
+#: name up here rather than parsing it, so a payload cannot make NumPy
+#: interpret arbitrary text.
+_ARRAY_DTYPES = (
+    {
+        np.dtype(order + kind + str(width)).str: np.dtype(order + kind + str(width))
+        for order in "<>"
+        for kind in "iu"
+        for width in (1, 2, 4, 8)
+    }
+    | {np.dtype(object).str: np.dtype(object)}
+    if HAS_NUMPY
+    else {}
+)
+
+
+def _int_array_block(value: "np.ndarray", entries: Optional[List[int]] = None) -> bytes:
+    """Pack an integer ndarray (or an object one of exact ints) into a block.
+
+    Layout: the dtype string (a length byte, then ASCII), ``ndim`` and
+    each dimension as varints, a form byte, a width spec, then the values
+    at the narrowest little-endian width their minimum and maximum fit
+    (the int-block width codes).  The sparse form writes a little-endian
+    bitmap of the nonzero entries, then the nonzero values; it is taken
+    only when strictly shorter.  Form and width depend on the values
+    alone, so equal arrays give equal bytes.  ``entries`` is the flat
+    list of an object array's ints.
+    """
+    dtype = value.dtype.str.encode("ascii")
+    head = bytearray((len(dtype),)) + dtype
+    _write_varint(head, value.ndim)
+    for dim in value.shape:
+        _write_varint(head, dim)
+    flat = value.reshape(-1)
+    if entries is not None:
+        lo, hi = (min(entries), max(entries)) if entries else (0, 0)
+    elif flat.size:
+        lo = int(flat.min()) if flat.dtype.kind == "i" else 0
+        hi = int(flat.max())
+    else:
+        lo = hi = 0
+    # A zero entry never widens a column, so both forms write this width.
+    width = _width_code(lo, hi)[1]
+    nonzero = int(np.count_nonzero(flat))
+    if (flat.size + 7) // 8 + nonzero * width >= flat.size * width:
+        head.append(_ARRAY_DENSE)
+        spec, packed = _int_column(flat if entries is None else entries)
+        return bytes(head + spec) + packed
+    head.append(_ARRAY_SPARSE)
+    mask = flat != 0
+    nonzero_values = np.compress(mask, flat)
+    spec, packed = _int_column(nonzero_values if entries is None else nonzero_values.tolist())
+    return bytes(head + spec) + np.packbits(mask, bitorder="little").tobytes() + packed
+
+
+def _read_int_array(block: Any) -> "np.ndarray":
+    """Unpack an ``__intarray__`` node; sizes are checked before allocating."""
+    if not isinstance(block, bytes) or not block:
+        raise SerializationError("malformed __intarray__ node")
+    offset = 1 + block[0]
+    dtype = _ARRAY_DTYPES.get(block[1:offset].decode("ascii", "replace"))
+    if dtype is None:
+        raise SerializationError("int array block of an unknown dtype")
+    ndim, offset = _varint_at(block, offset)
+    if ndim > len(block) - offset:
+        raise SerializationError("int array block has more dimensions than bytes")
+    shape = []
+    for _ in range(ndim):
+        dim, offset = _varint_at(block, offset)
+        shape.append(dim)
+    count = math.prod(shape)
+    form, code = block[offset], block[offset + 1]
+    offset += 2
+    if code < _WIDE:
+        width = 1 << (code >> 1)
+    elif code == _WIDE and dtype.kind == "O":
+        width, offset = _varint_at(block, offset)
+        if width <= 8:
+            raise SerializationError("wide int column of only %d bytes" % width)
+    else:
+        raise SerializationError("int width code %d for dtype %s" % (code, dtype))
+    mask = None
+    stored = count
+    if form == _ARRAY_SPARSE:
+        bitmap = (count + 7) // 8
+        if bitmap > len(block) - offset:
+            raise SerializationError("int array bitmap exceeds the block")
+        mask = np.unpackbits(
+            np.frombuffer(block, np.uint8, bitmap, offset), count=count, bitorder="little"
+        ).view(bool)
+        offset += bitmap
+        stored = int(np.count_nonzero(mask))
+    elif form != _ARRAY_DENSE:
+        raise SerializationError("unknown int array form %d" % form)
+    if stored * width != len(block) - offset:
+        raise SerializationError(
+            "int array block of %d values does not fit its %d bytes"
+            % (stored, len(block) - offset)
+        )
+    if code == _WIDE:
+        values: Any = [
+            int.from_bytes(block[at : at + width], "little", signed=True)
+            for at in range(offset, len(block), width)
+        ]
+    else:
+        kind = "i" if code & 1 else "u"
+        values = np.frombuffer(block, "<%s%d" % (kind, width), stored, offset)
+        if dtype.kind == "O":
+            values = values.tolist()
+        elif not np.can_cast(values.dtype, dtype) and stored:
+            info = np.iinfo(dtype)
+            if int(values.min()) < info.min or int(values.max()) > info.max:
+                raise SerializationError("int array values do not fit %s" % dtype)
+    if mask is None:
+        return np.array(values, dtype=dtype).reshape(shape)
+    result = np.zeros(count, dtype=dtype)
+    result[np.flatnonzero(mask)] = values
+    return result.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +485,17 @@ class _Snapshotter:
             marker = "__frozenset__" if frozen else "__set__"
             return {marker: [self.encode(entry) for entry in ordered]}
         if HAS_NUMPY and isinstance(value, np.ndarray):
+            if value.dtype.kind in "iu":
+                return {"__intarray__": _int_array_block(value)}
             if value.dtype == object:
+                entries = value.ravel().tolist()
+                if _all_ints(entries):
+                    return {"__intarray__": _int_array_block(value, entries)}
                 return {
                     "__ndarray__": {
                         "dtype": "object",
                         "shape": list(value.shape),
-                        "items": [self.encode(entry) for entry in value.ravel().tolist()],
+                        "items": [self.encode(entry) for entry in entries],
                     }
                 }
             return {
@@ -475,6 +620,8 @@ class _Rebuilder:
         if isinstance(node, dict):
             if "__ints__" in node:
                 return _read_int_block(node["__ints__"])
+            if "__intarray__" in node:
+                return _read_int_array(node["__intarray__"])
             if "__tuple__" in node:
                 return tuple(self.decode(entry) for entry in node["__tuple__"])
             if "__map__" in node:

@@ -33,7 +33,7 @@ speed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exceptions import ParameterError
 from . import kernels as _kernels
@@ -197,8 +197,13 @@ def as_delta_array(
         # Let NumPy infer the dtype first: a float anywhere in the
         # sequence must *raise*, not silently truncate (an int64 cast
         # would turn delta 2.7 into 2 and break batch/scalar
-        # equivalence); oversized Python ints infer as object.
-        deltas = np.asarray(deltas)
+        # equivalence); oversized Python ints infer as object.  NumPy
+        # promotes an int64-range int beside a uint64-range one (1 and
+        # 2^63) to float, so such sequences are kept exact as objects.
+        sequence = deltas
+        deltas = np.asarray(sequence)
+        if deltas.dtype.kind == "f" and all(isinstance(v, int) for v in sequence):
+            deltas = np.asarray(sequence, dtype=object)
     if deltas.size == 0:
         values = deltas.reshape(-1).astype(np.int64)
     elif deltas.dtype == np.int64 or deltas.dtype == object:
@@ -355,30 +360,28 @@ def mulmod_arrays(
 
 
 def grouped_residue_sums(
-    group_index: "np.ndarray",
-    group_count: int,
+    target: "np.ndarray",
+    indices: "np.ndarray",
     residues: "np.ndarray",
     prime: int,
-) -> List[int]:
-    """Sum residues per group exactly, returning plain Python ints.
+) -> None:
+    """Add each residue into ``target[index]`` modulo ``prime``, in place.
 
-    This is the scatter-accumulate core of the turnstile batch paths: the
-    per-item fingerprint/counter contributions (each already reduced to
-    ``[0, prime)``) are summed per touched cell, and the caller folds one
-    total into each cell with a single exact ``% prime``.  Equivalence
-    with the scalar loop is algebraic: ``(((c + r1) % p) + r2) % p ==
-    (c + r1 + r2) % p``.
+    The counter scatter of the turnstile batch paths: the per-update
+    fingerprint/counter contributions (each already reduced to
+    ``[0, prime)``) land in their cells with one modular add each, so a
+    whole structure takes one call.  Equivalence with the scalar loop is
+    algebraic: modular addition is commutative and associative, so
+    duplicates may be applied in any order.
 
     Args:
-        group_index: ``int64`` array mapping each residue to its group
-            (as produced by ``np.unique(..., return_inverse=True)``).
-        group_count: number of groups.
-        residues: per-item contributions in ``[0, prime)``.
-        prime: the modulus the residues were reduced by.
+        target: 1-D counter array (``uint64`` below ``2^63``, object
+            above), every entry in ``[0, prime)``; mutated in place.
+        indices: ``int64`` positions into ``target``; duplicates sum.
+        residues: per-update contributions in ``[0, prime)``.
+        prime: the counters' modulus.
     """
-    return _kernels.active().grouped_residue_sums(
-        group_index, group_count, residues, prime
-    )
+    return _kernels.active().grouped_residue_sums(target, indices, residues, prime)
 
 
 def group_slices(indices: "np.ndarray"):

@@ -31,7 +31,7 @@ from repro.hashing.siegel import SiegelHash
 from repro.hashing.uniform import LazyUniformHash
 from repro.hashing.universal import MultiplyShiftHash, PairwiseHash
 from repro.streams.generators import iter_item_chunks, uniform_random_stream
-from repro.vectorize import as_key_array
+from repro.vectorize import as_delta_array, as_key_array
 
 
 def _sample_keys(universe_size: int, count: int, seed: int):
@@ -190,6 +190,16 @@ def test_as_key_array_validation():
     # zero-copy for uint64 input
     array = np.asarray([4, 5], dtype=np.uint64)
     assert as_key_array(array, 10) is array
+
+
+def test_as_delta_array_keeps_every_int_exact():
+    for deltas in ([-1, 2**63], [1, 2**63], [2**63, -(2**63)], [-1, 2**64]):
+        assert as_delta_array(deltas).tolist() == deltas
+    assert as_delta_array([1, -2]).dtype == np.int64
+    with pytest.raises(ParameterError):
+        as_delta_array([1, 2.5])
+    with pytest.raises(ParameterError):
+        as_delta_array([2**63, 0.5])
 
 
 def test_packed_counter_maximize_many_matches_loop():

@@ -236,32 +236,69 @@ def test_lsb64_batch_matches_bigint(backend_name, values, zero_value):
 # ---------------------------------------------------------------------------
 
 
+#: Moduli of the in-place residue scatter: a Lemma 8 prime, 2^31 - 1, the
+#: first prime past 2^32 (past the reference's one-pass sum), 2^61 - 1,
+#: the largest prime below 2^63 (the top of the word domain), and a prime
+#: past 2^64 (object counters).
+SCATTER_PRIMES = [
+    653,
+    (1 << 31) - 1,
+    (1 << 32) + 15,
+    (1 << 61) - 1,
+    (1 << 63) - 25,
+    next_prime(1 << 64),
+]
+
+
 @backend_param
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_grouped_residue_sums_matches_bigint(backend_name, data):
+    """In place: ``target[i] = (target[i] + r) % p`` per update, any order."""
     backend = _backend(backend_name)
-    prime = data.draw(st.sampled_from(PRIMES))
-    residues = [
-        v % prime for v in data.draw(word_lists)
-    ]
-    group_count = data.draw(st.integers(min_value=1, max_value=8))
-    index = [
-        data.draw(st.integers(min_value=0, max_value=group_count - 1))
-        for _ in residues
-    ]
-    dtype = object if prime >= (1 << 64) else np.uint64
-    result = backend.grouped_residue_sums(
-        np.asarray(index, dtype=np.int64),
-        group_count,
-        np.asarray(residues, dtype=dtype),
-        prime,
+    prime = data.draw(st.sampled_from(SCATTER_PRIMES))
+    residue = st.one_of(
+        st.integers(0, prime - 1), st.integers(max(prime - 8, 0), prime - 1)
     )
-    expected = [0] * group_count
-    for g, r in zip(index, residues):
-        expected[g] += r
-    assert result == expected
-    assert all(isinstance(total, int) for total in result)
+    size = data.draw(st.integers(1, 8))
+    start = data.draw(st.lists(residue, min_size=size, max_size=size))
+    residues = data.draw(st.lists(residue, max_size=40))
+    indices = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=len(residues), max_size=len(residues))
+    )
+    dtype = object if prime >= (1 << 63) else np.uint64
+    # Word counters also take object residues (deltas beyond int64).
+    residue_dtype = data.draw(st.sampled_from([dtype, object]))
+    target = np.empty(size, dtype=dtype)
+    target[:] = start
+    addends = np.empty(len(residues), dtype=residue_dtype)
+    addends[:] = residues
+    assert backend.grouped_residue_sums(
+        target, np.asarray(indices, dtype=np.int64), addends, prime
+    ) is None
+    expected = list(start)
+    for index, value in zip(indices, residues):
+        expected[index] = (expected[index] + value) % prime
+    assert target.dtype == dtype
+    assert [int(value) for value in target.tolist()] == expected
+    if dtype == object:
+        assert all(type(value) is int for value in target.tolist())
+
+
+@backend_param
+def test_grouped_residue_sums_reduces_a_sum_equal_to_the_prime(backend_name):
+    """A counter's last sum landing exactly on ``p`` must read 0, not ``p``."""
+    backend = _backend(backend_name)
+    for prime in SCATTER_PRIMES:
+        dtype = object if prime >= (1 << 63) else np.uint64
+        target = np.empty(3, dtype=dtype)
+        target[:] = [prime - 1, 1, 5]
+        addends = np.empty(3, dtype=dtype)
+        addends[:] = [1, prime - 1, prime - 5]
+        backend.grouped_residue_sums(
+            target, np.asarray([0, 1, 2], dtype=np.int64), addends, prime
+        )
+        assert target.tolist() == [0, 0, 0], prime
 
 
 @backend_param
@@ -353,9 +390,9 @@ def test_empty_and_single_element_arrays():
         assert backend.mulmod(7, empty, prime, 1 << 64).tolist() == []
         assert backend.affine_mod_range(3, 5, empty, prime, 1 << 64, 8).tolist() == []
         assert backend.lsb64_batch(empty, 9).tolist() == []
-        assert backend.grouped_residue_sums(
-            np.empty(0, dtype=np.int64), 3, empty, prime
-        ) == [0, 0, 0]
+        counters = np.asarray([5, 0, prime - 1], dtype=np.uint64)
+        backend.grouped_residue_sums(counters, np.empty(0, dtype=np.int64), empty, prime)
+        assert counters.tolist() == [5, 0, prime - 1]
         assert backend.mulmod(7, single, prime, 1 << 64).tolist() == [
             (7 * U64_MAX) % prime
         ]

@@ -198,6 +198,64 @@ class TestKNWL0:
         assert estimator.space_bits() == sum(breakdown.values())
 
 
+class TestWidePrimeCells:
+    """The unsampled row's prime reaches 2^63 at the default magnitude bound.
+
+    At eps 0.05 and ``magnitude_bound`` 2^30 most seeds draw a small-row
+    prime of at least 2^63, whose cells are exact Python ints in an object
+    array.  Every ingest path must give the same bytes there.
+    """
+
+    SEED = 0
+
+    def _sketch(self):
+        return KNWHammingNormEstimator(1 << 20, eps=0.05, seed=self.SEED)
+
+    def _stream(self):
+        import numpy as np
+
+        rng = np.random.default_rng(31)
+        inserted = rng.integers(0, 1 << 20, 3000, dtype=np.uint64)
+        items = np.concatenate([inserted, inserted[:1200]])
+        deltas = np.concatenate(
+            [rng.choice([1, 2, -3], size=len(inserted)), -np.ones(1200, dtype=np.int64)]
+        )
+        return items, deltas
+
+    def test_the_pinned_seed_is_wide(self):
+        sketch = self._sketch()
+        assert sketch._small_row.prime >= 1 << 63
+        assert sketch._small_row._cells.dtype == object
+
+    def test_every_ingest_path_gives_the_same_bytes(self, tmp_path):
+        from repro.durability import Checkpointer, recover
+        from repro.parallel import parallel_ingest_into
+
+        items, deltas = self._stream()
+        scalar = self._sketch()
+        for item, delta in zip(items.tolist(), deltas.tolist()):
+            scalar.update(item, delta)
+        expected = scalar.to_bytes()
+
+        batched = self._sketch()
+        for start in range(0, len(items), 700):
+            batched.update_batch(items[start : start + 700], deltas[start : start + 700])
+        assert batched.to_bytes() == expected
+
+        sharded = self._sketch()
+        parallel_ingest_into(sharded, items, deltas, workers=1, shards=2)
+        assert sharded.to_bytes() == expected
+
+        checkpointer = Checkpointer(self._sketch(), str(tmp_path), snapshot_every=2)
+        for start in range(0, len(items), 1000):
+            checkpointer.ingest(items[start : start + 1000], deltas[start : start + 1000])
+        assert checkpointer.target.to_bytes() == expected
+        checkpointer.close()
+        recovered, _ = recover(str(tmp_path))
+        assert recovered.to_bytes() == expected
+        assert recovered.estimate() == scalar.estimate()
+
+
 class TestGanguly:
     def test_insert_delete_accuracy(self):
         stream = insert_delete_stream(UNIVERSE, 2000, delete_fraction=0.5, seed=27)

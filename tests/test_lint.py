@@ -135,6 +135,31 @@ class TestExactArithmetic:
             "exact-np-float-cast",
         )
 
+    def test_np_reexported_by_vectorize_is_numpy(self):
+        # The library's modules import NumPy as ``from ..vectorize import np``.
+        assert_flags(
+            "src/repro/l0/fixture.py",
+            """
+            from ..vectorize import np
+
+            class E:
+                def update_batch(self, items, deltas):
+                    self.weights = np.bincount(items, weights=deltas.astype(np.float64))
+            """,
+            "exact-np-float-cast",
+        )
+        assert_flags(
+            "src/repro/l0/fixture.py",
+            """
+            from ..vectorize import np as numpy_module
+
+            class E:
+                def estimate(self):
+                    return numpy_module.log2(self.count)
+            """,
+            "exact-np-transcendental",
+        )
+
     def test_builtin_float_is_clean(self):
         assert_clean(
             self.SKETCH,

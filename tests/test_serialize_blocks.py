@@ -1,8 +1,11 @@
-"""Typed integer blocks in the v2 wire format (``repro.serialize``).
+"""Typed integer blocks in the wire format (``repro.serialize``).
 
 Every list, tuple, set, frozenset, and int→int dict of exact ``int``s is
 one block: kind, count, the narrowest width that fits its minimum and
-maximum, raw little-endian bytes.  These properties pin the contract:
+maximum, raw little-endian bytes.  Every integer ndarray, and every
+object ndarray of exact ints, is one block too: dtype, shape, and its
+values dense or as a nonzero bitmap plus the nonzero values, whichever
+is shorter.  These properties pin the contract:
 
 * round trips give equal values of exactly the same types (``True``
   never comes back as ``1``, a tuple never as a list), at every width
@@ -10,11 +13,17 @@ maximum, raw little-endian bytes.  These properties pin the contract:
 * equal dicts and sets encode to equal bytes whatever their insertion
   order;
 * a frame whose block count or width code was altered fails closed with
+  ``SerializationError``;
+* ndarrays come back with their dtype, shape and values, equal arrays
+  give equal bytes, and a truncated or flipped array block raises only
   ``SerializationError``.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,14 +196,15 @@ def _encode_varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _split(blob: bytes):
+def _split(blob: bytes, marker: bytes = b"__ints__"):
     """``(frame head, block)`` of a ``dumps_tree`` frame holding one block.
 
-    Such a frame is ``{"__ints__": <bytes>}``: after the interned marker
-    key come the bytes leaf's tag, its varint length, and the block,
-    which runs to the end of the frame.
+    Such a frame is ``{"__ints__": <bytes>}`` (``{"__intarray__": ...}``
+    for an ndarray): after the interned marker key come the bytes leaf's
+    tag, its varint length, and the block, which runs to the end of the
+    frame.
     """
-    head = blob.index(b"__ints__") + len(b"__ints__") + 1
+    head = blob.index(marker) + len(marker) + 1
     length, start = _varint(blob, head)
     assert start + length == len(blob)
     return blob[:head], blob[start:]
@@ -252,11 +262,164 @@ def test_wide_block_must_be_wider_than_eight_bytes():
 
 
 def test_a_version_1_frame_raises():
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION > 1
     blob = dumps_tree({"items": [1, 2, 3]})
     older = blob[: len(FORMAT_MAGIC)] + bytes([1]) + blob[len(FORMAT_MAGIC) + 1 :]
     with pytest.raises(FormatVersionError) as raised:
         loads_tree(older)
     assert isinstance(raised.value, SerializationError)
-    assert (raised.value.found, raised.value.expected) == (1, 2)
-    assert "version 1 (expected 2)" in str(raised.value)
+    assert (raised.value.found, raised.value.expected) == (1, FORMAT_VERSION)
+    assert "version 1 (expected %d)" % FORMAT_VERSION in str(raised.value)
+
+
+# ---------------------------------------------------------------------------
+# Integer ndarrays
+# ---------------------------------------------------------------------------
+
+_INT_DTYPES = [
+    np.dtype(code) for code in ("int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64")
+]
+
+
+@st.composite
+def int_arrays(draw):
+    """An integer ndarray of any width and shape, often mostly zero."""
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    info = np.iinfo(dtype)
+    shape = tuple(draw(st.lists(st.integers(0, 6), max_size=3)))
+    edges = [v for v in (info.min, info.min + 1, -1, 1, info.max - 1, info.max) if info.min <= v]
+    entry = st.one_of(st.integers(info.min, info.max), st.sampled_from(edges))
+    zero_share = draw(st.sampled_from([0, 1, 3, 20]))
+    values = draw(
+        st.lists(
+            st.one_of(entry, *[st.just(0)] * zero_share),
+            min_size=math.prod(shape),
+            max_size=math.prod(shape),
+        )
+    )
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def object_int_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    values = draw(
+        st.lists(
+            st.one_of(edge_ints, st.just(0)),
+            min_size=math.prod(shape),
+            max_size=math.prod(shape),
+        )
+    )
+    array = np.empty(math.prod(shape), dtype=object)
+    array[:] = values
+    return array.reshape(shape)
+
+
+def _assert_same_array(revived, array):
+    assert isinstance(revived, np.ndarray)
+    assert revived.dtype == array.dtype and revived.shape == array.shape
+    assert revived.tolist() == array.tolist()
+    if array.dtype == object:
+        assert all(type(v) is int for v in revived.reshape(-1).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(array=st.one_of(int_arrays(), object_int_arrays()))
+def test_int_arrays_round_trip_with_dtype_and_shape(array):
+    blob = dumps_tree(array)
+    assert b"__intarray__" in blob
+    revived = loads_tree(blob)
+    _assert_same_array(revived, array)
+    assert revived.flags.writeable and revived.flags.c_contiguous
+    assert dumps_tree(revived) == blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(array=int_arrays())
+def test_equal_arrays_give_equal_bytes(array):
+    assert dumps_tree(array.copy(order="F")) == dumps_tree(array)
+    if array.ndim:
+        assert dumps_tree(np.flip(np.flip(array))) == dumps_tree(array)  # a strided view
+
+
+def _array_form(blob: bytes) -> int:
+    """The form byte of a one-array frame: 0 dense, 1 sparse."""
+    block = _split(blob, b"__intarray__")[1]
+    offset = 1 + block[0]
+    ndim, offset = _varint(block, offset)
+    for _ in range(ndim):
+        offset = _varint(block, offset)[1]
+    return block[offset]
+
+
+@pytest.mark.parametrize("dtype,width", [("uint8", 1), ("int16", 2), ("uint64", 8)])
+def test_the_sparse_form_is_taken_only_when_shorter(dtype, width):
+    """64 entries: dense costs 64 w bytes, sparse 8 + w per nonzero entry."""
+    limit = (64 * width - 8 + width - 1) // width  # the first count that is not shorter
+    for nonzero, form in ((0, 1), (limit - 1, 1), (limit, 0), (64, 0)):
+        array = np.zeros(64, dtype=dtype)
+        array[:nonzero] = 1
+        array[0] = np.iinfo(dtype).max  # pins the width
+        if nonzero == 0:
+            array[0] = 0
+        blob = dumps_tree(array)
+        assert _array_form(blob) == form, nonzero
+        _assert_same_array(loads_tree(blob), array)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.zeros(0, dtype=np.uint64),
+        np.zeros((3, 0, 2), dtype=np.int32),
+        np.zeros((4, 4), dtype=np.uint64),
+        np.array(5, dtype=np.int8),
+        np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+        np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+        np.array([3, 1], dtype=">u4"),
+    ],
+    ids=["empty", "empty-3d", "all-zero", "scalar", "u64-top", "i64-edges", "big-endian"],
+)
+def test_int_array_edges_round_trip(array):
+    _assert_same_array(loads_tree(dumps_tree(array)), array)
+
+
+def test_wide_object_arrays_round_trip():
+    array = np.empty(40, dtype=object)
+    array[:] = [0] * 38 + [2**100, -(2**70)]
+    _assert_same_array(loads_tree(dumps_tree(array)), array)
+    mixed = np.array([1, "a"], dtype=object)
+    assert b"__intarray__" not in dumps_tree(mixed)
+    assert loads_tree(dumps_tree(mixed)).tolist() == [1, "a"]
+
+
+def test_an_oversized_shape_raises_before_allocating():
+    head, block = _split(dumps_tree(np.arange(4, dtype=np.uint8)), b"__intarray__")
+    offset = 1 + block[0]
+    assert block[offset : offset + 2] == bytes([1, 4])  # ndim 1, dimension 4
+    huge = block[:offset] + bytes([1]) + _encode_varint(1 << 40) + block[offset + 2 :]
+    with pytest.raises(SerializationError):
+        loads_tree(_join(head, huge))
+
+
+def test_values_that_do_not_fit_the_dtype_raise():
+    head, block = _split(dumps_tree(np.array([1, 255], dtype=np.uint8)), b"__intarray__")
+    with pytest.raises(SerializationError):
+        loads_tree(_join(head, block.replace(b"|u1", b"|i1")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(array=st.one_of(int_arrays(), object_int_arrays()), data=st.data())
+def test_damaged_array_blocks_raise_only_serialization_error(array, data):
+    blob = bytearray(dumps_tree(array))
+    start = blob.index(b"__intarray__")
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 4))):
+            position = data.draw(st.integers(start, len(blob) - 1))
+            blob[position] ^= 1 << data.draw(st.integers(0, 7))
+    else:
+        blob = blob[: data.draw(st.integers(start, len(blob) - 1))]
+    try:
+        loads_tree(bytes(blob))
+    except SerializationError:
+        pass
