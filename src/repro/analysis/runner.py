@@ -19,10 +19,7 @@ multi-process engine (:mod:`repro.parallel`) — worker processes ingest
 contiguous shards into same-seed clones and the results merge-reduce
 back into the run's estimator, so mid-stream reports still see exactly
 the requested prefixes.  Requires a mergeable estimator; results are
-bit-identical to serial driving for seed-determined hash configurations
-(see ``CardinalityEstimator.shard_deterministic``) — which, on the
-turnstile side, is every mergeable L0 sketch (they are linear with
-eagerly drawn hashes).
+bit-identical to serial driving.
 """
 
 from __future__ import annotations

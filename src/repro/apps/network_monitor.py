@@ -180,10 +180,10 @@ class FlowCardinalityMonitor(SerializableState):
                 universe_size, eps=eps, seed=seed + 4
             )
         if mergeable:
-            # The polynomial rough-estimator family keeps the sketch fully
-            # seed-determined (shard_deterministic), so per-link sharded
-            # windows are bit-identical to observing the union serially
-            # and the window rollups merge exactly.
+            # Figure 2's polynomial rough-estimator family (the paper's
+            # 8-approximation); per-link sharded windows are bit-identical
+            # to observing the union serially, and window rollups merge
+            # exactly.
             def sketch(sketch_seed):
                 return KNWDistinctCounter(
                     universe_size,

@@ -100,8 +100,8 @@ class ColumnStatisticsCollector:
         self._seed = seed
         self._row_counts: Dict[str, int] = {name: 0 for name in columns}
         if family == "knw":
-            # The polynomial rough-estimator family keeps the sketches fully
-            # seed-determined, so per-partition sharded ingest and union-NDV
+            # Figure 2's polynomial rough-estimator family (the paper's
+            # 8-approximation); per-partition sharded ingest and union-NDV
             # merging are bit-identical to serial single-sketch ingestion.
             self._store = SketchStore(
                 ObjectSketchArray(

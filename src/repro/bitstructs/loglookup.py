@@ -18,7 +18,8 @@ The construction follows Lemma 7:
   constant-time operations in the word-RAM model.
 
 The class also exposes :meth:`exact` so benchmarks can measure the relative
-error of the table against ``math.log`` (experiment E10 in DESIGN.md).
+error of the table against ``math.log`` (experiment E10; see "Paper
+constructions and stand-ins" in ``docs/architecture.md``).
 """
 
 from __future__ import annotations

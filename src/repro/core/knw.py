@@ -139,15 +139,16 @@ class KNWFigure3Sketch(CardinalityEstimator):
                 convention as ``hashes``).
             rough_counters: ``K_RE`` override forwarded to the internally
                 created RoughEstimator when ``rough`` is not supplied.
-            rough_uniform_family: use the Pagh--Pagh style uniform family
-                for the RoughEstimator's ``h3`` (the Lemma 5 fast
+            rough_uniform_family: use Theorem 6's Pagh--Pagh family for
+                the RoughEstimator's ``h3`` (the Lemma 5 fast
                 configuration) instead of the ``2 K_RE``-wise polynomial.
             offset_divisor: the constant ``c`` in the rebasing rule
                 ``b = max(0, est - log2(K/c))``.  The paper uses 32, chosen
                 so the Lemma 3 variance analysis applies verbatim; smaller
                 values keep more items in the sampled level (better
                 accuracy constants at the same asymptotic space) and are
-                benchmarked as an ablation (DESIGN.md section 5, E12).
+                benchmarked as an ablation (E12; see "Paper constructions
+                and stand-ins" in ``docs/architecture.md``).
                 Defaults to the paper's 32.
         """
         if universe_size < 2:
@@ -183,10 +184,6 @@ class KNWFigure3Sketch(CardinalityEstimator):
             seed=rough_seed,
             use_uniform_family=rough_uniform_family,
         )
-        # The Lemma 5 uniform family draws hash values lazily in
-        # first-occurrence order, so sharded ingestion sees different
-        # draws than sequential ingestion (see the base-class attribute).
-        self.shard_deterministic = self.rough.shard_deterministic
         self._counters: List[int] = [-1] * self.bins
         self._bit_budget = _total_counter_bits(self._counters)  # the paper's A
         self._base_level = 0  # the paper's b
@@ -455,7 +452,8 @@ class KNWDistinctCounter(CardinalityEstimator):
                 ``max(K_RE_paper, ceil(log2 n))`` — still ``O(log n)`` bits,
                 but with a comfortably small failure probability at the
                 finite ``n`` used in experiments (the paper's guarantee is
-                asymptotic; see DESIGN.md section 5).
+                asymptotic; see "Paper constructions and stand-ins" in
+                ``docs/architecture.md``).
             offset_divisor: the rebasing constant ``c``; defaults to
                 ``PRACTICAL_OFFSET_DIVISOR`` (see that attribute's note).
             rough_uniform_family: use the Lemma 5 (Pagh--Pagh) hash family
@@ -486,7 +484,6 @@ class KNWDistinctCounter(CardinalityEstimator):
             )
         self.hashes = F0HashBundle(universe_size, self.bins, eps_hint=eps, seed=hash_seed)
         self.small = SmallF0Estimator(self.hashes)
-        self.shard_deterministic = not rough_uniform_family
         self.core = KNWFigure3Sketch(
             universe_size,
             eps=eps,

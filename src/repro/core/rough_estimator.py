@@ -16,8 +16,8 @@ Structure (three independent copies ``j = 1, 2, 3``, median combined):
 * ``h2^j`` pairwise hashing items into a cubically larger domain
   ``[K_RE^3]`` so the surviving items are perfectly hashed w.h.p.;
 * ``h3^j`` a ``2 K_RE``-wise independent hash into the counters
-  (the fast variant of Lemma 5 replaces this with a Pagh--Pagh style
-  uniform family and a 16-approximation guarantee).
+  (the fast variant of Lemma 5 replaces this with Theorem 6's Pagh--Pagh
+  family and a 16-approximation guarantee).
 
 Estimator: with ``T_r = |{i : C_i >= r}|``, output ``2^r* K_RE`` for the
 largest ``r*`` with ``T_{r*} >= rho K_RE`` where
@@ -36,7 +36,7 @@ from ..estimators.base import SerializableState
 from ..exceptions import ParameterError
 from ..hashing.bitops import lsb, lsb_batch
 from ..hashing.kwise import KWiseHash
-from ..hashing.uniform import LazyUniformHash
+from ..hashing.uniform import PaghPaghHash
 from ..hashing.universal import PairwiseHash
 from ..vectorize import as_key_array, np
 
@@ -115,9 +115,9 @@ class _RoughCopy:
         self.h1 = PairwiseHash(universe_size, universe_size, rng=rng)
         self.h2 = PairwiseHash(universe_size, domain_cubed, rng=rng)
         if use_uniform_family:
-            # Lemma 5: a Pagh--Pagh style family, uniform on the <= 2 K_RE
-            # items that matter with probability 1 - O(1/K_RE).
-            self.h3 = LazyUniformHash(domain_cubed, counters, capacity=2 * counters, rng=rng)
+            # Lemma 5: Theorem 6's family, uniform on the <= 2 K_RE items
+            # that matter with probability 1 - O(1/K_RE).
+            self.h3 = PaghPaghHash(domain_cubed, counters, 2 * counters, rng)
         else:
             self.h3 = KWiseHash(domain_cubed, counters, independence=2 * counters, rng=rng)
 
@@ -196,9 +196,9 @@ class RoughEstimator(SerializableState):
                 callers such as :class:`repro.core.knw.KNWDistinctCounter`
                 pass a slightly larger count).
             seed: RNG seed for the hash functions.
-            use_uniform_family: draw ``h3`` from the Pagh--Pagh style
-                uniform family (the Lemma 5 fast configuration) instead of
-                the ``2 K_RE``-wise polynomial family.
+            use_uniform_family: draw ``h3`` from Theorem 6's Pagh--Pagh
+                family (the Lemma 5 fast configuration) instead of the
+                ``2 K_RE``-wise polynomial family.
         """
         if universe_size < 2:
             raise ParameterError("universe_size must be at least 2")
@@ -215,10 +215,6 @@ class RoughEstimator(SerializableState):
         ]
         self._threshold = OCCUPANCY_THRESHOLD_RHO * self.counters_per_copy
         self._monotone_floor = -1.0
-        # The uniform (Lemma 5) family materialises hash values lazily in
-        # first-occurrence order, so sharded and sequential ingestion draw
-        # different functions; the polynomial family is seed-determined.
-        self.shard_deterministic = not use_uniform_family
 
     def update(self, item: int) -> None:
         """Process one stream item."""
@@ -232,31 +228,14 @@ class RoughEstimator(SerializableState):
     def update_batch(self, items) -> None:
         """Process a chunk of items through all three copies, vectorized.
 
-        Equivalent to the :meth:`update` loop.  With the polynomial ``h3``
-        (stateless) each copy reduces the whole chunk independently.  With
-        the Lemma 5 uniform family the three copies' ``h3`` draw lazily
-        from one *shared* RNG, so the batch path evaluates ``h3`` in the
-        scalar interleaving — item by item across the copies — to consume
-        the RNG in the identical order, while ``h1``/``h2`` hashing, level
-        extraction and the counter maxima stay vectorized.
+        Equivalent to the :meth:`update` loop: each copy reduces the whole
+        chunk independently (both ``h3`` families are fixed by the seed).
         """
         keys = as_key_array(items, self.universe_size)
         if keys.size == 0:
             return
-        if not isinstance(self._copies[0].h3, LazyUniformHash):
-            for copy in self._copies:
-                copy.update_batch(keys)
-            return
-        spread = [copy.h2.hash_batch_validated(keys).tolist() for copy in self._copies]
-        draws = [copy.h3.draw_value for copy in self._copies]
-        indices = [np.empty(len(keys), dtype=np.int64) for _ in self._copies]
-        copy_order = range(len(self._copies))
-        for position in range(len(keys)):
-            for j in copy_order:
-                indices[j][position] = draws[j](spread[j][position])
-        for j, copy in enumerate(self._copies):
-            levels = lsb_batch(copy.h1.hash_batch_validated(keys), zero_value=copy.level_limit)
-            copy.counters.maximize_many(indices[j], levels + np.int64(1))
+        for copy in self._copies:
+            copy.update_batch(keys)
 
     def estimate(self) -> float:
         """Return the current rough estimate (median of the three copies).
@@ -317,8 +296,8 @@ class FastRoughEstimator(RoughEstimator):
 
     Differences from :class:`RoughEstimator`:
 
-    * ``h3`` is drawn from the Pagh--Pagh style uniform family (Theorem 6),
-      which evaluates in constant time;
+    * ``h3`` is drawn from the Pagh--Pagh family (Theorem 6), which
+      evaluates in constant time;
     * the report is maintained *incrementally*: instead of scanning all
       levels at query time, the estimator tracks the current committed
       level ``r`` and only advances it when new occupancy appears at or

@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Union
 from .. import serialize
 from ..exceptions import MergeError, SerializationError, UpdateError
 from ..streams.model import MaterializedStream, Update
+from ..vectorize import as_delta_array, as_key_array
 
 __all__ = [
     "SerializableState",
@@ -116,17 +117,6 @@ class CardinalityEstimator(SerializableState, abc.ABC):
     #: paper's Figure 1 and is surfaced in the comparison tables.
     requires_random_oracle: bool = False
 
-    #: Whether same-seed sketches fed disjoint shards and merged are
-    #: *bit-identical* to one sketch fed the concatenation.  True for
-    #: every estimator whose hash functions are fully determined by the
-    #: seed; set to False by configurations whose lazily materialised
-    #: hash families draw values in first-occurrence order (the draw
-    #: order then differs between sharded and sequential ingestion, so
-    #: merged estimates are merely approximation-equivalent).  The
-    #: sharded execution engine (:mod:`repro.parallel`) surfaces this
-    #: flag when callers ask which estimators shard exactly.
-    shard_deterministic: bool = True
-
     @abc.abstractmethod
     def update(self, item: int) -> None:
         """Process one stream item (an identifier in ``[0, n)``)."""
@@ -163,16 +153,14 @@ class CardinalityEstimator(SerializableState, abc.ABC):
         * **Order sensitivity** — items are logically applied in order.
           Most sketches are order-insensitive (their per-counter reduction
           is a max/OR/bottom-k), but order-dependent tie-breaking (e.g.
-          lazily materialised hash families drawing values at first
-          occurrence) follows first-occurrence order within the batch.
+          a lazily drawn hash family drawing values at first occurrence)
+          follows first-occurrence order within the batch.
         * **Dtype** — ``items`` may be any integer sequence; vectorized
           overrides accept (and are fastest with) a NumPy integer array,
           converted once to ``uint64``.  Identifiers must lie in
-          ``[0, universe_size)``.  *Vectorized overrides* validate the
-          whole batch before any state is mutated, so a rejected batch
-          leaves the sketch untouched; this base (loop) implementation,
-          like the scalar loop itself, applies the prefix preceding the
-          offending item.
+          ``[0, universe_size)``.  The whole batch is validated before
+          any state is mutated, so a rejected batch leaves the sketch
+          untouched.
         * **Known deviation** — the KNW Figure 3 sketch evaluates its
           space-budget FAIL test once per ingested chunk (after
           rebasing) rather than after every item; a stream whose budget
@@ -185,11 +173,13 @@ class CardinalityEstimator(SerializableState, abc.ABC):
           batches and then merged agree with one sketch fed the
           concatenation, whenever the estimator supports merging at all.
 
-        The base implementation is the plain loop (correct for every
-        subclass); hot estimators override it with vectorized paths.
+        The base implementation validates the batch with
+        :func:`~repro.vectorize.as_key_array`, then runs the plain loop
+        (correct for every subclass); hot estimators override it with
+        vectorized paths.
         """
-        for item in items:
-            self.update(int(item))
+        for item in as_key_array(items, universe_bound(self)).tolist():
+            self.update(item)
 
     # -- convenience ----------------------------------------------------------------
 
@@ -248,15 +238,6 @@ class TurnstileEstimator(SerializableState, abc.ABC):
     #: (true for Ganguly's algorithm, false for KNW's).
     requires_nonnegative_frequencies: bool = False
 
-    #: Whether same-seed sketches fed disjoint shards and merged are
-    #: *bit-identical* to one sketch fed the concatenation.  The library's
-    #: turnstile sketches are all *linear* (their counters are sums of
-    #: deltas modulo fixed primes) with eagerly drawn hash functions, so
-    #: — unlike the lazily-drawn F0 configurations — every mergeable L0
-    #: sketch shards exactly.  Mirrors
-    #: :attr:`CardinalityEstimator.shard_deterministic`.
-    shard_deterministic: bool = True
-
     @abc.abstractmethod
     def update(self, item: int, delta: int) -> None:
         """Apply the update ``x_item += delta``."""
@@ -311,14 +292,14 @@ class TurnstileEstimator(SerializableState, abc.ABC):
         evaluate once over the whole chunk and each touched counter pays
         one exact modular fold of its chunk total (see
         :meth:`repro.l0.knw_l0.KNWHammingNormEstimator.update_batch`).
-        Vectorized overrides validate the whole batch before any state is
-        mutated; this base (loop) implementation, like the scalar loop
-        itself, applies the prefix preceding the offending update.
+        The whole batch is validated (:func:`~repro.vectorize.as_key_array`
+        and :func:`~repro.vectorize.as_delta_array`) before any state is
+        mutated, here and in every override.
         """
-        if len(items) != len(deltas):
-            raise UpdateError("update_batch requires as many deltas as items")
-        for item, delta in zip(items, deltas):
-            self.update(int(item), int(delta))
+        keys = as_key_array(items, universe_bound(self))
+        values = as_delta_array(deltas, expected_length=len(keys))
+        for item, delta in zip(keys.tolist(), values.tolist()):
+            self.update(item, delta)
 
     # -- convenience ----------------------------------------------------------------
 

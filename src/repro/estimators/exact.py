@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, np
+from ..exceptions import ParameterError
+from ..vectorize import as_delta_array, as_key_array, np
 from .base import CardinalityEstimator, ItemBatch, TurnstileEstimator
 
 __all__ = ["ExactDistinctCounter", "ExactHammingNorm"]
+
+
+def _check_item(item: int, universe_size: int) -> None:
+    if not 0 <= item < universe_size:
+        raise ParameterError("item %d outside universe [0, %d)" % (item, universe_size))
 
 
 class ExactDistinctCounter(CardinalityEstimator):
@@ -27,14 +33,16 @@ class ExactDistinctCounter(CardinalityEstimator):
         """Create the counter.
 
         Args:
-            universe_size: size of the identifier universe (used only for
-                space accounting — ``log2(n)`` bits per stored identifier).
+            universe_size: size of the identifier universe ``[0, n)``; it
+                also sets the space accounting (``log2(n)`` bits per
+                stored identifier).
         """
         self.universe_size = max(universe_size, 2)
         self._seen: Set[int] = set()
 
     def update(self, item: int) -> None:
         """Record one identifier."""
+        _check_item(item, self.universe_size)
         self._seen.add(item)
 
     def estimate(self) -> float:
@@ -67,13 +75,15 @@ class ExactHammingNorm(TurnstileEstimator):
         """Create the counter.
 
         Args:
-            universe_size: size of the identifier universe (space accounting).
+            universe_size: size of the identifier universe ``[0, n)``
+                (also the space accounting).
         """
         self.universe_size = max(universe_size, 2)
         self._frequencies: Dict[int, int] = {}
 
     def update(self, item: int, delta: int) -> None:
         """Apply ``x_item += delta`` exactly."""
+        _check_item(item, self.universe_size)
         new_value = self._frequencies.get(item, 0) + delta
         if new_value == 0:
             self._frequencies.pop(item, None)
@@ -87,9 +97,7 @@ class ExactHammingNorm(TurnstileEstimator):
         (entries at zero are dropped), so folding one per-item chunk
         total into the dictionary is bit-identical to the scalar loop.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return super().update_batch(items, deltas)
-        keys = as_key_array(items)
+        keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
         if keys.size == 0:
             return

@@ -91,9 +91,6 @@ class MedianEstimator(CardinalityEstimator):
         self.requires_random_oracle = any(
             copy.requires_random_oracle for copy in self._copies
         )
-        self.shard_deterministic = all(
-            getattr(copy, "shard_deterministic", True) for copy in self._copies
-        )
 
     def update(self, item: int) -> None:
         """Feed the item to every copy."""
@@ -179,9 +176,6 @@ class MedianTurnstileEstimator(TurnstileEstimator):
         self.name = "median-%dx-%s" % (repetitions, self._copies[0].name)
         self.requires_nonnegative_frequencies = any(
             copy.requires_nonnegative_frequencies for copy in self._copies
-        )
-        self.shard_deterministic = all(
-            getattr(copy, "shard_deterministic", True) for copy in self._copies
         )
 
     def update(self, item: int, delta: int) -> None:

@@ -8,7 +8,7 @@ This subpackage contains every hash family the paper relies on:
   multiply-shift families (the paper's ``h1``, ``h2``, ``h4``).
 * :mod:`repro.hashing.kwise` — k-wise independent polynomial families
   (the paper's ``h3`` in the reference implementation, Lemma 2).
-* :mod:`repro.hashing.uniform` — Pagh--Pagh uniform-hashing stand-in
+* :mod:`repro.hashing.uniform` — the Pagh--Pagh uniform-on-a-set family
   (paper Theorem 6, used by the fast RoughEstimator of Lemma 5).
 * :mod:`repro.hashing.siegel` — Siegel high-independence stand-in
   (paper Theorem 7, used by the time-optimal algorithm of Theorem 9).
@@ -52,7 +52,7 @@ from .primes import (
 from .random_oracle import RandomOracle
 from .siegel import SiegelHash
 from .tabulation import TabulationHash
-from .uniform import LazyUniformHash
+from .uniform import PaghPaghHash
 from .universal import MultiplyShiftHash, PairwiseHash
 
 __all__ = [
@@ -81,7 +81,7 @@ __all__ = [
     "RandomOracle",
     "SiegelHash",
     "TabulationHash",
-    "LazyUniformHash",
+    "PaghPaghHash",
     "MultiplyShiftHash",
     "PairwiseHash",
 ]

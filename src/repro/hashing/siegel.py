@@ -13,10 +13,10 @@ famously impractical; what the KNW proofs use is only the family's
 *independence on the keys actually hashed*.  This module therefore supplies
 :class:`SiegelHash`, a stand-in with the same interface and the same
 declared space cost ``v^eta`` (for a configurable ``eta``), implemented as
-a lazily materialised random function exactly like
-:class:`repro.hashing.uniform.LazyUniformHash` but with the independence
-budget expressed in Siegel's terms (``k = v^o(1)``) rather than a set
-capacity.  The substitution is recorded in DESIGN.md.
+a lazily materialised random function — each value is drawn the first time
+its key is queried and memoised — with the independence budget expressed
+in Siegel's terms (``k = v^o(1)``).  The substitution is recorded under
+"Paper constructions and stand-ins" in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ class SiegelHash:
     def hash_batch(self, keys):
         """Evaluate the function on a whole array of keys.
 
-        Like :meth:`repro.hashing.uniform.LazyUniformHash.hash_batch`, the
-        lazily materialised values must be drawn in first-occurrence order
+        The lazily materialised values must be drawn in first-occurrence order
         so batch and scalar ingestion agree bit-for-bit; the walk is
         Python-level but free of per-item validation and call overhead.
         """

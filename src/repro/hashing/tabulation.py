@@ -3,16 +3,13 @@
 Tabulation hashing splits a key into ``c`` characters and XORs together one
 random table entry per character.  It is only 3-wise independent, but it
 has much stronger concentration properties than its independence suggests
-(Patrascu--Thorup), evaluates in a constant number of table lookups, and is
-the natural "fast practical hash" to compare against the paper's
-theoretically clean families in the ablation benchmarks (experiment E12 of
-DESIGN.md).
+(Patrascu--Thorup) and evaluates in a constant number of table lookups.
 
-It is *not* used inside the reference KNW implementation — the paper's
-correctness analysis is stated for the Carter--Wegman / Pagh--Pagh / Siegel
-families — but the fast variant (:mod:`repro.core.fast_knw`) can be
-configured to use it, and the balls-and-bins benchmark measures how close
-its occupancy statistics get to a truly random function.
+Nothing in the library uses it: the paper's correctness analysis is stated
+for the Carter--Wegman / Pagh--Pagh / Siegel families.  It is the building
+block of double tabulation (Thorup, FOCS 2013), the candidate construction
+for Theorem 7's family (see "Paper constructions and stand-ins" in
+``docs/architecture.md``).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ benchmark can compare space, update cost, and accuracy.  It follows the
 published structure (per-level cells holding the frequency sum and the
 first two moments of the item identifiers for singleton detection) rather
 than being a line-by-line port, which is sufficient for the comparison the
-paper's Figure-1-style claims make; DESIGN.md records this as a
-substitution.
+paper's Figure-1-style claims make; "Paper constructions and stand-ins"
+in ``docs/architecture.md`` records this as a substitution.
 """
 
 from __future__ import annotations

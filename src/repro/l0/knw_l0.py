@@ -91,7 +91,8 @@ class KNWHammingNormEstimator(TurnstileEstimator):
                 ``"adaptive"`` (default) reads the deepest non-saturated row
                 of the same matrix, which uses the identical state but
                 avoids the large constants the conservative oracle bound
-                forces (see the ablation discussion in DESIGN.md section 5).
+                forces (see "Paper constructions and stand-ins" in
+                ``docs/architecture.md``).
             rough_capacity: per-level Lemma 8 capacity inside the rough
                 estimator.  The paper's constant is 141; the default of 16
                 keeps the per-level bucket arrays (capacity^2 counters per

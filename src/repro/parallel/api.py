@@ -9,10 +9,8 @@ the five target types and their plans are tabulated in
 
 Correctness contract.  For every estimator that supports :meth:`merge
 <repro.estimators.base.CardinalityEstimator.merge>`, shard-and-merge is
-*estimate-equivalent* to sequential ingestion; for estimators whose hash
-functions are fully seed-determined (``shard_deterministic`` on the
-estimator — everything except the lazily materialised Lemma 5 uniform
-family configurations) it is **bit-identical**: the merged sketch's
+**bit-identical** to sequential ingestion, because every mergeable
+estimator's hash functions are fixed by its seed: the merged sketch's
 state and estimate equal those of a single sketch fed the concatenated
 stream, for any shard and worker count.  The per-counter reductions are
 maxima, ORs, set unions, and modular counter sums — commutative and
@@ -221,54 +219,35 @@ def _epoch_shards(epochs, items, deltas, keys, count):
 
 
 _MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
-_DETERMINISTIC_CACHE: Dict[str, bool] = {}
 
 
 def _drop_capability_caches() -> None:
-    """Reset the registry-derived memo caches in forked pool workers.
+    """Reset the registry-derived memo cache in forked pool workers.
 
-    The caches are pure functions of the estimator registry, but a child
-    should re-derive them against whatever registry *it* sees rather than
+    The cache is a pure function of the estimator registry, but a child
+    should re-derive it against whatever registry *it* sees rather than
     inherit the coordinator's snapshot through fork.
     """
     global _MERGEABLE_CACHE
     _MERGEABLE_CACHE = None
-    _DETERMINISTIC_CACHE.clear()
 
 
 os.register_at_fork(after_in_child=_drop_capability_caches)
 
 
-def mergeable_f0_names(shard_deterministic_only: bool = False) -> List[str]:
+def mergeable_f0_names() -> List[str]:
     """Return the registered F0 algorithms usable with sharded ingestion.
 
-    Args:
-        shard_deterministic_only: when True, keep only the algorithms
-            whose sharded ingest is *bit-identical* to sequential ingest
-            (see ``CardinalityEstimator.shard_deterministic``); the
-            remainder (currently the default ``knw`` configuration,
-            whose Lemma 5 rough-estimator family draws lazily) are
-            merge-*compatible* but only approximation-equivalent.
+    Every one is seed-determined, so its sharded ingest is *bit-identical*
+    to sequential ingest.
     """
     global _MERGEABLE_CACHE
     if _MERGEABLE_CACHE is None:
-        probes = {
-            name: make_f0_estimator(name, 1 << 12, 0.25, seed=0)
+        _MERGEABLE_CACHE = {
+            name: _supports_merge(make_f0_estimator(name, 1 << 12, 0.25, seed=0))
             for name in f0_algorithm_names()
         }
-        _MERGEABLE_CACHE = {
-            name: _supports_merge(probe) for name, probe in probes.items()
-        }
-        _DETERMINISTIC_CACHE.update(
-            {
-                name: bool(getattr(probe, "shard_deterministic", True))
-                for name, probe in probes.items()
-            }
-        )
-    names = [name for name, able in sorted(_MERGEABLE_CACHE.items()) if able]
-    if shard_deterministic_only:
-        names = [name for name in names if _DETERMINISTIC_CACHE[name]]
-    return names
+    return [name for name, able in sorted(_MERGEABLE_CACHE.items()) if able]
 
 
 _L0_MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
@@ -277,10 +256,9 @@ _L0_MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
 def mergeable_l0_names() -> List[str]:
     """Return the registered L0 algorithms usable with sharded ingestion.
 
-    Every mergeable L0 sketch in the library is linear with eagerly drawn
-    hash functions, so — unlike the F0 side — sharded ingest is always
-    *bit-identical* to sequential ingest (no ``shard_deterministic_only``
-    filter is needed; see ``TurnstileEstimator.shard_deterministic``).
+    Every mergeable L0 sketch in the library is linear with seed-determined
+    hash functions, so sharded ingest is *bit-identical* to sequential
+    ingest.
     """
     global _L0_MERGEABLE_CACHE
     if _L0_MERGEABLE_CACHE is None:

@@ -11,17 +11,16 @@ components — hash families, bit structures, shared RNGs) without
 * :func:`snapshot` — capture an object's complete state as a plain tree
   of Python values (``state_dict()`` on the estimator base classes).
   Nested library objects become explicit ``{"__object__": ...}`` nodes;
-  *shared* sub-objects (e.g. the one ``random.Random`` that the three
-  RoughEstimator copies draw their lazy hash values from, or the
-  ``F0HashBundle`` shared between the small-F0 and Figure 3 regimes) are
-  captured once and referenced thereafter, so reviving a snapshot
-  restores the exact aliasing structure — a requirement for
-  bit-identical *continued* ingestion, not just for frozen state.
-  Integer containers (the sketches' counter lists, coefficient tuples,
-  int→int memo dicts) become one *typed block* each: a ``bytes`` leaf
-  holding the container kind, the element count, and the elements at
-  the narrowest little-endian width their minimum and maximum fit, the
-  idea of Protocol Buffers' packed repeated fields.  Integer ndarrays
+  *shared* sub-objects (e.g. the ``F0HashBundle`` shared between the
+  small-F0 and Figure 3 regimes) are captured once and referenced
+  thereafter, so reviving a snapshot restores the exact aliasing
+  structure — a requirement for bit-identical *continued* ingestion, not
+  just for frozen state.  Integer containers (the sketches' counter
+  lists, coefficient tuples, int→int memo dicts) become one *typed
+  block* each: a ``bytes`` leaf holding the container kind, the element
+  count, and the elements at the narrowest little-endian width their
+  minimum and maximum fit, the idea of Protocol Buffers' packed repeated
+  fields.  Integer ndarrays
   (the L0 counter arrays) are blocks too, holding their dtype and shape,
   with their values dense or as a nonzero bitmap plus the nonzero
   values, whichever is shorter.  The tree stays plain, so snapshot

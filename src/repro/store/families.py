@@ -43,6 +43,7 @@ from ..core.rough_estimator import RoughEstimator, threshold_estimates
 from ..estimators.base import TurnstileEstimator
 from ..exceptions import ParameterError
 from ..hashing.bitops import lsb, lsb_batch, rho_batch
+from ..hashing.kwise import KWiseHash
 from ..vectorize import (
     group_slices,
     grouped_max_scatter,
@@ -531,7 +532,7 @@ class RoughSketchArray(SketchArray):
             type(sketch) is not RoughEstimator
             or sketch.universe_size != self.universe_size
             or sketch.counters_per_copy != self.counters_per_copy
-            or not sketch.shard_deterministic
+            or not isinstance(sketch._copies[0].h3, KWiseHash)
         ):
             raise ParameterError(
                 "import_row needs a same-parameter polynomial-family "

@@ -6,7 +6,7 @@ packet headers, search-engine query logs, warehouse table columns) are not
 available offline, so this module synthesises workloads with the same
 *structure* — the algorithms only ever see item identifiers, so matching
 the identifier-multiplicity structure preserves the exercised behaviour
-(see the substitution table in DESIGN.md).
+(see "Paper constructions and stand-ins" in ``docs/architecture.md``).
 
 * :func:`packet_trace` — network flows: source/destination/port tuples with
   a configurable number of distinct flows, heavy-hitter flows, and an

@@ -16,10 +16,8 @@ raw data:
   and order-insensitive.  For the additive turnstile (L0) families the
   same holds because the sketches are linear: counters are sums of
   deltas modulo fixed primes, and a window's sum splits over its epochs.
-  (The one caveat mirrors ``shard_deterministic``: F0 configurations
-  with *lazily* drawn hash families — the default ``knw`` rough
-  estimator — are merge-compatible but only approximation-equivalent,
-  exactly as in :mod:`repro.parallel`.)
+  Both hold for every mergeable family, because their hash functions
+  are fixed by the seed.
 * **Cost.**  Suffix merges over the closed epochs are memoized per
   epoch, so answering every window width ``k = 1..retention`` costs
   O(retention) merges per epoch in total — one merge per query,

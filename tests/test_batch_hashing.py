@@ -28,7 +28,7 @@ from repro.hashing.bitops import lsb, lsb_batch, rho_batch
 from repro.hashing.kwise import KWiseHash
 from repro.hashing.random_oracle import RandomOracle
 from repro.hashing.siegel import SiegelHash
-from repro.hashing.uniform import LazyUniformHash
+from repro.hashing.uniform import PaghPaghHash
 from repro.hashing.universal import MultiplyShiftHash, PairwiseHash
 from repro.streams.generators import iter_item_chunks, uniform_random_stream
 from repro.vectorize import as_delta_array, as_key_array
@@ -52,6 +52,8 @@ HASH_CASES = [
     ("kwise-mersenne31", lambda r: KWiseHash(1 << 30, 1024, 12, rng=r), 1 << 30),
     ("kwise-mersenne61", lambda r: KWiseHash(1 << 33, 4096, 14, rng=r), 1 << 33),
     ("kwise-small-prime", lambda r: KWiseHash(65000, 64, 8, rng=r), 65000),
+    ("pagh-pagh-table", lambda r: PaghPaghHash(32768, 32, 64, r), 32768),
+    ("pagh-pagh-beyond-table", lambda r: PaghPaghHash(1 << 20, 300, 64, r), 1 << 20),
     ("oracle-pow2", lambda r: RandomOracle(1 << 20, 1 << 44, seed=99), 1 << 20),
     ("oracle-non-pow2", lambda r: RandomOracle(1 << 20, 999, seed=98), 1 << 20),
     ("oracle-beyond-word", lambda r: RandomOracle(1 << 60, 1 << 70, seed=97), 1 << 60),
@@ -69,12 +71,11 @@ def test_hash_batch_matches_scalar(label, factory, universe):
     assert [int(value) for value in batch.tolist()] == scalar
 
 
-@pytest.mark.parametrize("family", [LazyUniformHash, SiegelHash])
+@pytest.mark.parametrize("family", [SiegelHash])
 def test_lazy_families_draw_in_first_occurrence_order(family):
     """Batch evaluation must consume the RNG exactly like the scalar walk."""
-    kwargs = {"capacity": 64} if family is LazyUniformHash else {}
-    scalar_hash = family(10_000, 256, rng=random.Random(55), **kwargs)
-    batch_hash = family(10_000, 256, rng=random.Random(55), **kwargs)
+    scalar_hash = family(10_000, 256, rng=random.Random(55))
+    batch_hash = family(10_000, 256, rng=random.Random(55))
     keys = _sample_keys(300, 500, seed=3)
     scalar = [scalar_hash(key) for key in keys]
     batch = batch_hash.hash_batch(np.asarray(keys, dtype=np.uint64)).tolist()

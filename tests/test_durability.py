@@ -51,6 +51,7 @@ from repro.estimators.registry import (
     f0_algorithm_names,
     l0_algorithm_names,
     make_f0_estimator,
+    make_l0_estimator,
 )
 from repro.exceptions import ParameterError, PersistenceError
 from repro.parallel import (
@@ -201,6 +202,39 @@ class TestBitIdenticalRecovery:
         recovered, report = recover(spec["directory"])
         assert report.clean
         assert recovered.to_bytes() == clean.to_bytes()
+
+
+class TestRejectedBatch:
+    """A batch with a bad item in the middle is refused whole: the live
+    state does not move, and a later recovery equals the live state."""
+
+    BATCHES = ([1, 2, 3], [4, 5, 6, UNIVERSE, 7], [8])
+
+    def _check(self, directory, target, deltas):
+        checkpointer = Checkpointer(target, str(directory))
+        good, bad, last = (
+            {"items": batch, "deltas": None if deltas is None else [deltas] * len(batch)}
+            for batch in self.BATCHES
+        )
+        checkpointer.ingest(**good)
+        before = target.to_bytes()
+        with pytest.raises(ParameterError):
+            checkpointer.ingest(**bad)
+        assert target.to_bytes() == before
+        checkpointer.ingest(**last)
+        live = target.to_bytes()
+        checkpointer.log.close()  # die without a final snapshot: recovery replays
+        recovered, _ = recover(str(directory))
+        assert recovered.to_bytes() == live
+
+    @pytest.mark.parametrize("family", f0_algorithm_names())
+    def test_f0_families(self, tmp_path, family):
+        self._check(tmp_path, make_f0_estimator(family, UNIVERSE, EPS, seed=SEED), None)
+
+    @pytest.mark.parametrize("family", l0_algorithm_names())
+    def test_l0_families(self, tmp_path, family):
+        target = make_l0_estimator(family, UNIVERSE, EPS, 1 << 8, seed=SEED)
+        self._check(tmp_path, target, 1)
 
 
 class TestDamageTolerance:

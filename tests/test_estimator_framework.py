@@ -19,6 +19,7 @@ from repro.estimators.registry import (
     make_l0_estimator,
 )
 from repro.exceptions import MergeError, ParameterError, SketchFailure, UpdateError
+from repro.parallel import parallel_ingest_into
 from repro.streams import distinct_items_stream, insert_delete_stream
 
 
@@ -65,6 +66,28 @@ class TestExactCounters:
     def test_exact_l0_process_stream(self, turnstile_stream):
         norm = ExactHammingNorm(turnstile_stream.universe_size)
         assert norm.process_stream(turnstile_stream) == turnstile_stream.ground_truth()
+
+    @pytest.mark.parametrize("turnstile", [False, True], ids=["exact", "exact-l0"])
+    def test_out_of_universe_items_raise_on_every_path(self, turnstile):
+        """Scalar, batch and sharded ingestion refuse items outside universe
+        1000 with the same exception, leaving the counter's bytes as they were."""
+        items = [1, 2, 1000, 5000]
+        if turnstile:
+            counter = ExactHammingNorm(1000)
+            deltas = [1] * len(items)
+            scalar = lambda: counter.update(1000, 1)
+            batch = lambda: counter.update_batch(items, deltas)
+        else:
+            counter = ExactDistinctCounter(1000)
+            deltas = None
+            scalar = lambda: counter.update(1000)
+            batch = lambda: counter.update_batch(items)
+        before = counter.to_bytes()
+        sharded = lambda: parallel_ingest_into(counter, items, deltas, workers=1, shards=2)
+        for call in (scalar, batch, sharded):
+            with pytest.raises(ParameterError):
+                call()
+            assert counter.to_bytes() == before
 
     def test_describe_estimator(self):
         text = describe_estimator(ExactDistinctCounter(100))

@@ -11,15 +11,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import kernels, serialize
 from repro.estimators.registry import make_f0_estimator
-from repro.exceptions import KernelBackendError, ParameterError
+from repro.exceptions import KernelBackendError, ParameterError, SerializationError
 from repro.hashing import kwise
 from repro.vectorize import kwise_mod_range
 from repro.hashing import (
     KWiseHash,
-    LazyUniformHash,
     MultiplyShiftHash,
+    PaghPaghHash,
     PairwiseHash,
     RandomOracle,
     SiegelHash,
@@ -289,26 +289,109 @@ class TestTabulationHash:
         assert h.space_bits() == 2 * 256 * 8
 
 
+def _uniformity_chi_squares(factory, keys, range_size, seeds=range(1000)):
+    """Largest chi-square over the keys' single values and consecutive 3-key tuples.
+
+    Each statistic compares, over the seeds, how often each value (or
+    value triple) occurs with the uniform expectation.
+    """
+    values = np.array(
+        [factory(seed).hash_batch(keys) for seed in seeds], dtype=np.int64
+    )
+
+    def chi_square(cells, count):
+        expected = len(values) / count
+        return float(((np.bincount(cells, minlength=count) - expected) ** 2).sum() / expected)
+
+    single = max(chi_square(values[:, j], range_size) for j in range(len(keys)))
+    triple = max(
+        chi_square(
+            (values[:, j] * range_size + values[:, j + 1]) * range_size + values[:, j + 2],
+            range_size**3,
+        )
+        for j in range(len(keys) - 2)
+    )
+    return single, triple
+
+
+class TestPaghPaghHash:
+    UNIVERSE = 4096
+
+    def _hash(self, seed=3, universe=UNIVERSE, range_size=32, capacity=64):
+        return PaghPaghHash(universe, range_size, capacity, random.Random(seed))
+
+    def test_same_seed_same_function_however_queried(self):
+        domain = np.arange(self.UNIVERSE, dtype=np.uint64)
+        expected = self._hash().hash_batch(domain).tolist()
+        shuffled = list(range(self.UNIVERSE))
+        random.Random(5).shuffle(shuffled)
+        scalar = self._hash()
+        assert {key: scalar(key) for key in shuffled} == dict(enumerate(expected))
+        split = self._hash()
+        pieces = [
+            split.hash_batch(domain[start : start + 97]) for start in range(0, len(domain), 97)
+        ]
+        assert np.concatenate(pieces).tolist() == expected
+        revived = serialize.loads(serialize.dumps(self._hash()))
+        assert revived.hash_batch(domain).tolist() == expected
+        assert [revived(key) for key in range(self.UNIVERSE)] == expected
+
+    @pytest.mark.parametrize("range_size", [7, 300])
+    def test_scalar_equals_batch_on_every_key(self, range_size):
+        h = self._hash(seed=11, range_size=range_size, capacity=16)
+        domain = np.arange(self.UNIVERSE, dtype=np.uint64)
+        assert [h(key) for key in range(self.UNIVERSE)] == h.hash_batch(domain).tolist()
+
+    def test_out_of_universe_keys_raise(self):
+        h = self._hash()
+        for key in (-1, self.UNIVERSE):
+            with pytest.raises(ParameterError):
+                h(key)
+        with pytest.raises(ParameterError):
+            h.hash_batch([0, self.UNIVERSE])
+
+    def test_space_is_the_tables_plus_the_polynomials(self):
+        h = self._hash(range_size=32, capacity=64)
+        tables = 2 * (2 * 64) * 5
+        polynomials = h._f.space_bits() + h._g1.space_bits() + h._g2.space_bits()
+        assert h.space_bits() == tables + polynomials
+
+    def test_uniform_on_a_fixed_set(self):
+        """Over 1000 seeds the values on a fixed capacity-sized key set are
+        uniform, singly and as consecutive triples; the bounds are the
+        chi-square critical values at p = 1e-5 for 3 and 63 degrees of
+        freedom.  A constant function fails the single-value check and a
+        pairwise-independent family the triple check."""
+        keys = np.arange(1000, 1016, dtype=np.uint64)
+        bounds = (26.0, 123.0)
+
+        def within(factory):
+            single, triple = _uniformity_chi_squares(factory, keys, 4)
+            return single <= bounds[0], triple <= bounds[1]
+
+        def pagh_pagh(seed):
+            return PaghPaghHash(self.UNIVERSE, 4, len(keys), random.Random(seed))
+
+        def pairwise(seed):
+            return PairwiseHash(self.UNIVERSE, 4, rng=random.Random(seed))
+
+        constant = KWiseHash(self.UNIVERSE, 4, 1, coefficients=[0])
+        assert within(pagh_pagh) == (True, True)
+        assert within(pairwise) == (True, False)
+        assert within(lambda seed: constant) == (False, False)
+
+    def test_lazy_stand_in_payload_does_not_decode(self):
+        """A payload naming the deleted lazily drawn stand-in is refused."""
+        tree = {
+            "__object__": "repro.hashing.uniform:LazyUniformHash",
+            "__id__": 0,
+            "__state__": {"universe_size": 100, "range_size": 8, "capacity": 4, "_memo": {}},
+        }
+        with pytest.raises(SerializationError):
+            serialize.loads(serialize.dumps(None, state=tree))
+
+
 class TestLazyUniformAndSiegel:
-    def test_values_memoised(self):
-        h = LazyUniformHash(1 << 20, 64, capacity=100, rng=random.Random(3))
-        assert h(12345) == h(12345)
-
-    def test_overflow_reported(self):
-        h = LazyUniformHash(1 << 20, 8, capacity=4, rng=random.Random(3))
-        for key in range(10):
-            h(key)
-        assert h.overflowed()
-        assert h.distinct_keys_seen() == 10
-
-    def test_space_charged_at_capacity(self):
-        h = LazyUniformHash(1 << 20, 64, capacity=50, rng=random.Random(3))
-        assert h.space_bits() == 50 * 6
-
-    def test_failure_injection_degrades_to_constant(self):
-        h = LazyUniformHash(1000, 64, capacity=10, rng=random.Random(1), failure_probability=0.999999)
-        assert {h(key) for key in range(20)} == {0}
-
     def test_siegel_defaults(self):
         h = SiegelHash(1 << 18, 256, rng=random.Random(2))
         assert h.independence >= 4

@@ -36,9 +36,9 @@ def items():
 
 @pytest.fixture(scope="module")
 def sequential_states(items):
-    """Reference single-sketch runs, one per deterministic mergeable name."""
+    """Reference single-sketch runs, one per mergeable name."""
     states = {}
-    for name in mergeable_f0_names(shard_deterministic_only=True):
+    for name in mergeable_f0_names():
         estimator = make_f0_estimator(name, UNIVERSE, 0.1, seed=71)
         estimator.update_batch(items)
         states[name] = (estimator.state_dict(), estimator.estimate())
@@ -64,7 +64,7 @@ def test_shard_items_rejects_bad_count(items):
         shard_items(items, 0)
 
 
-@pytest.mark.parametrize("name", mergeable_f0_names(shard_deterministic_only=True))
+@pytest.mark.parametrize("name", mergeable_f0_names())
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_merge_equals_sequential_batched(
     name, shards, items, sequential_states
@@ -77,7 +77,7 @@ def test_sharded_merge_equals_sequential_batched(
     assert merged.estimate() == estimate
 
 
-@pytest.mark.parametrize("name", mergeable_f0_names(shard_deterministic_only=True))
+@pytest.mark.parametrize("name", mergeable_f0_names())
 def test_sharded_merge_equals_sequential_scalar(name, items, sequential_states):
     """Scalar (per-item loop) shard ingest must land in the same state."""
     merged = parallel_ingest_into(
@@ -92,7 +92,7 @@ def test_sharded_merge_equals_sequential_scalar(name, items, sequential_states):
     assert merged.estimate() == estimate
 
 
-@pytest.mark.parametrize("name", mergeable_f0_names(shard_deterministic_only=True))
+@pytest.mark.parametrize("name", mergeable_f0_names())
 def test_four_worker_processes_bit_identical(name, items, sequential_states):
     """The acceptance shape: real process pool, 4 workers, bit-identical."""
     merged = parallel_ingest_into(
@@ -101,19 +101,6 @@ def test_four_worker_processes_bit_identical(name, items, sequential_states):
     state, estimate = sequential_states[name]
     assert merged.state_dict() == state
     assert merged.estimate() == estimate
-
-
-def test_default_knw_merges_and_stays_within_tolerance(items):
-    """The default KNW config draws its rough-estimator hash lazily, so
-    sharding is approximation- (not bit-) equivalent; the merge must still
-    succeed and land within the estimator's error budget."""
-    single = make_f0_estimator("knw", UNIVERSE, 0.1, seed=71)
-    single.update_batch(items)
-    merged = parallel_ingest_into(
-        make_f0_estimator("knw", UNIVERSE, 0.1, 71), items, workers=1, shards=4
-    )
-    assert not single.shard_deterministic
-    assert merged.estimate() == pytest.approx(single.estimate(), rel=0.2)
 
 
 def test_engine_accepts_materialized_streams():
@@ -232,9 +219,6 @@ def test_mergeable_names_cover_the_figure1_baselines():
     ):
         assert expected in names
     assert "knw-fast" not in names
-    deterministic = set(mergeable_f0_names(shard_deterministic_only=True))
-    assert "knw" not in deterministic
-    assert "knw-paper" in deterministic
 
 
 # -- workers threaded through the analysis layer and the apps ------------------

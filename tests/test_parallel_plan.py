@@ -111,9 +111,7 @@ def _sequential_l0(name, updates):
 class TestShardFaultRecovery:
     """Raise and SIGKILL faults trigger shard-only retry, bit-identically."""
 
-    @pytest.mark.parametrize(
-        "name", mergeable_f0_names(shard_deterministic_only=True)
-    )
+    @pytest.mark.parametrize("name", mergeable_f0_names())
     @pytest.mark.parametrize("mode", ["raise", "kill"])
     def test_f0_recovers_bit_identical(self, items, name, mode):
         sequential = _sequential_f0(name, items)

@@ -162,9 +162,7 @@ class TestWindowedSketchRing:
 class TestRollupExactness:
     """Window rollup == fresh sketch fed exactly the window's updates."""
 
-    @pytest.mark.parametrize(
-        "name", mergeable_f0_names(shard_deterministic_only=True)
-    )
+    @pytest.mark.parametrize("name", mergeable_f0_names())
     def test_f0_bit_identical(self, name, workload):
         ring = _f0_ring(name, retention=6)
         ring.ingest_timestamped(workload.epochs, workload.items, batch_size=128)

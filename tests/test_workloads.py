@@ -9,9 +9,7 @@ the five ingestion paths must agree:
   the grouped scatter (skipped for the seedless ``exact``/``exact-l0``
   templates, which the object store refuses by design).
 * **sharded parallel** — :mod:`repro.parallel` merge-reduce over shards
-  (mergeable families only; bit-identical when ``shard_deterministic``,
-  approximation-equivalent for the lazily-drawn default ``knw`` — the
-  same carve-out the parallel engine documents).
+  (mergeable families only).
 * **windowed** — :class:`repro.window.WindowedSketch` epoch rollups
   (mergeable families only).
 
@@ -141,10 +139,6 @@ def _magnitude_bound(stream):
     return max(len(stream) * stream.max_update_magnitude(), 1)
 
 
-def _shard_deterministic(factory):
-    return bool(getattr(factory(0), "shard_deterministic", True))
-
-
 # ---------------------------------------------------------------------------
 # Cross-path grid: F0 families x insertion-only classes
 # ---------------------------------------------------------------------------
@@ -185,25 +179,12 @@ def test_f0_cross_path_bit_identity(family, cls_name):
         assert canonical_state(store.sketch("k")) == reference_state
         assert store.estimate("k") == reference_estimate
 
-    # sharded merge-reduce: bit-identical when shard-deterministic,
-    # approximation-equivalent otherwise (the knw lazily-drawn family)
+    # sharded merge-reduce == batch (mergeable families only)
     if family in mergeable_f0_names():
-        if _shard_deterministic(fresh):
-            sharded = fresh()
-            parallel_ingest_into(sharded, items, workers=1, shards=4)
-            assert canonical_state(sharded) == reference_state
-            assert sharded.estimate() == reference_estimate
-        else:
-            # Lazily-drawn hash family: sharding is approximation- (not
-            # bit-) equivalent, and individual runs may FAIL (estimate 0)
-            # with constant probability — so bound the median over seeds.
-            truth = stream.ground_truth()
-            errors = []
-            for seed in ENVELOPE_SEEDS:
-                sharded = fresh(seed)
-                parallel_ingest_into(sharded, items, workers=1, shards=4)
-                errors.append(abs(sharded.estimate() - truth) / max(truth, 1))
-            assert statistics.median(errors) <= ENVELOPE[family]
+        sharded = fresh()
+        parallel_ingest_into(sharded, items, workers=1, shards=4)
+        assert canonical_state(sharded) == reference_state
+        assert sharded.estimate() == reference_estimate
 
     # windowed single-epoch rollup == batch (mergeable families only)
     if family in mergeable_f0_names():
@@ -425,14 +406,14 @@ def test_keyed_churn_ground_truth_is_exact_per_key_support():
 # Windowed path: rollups over the timestamped shapes
 # ---------------------------------------------------------------------------
 
-_WINDOW_F0_FAMILIES = mergeable_f0_names(shard_deterministic_only=True)
+_WINDOW_F0_FAMILIES = mergeable_f0_names()
 
 
 @pytest.mark.parametrize("cls_name", INSERTION_CLASSES)
 @pytest.mark.parametrize("family", _WINDOW_F0_FAMILIES)
 def test_windowed_rollup_equals_fresh_sketch_over_window(family, cls_name):
-    """For shard-deterministic families the k-epoch rollup is bit-identical
-    to a fresh same-seed sketch fed exactly the window's updates."""
+    """The k-epoch rollup is bit-identical to a fresh same-seed sketch fed
+    exactly the window's updates."""
     workload = make_workload(
         cls_name, "windowed", seed=WORKLOAD_SEED, scale=TEST_SCALE
     )
