@@ -11,6 +11,7 @@ known ground truth and reports estimation quality and footprint:
 from __future__ import annotations
 
 import random
+import zlib
 
 from conftest import emit, metric, record, run_once
 
@@ -29,7 +30,9 @@ def test_query_optimizer_ndv_quality(benchmark):
         )
         truths = {}
         for name, distinct in (("low_card", 40), ("mid_card", 2_000), ("high_card", 12_000)):
-            column = table_column(UNIVERSE, rows=25_000, distinct_values=distinct, seed=hash(name) % 1000)
+            # A stable digest: str hashes are randomized per process.
+            seed = zlib.crc32(name.encode()) % 1000
+            column = table_column(UNIVERSE, rows=25_000, distinct_values=distinct, seed=seed)
             collector.ingest_column(name, [u.item for u in column])
             truths[name] = distinct
         rows = []

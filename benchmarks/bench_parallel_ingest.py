@@ -171,14 +171,16 @@ def test_warm_pool_vs_cold_pool(benchmark):
     """E-pool: persistent-pool reuse vs per-call pool startup."""
     rng = np.random.default_rng(20100609)
     items = rng.integers(0, PARALLEL_UNIVERSE, size=POOL_CALL_ITEMS, dtype=np.uint64)
-    # At least two workers, so every call goes to the pool.
+    # At least two workers and an explicit shard count, so every call goes
+    # to the pool: left to measure, the engine would keep a warm call this
+    # small in-process.
     workers = max(WORKERS, 2)
 
     def ingest_once() -> float:
         estimator = make_f0_estimator("hyperloglog", PARALLEL_UNIVERSE, 0.05, seed=1)
         start = time.perf_counter()
         parallel_ingest_into(
-            estimator, items, workers=workers, batch_size=BATCH_LENGTH
+            estimator, items, workers=workers, shards=workers, batch_size=BATCH_LENGTH
         )
         return time.perf_counter() - start
 

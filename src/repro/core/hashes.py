@@ -110,6 +110,15 @@ class F0HashBundle:
         """Return ``h3(h2(item)) mod K`` (the Figure 3 counter index)."""
         return self.extended_bin(item) % self.bins
 
+    def forget_last(self) -> None:
+        """Clear the one-entry memo once an update has used it.
+
+        The memo is serialized with the bundle, so an owner that clears it
+        after each scalar update leaves the bytes batch ingestion leaves.
+        """
+        self._last_item = -1
+        self._last_extended_bin = -1
+
     # -- batch forms ---------------------------------------------------------------
 
     def level_batch(self, items):

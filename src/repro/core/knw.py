@@ -496,26 +496,34 @@ class KNWDistinctCounter(CardinalityEstimator):
         )
 
     def update(self, item: int) -> None:
-        """Process one stream item (feeds both regimes, as the paper does)."""
+        """Process one stream item (feeds both regimes, as the paper does).
+
+        Both regimes read the item's ``h3(h2(.))`` from the bundle's
+        one-entry memo, which is then cleared: scalar and batch ingestion
+        of a stream leave the same bytes.
+        """
         self.small.update(item)
         self.core.update(item)
+        self.hashes.forget_last()
 
     def update_batch(self, items) -> None:
         """Vectorized ingestion of a chunk of items.
 
-        Computes the shared ``h3(h2(.))`` evaluation once per chunk and
-        hands it to both regimes — the batch form of the hash-bundle
-        sharing the paper prescribes (and of the scalar one-entry memo).
-        State after any batch partition is identical to the scalar loop's
-        (see :meth:`KNWFigure3Sketch.update_batch` for the one FAIL-timing
-        caveat).
+        Works in :data:`BATCH_CHUNK` slices, so its temporaries stay
+        bounded however long the call: each slice computes the shared
+        ``h3(h2(.))`` evaluation once and hands it to both regimes — the
+        batch form of the hash-bundle sharing the paper prescribes (and
+        of the scalar one-entry memo).  State after any batch partition
+        is identical to the scalar loop's (see
+        :meth:`KNWFigure3Sketch.update_batch` for the one FAIL-timing
+        caveat, whose chunks these slices are).
         """
         keys = as_key_array(items, self.universe_size)
-        if keys.size == 0:
-            return
-        extended = self.hashes.extended_bin_batch(keys)
-        self.small.update_batch(keys, extended_bins=extended)
-        self.core.update_batch(keys, extended_bins=extended)
+        for start in range(0, len(keys), BATCH_CHUNK):
+            chunk = keys[start : start + BATCH_CHUNK]
+            extended = self.hashes.extended_bin_batch(chunk)
+            self.small.update_batch(chunk, extended_bins=extended)
+            self.core.update_batch(chunk, extended_bins=extended)
 
     def estimate(self) -> float:
         """Return the current ``(1 +/- eps)`` estimate of F0.

@@ -267,9 +267,8 @@ class RoughEstimator(SerializableState):
         ):
             raise ParameterError("cannot merge RoughEstimators with different parameters")
         for mine, theirs in zip(self._copies, other._copies):
-            mine.counters.maximize_many(
-                np.arange(mine.counters.length), theirs.counters.to_numpy()
-            )
+            merged = np.maximum(mine.counters.to_numpy(), theirs.counters.to_numpy())
+            mine.counters = PackedCounterArray.from_numpy(merged, mine.counters.width)
         if other._monotone_floor > self._monotone_floor:
             self._monotone_floor = other._monotone_floor
 

@@ -37,11 +37,12 @@ its shard — bounded retries, deterministic final state), and the
 created lazily, reused across calls, fork-safe, explicitly shut down
 via :func:`shutdown_pool`).
 
-Shards go to worker processes from the persistent pool — the
-wall-clock win on multi-core hosts (see
-``benchmarks/bench_parallel_ingest.py``) — unless only one worker can
-do useful work (``min(workers, non-empty shards) == 1``); then the
-identical shard / serialize / revive / merge dataflow runs in-process,
+``workers`` counts the coordinator: it feeds shard 0 into the target
+itself while ``workers - 1`` pool processes ingest the other shards
+(with ``workers=1`` they run the identical shard / serialize / revive /
+merge dataflow in-process).  Without ``shards=``, a call the pool cannot
+speed up — by the per-item and fixed costs the engine has measured for
+the target type — runs as one in-process shard.  Every placement is
 byte-for-byte the same.
 """
 

@@ -37,7 +37,13 @@ from ..store.store import SketchStore
 from ..streams.model import MaterializedStream
 from ..vectorize import as_delta_array, as_key_array
 from ..window.windowed import WindowedSketch, WindowedSketchStore, epoch_runs
-from .plan import DEFAULT_SHARD_BATCH, IngestPlan, _supports_merge, execute_plan
+from .plan import (
+    DEFAULT_SHARD_BATCH,
+    IngestPlan,
+    _stays_in_process,
+    _supports_merge,
+    execute_plan,
+)
 from .pool import default_workers
 from .shards import shard_epoch_slices, shard_items, shard_keyed_updates, shard_updates
 
@@ -80,11 +86,18 @@ def parallel_ingest_into(
         keys: one key per item, for store targets (required there).
         epochs: one non-decreasing epoch per item, for windowed targets
             (required there); none may precede the window's open epoch.
-        workers: process count; defaults to
-            :func:`~repro.parallel.pool.default_workers`.  Shards run
-            in-process exactly when ``min(workers, non-empty shards)``
-            is 1; one non-empty shard feeds the target directly.
-        shards: shard count; defaults to ``workers``.
+        workers: the number of processes that ingest, the calling one
+            included; defaults to
+            :func:`~repro.parallel.pool.default_workers`.  The caller
+            feeds shard 0 into ``target`` itself, and the persistent
+            pool ingests the others; one non-empty shard feeds the
+            target directly.
+        shards: shard count.  When unset, ``workers`` shards — or one,
+            fed in-process, when the engine's measured costs for this
+            target type say the pool cannot save more than it costs
+            (``n · c · (1 − 1/workers) ≤ F``, with ``c`` the recent ns
+            per item of direct feeds and ``F`` the recent fixed cost of
+            pooled calls).  A given count is the plan as asked.
         batch_size: chunk length for each shard's batch driving.  When
             unset: :data:`~repro.parallel.plan.DEFAULT_SHARD_BATCH` for
             estimators and stores, one batch per epoch run for windows.
@@ -107,13 +120,20 @@ def parallel_ingest_into(
     """
     if workers is None and shards is None:
         workers = default_workers()
-    count = shards if shards is not None else workers
-    plan = _plan_for(target, items, deltas, keys, epochs, count, batch_size)
+    if workers is not None and workers <= 0:
+        raise ParameterError("workers must be positive")
+    plan = _plan_for(target, items, deltas, keys, epochs, workers, shards, batch_size)
     return execute_plan(plan, target, workers=workers)
 
 
-def _plan_for(target, items, deltas, keys, epochs, count, batch_size) -> IngestPlan:
-    """Validate the input against ``target`` and build its plan."""
+def _plan_for(target, items, deltas, keys, epochs, workers, shards, batch_size) -> IngestPlan:
+    """Validate the input against ``target`` and build its plan.
+
+    Each target type is validated with the check its own sequential path
+    runs before it changes anything (a ring's ``validate_timestamped``,
+    a store's ``validate_batch``), so no shard ever fails on input the
+    coordinator could have rejected.
+    """
     windowed = isinstance(target, (WindowedSketch, WindowedSketchStore))
     keyed = isinstance(target, (SketchStore, WindowedSketchStore))
     if not (
@@ -135,15 +155,29 @@ def _plan_for(target, items, deltas, keys, epochs, count, batch_size) -> IngestP
     elif batch_size is not None and batch_size <= 0:
         raise ParameterError("batch_size must be positive")
 
-    if windowed:
-        return _epoch_plan(target, epochs, keys, items, deltas, count, batch_size)
-    if keyed:
+    if windowed and keyed:
+        _, items, deltas = target.validate_timestamped(epochs, keys, items, deltas)
+    elif windowed:
+        _, items, deltas = target.validate_timestamped(epochs, items, deltas)
+    elif keyed:
         items, deltas = target.array.validate_batch(items, deltas)
+    else:
+        items, deltas = _estimator_batch(target, items, deltas)
+    count = shards
+    if count is None:
+        count = 1 if _stays_in_process(target, len(items), workers) else workers
+
+    if windowed:
+        return IngestPlan(
+            "epoch", "template-epochs", "adopt-in-order", "epochs",
+            _epoch_shards(epochs, items, deltas, keys, count), batch_size,
+            meta=("store" if keyed else "sketch", target.turnstile),
+        )
+    if keyed:
         return IngestPlan(
             "key", "cleared-clone", "merge-reduce", "keyed",
             shard_keyed_updates(keys, items, deltas, shards=count), batch_size,
         )
-    items, deltas = _estimator_batch(target, items, deltas)
     if isinstance(target, TurnstileEstimator):
         return IngestPlan(
             "range", "cleared-clone", "additive", "updates",
@@ -175,25 +209,6 @@ def _estimator_batch(target, items, deltas):
     if turnstile:
         deltas = as_delta_array(deltas, len(items))
     return items, deltas
-
-
-def _epoch_plan(target, epochs, keys, items, deltas, count, batch_size) -> IngestPlan:
-    """Validate a timestamped stream with the ring's own check; build its plan.
-
-    ``validate_timestamped`` is the check the ring's sequential
-    ``ingest_timestamped`` runs before it changes anything, so no shard
-    ever fails on input the coordinator could have rejected.
-    """
-    store = isinstance(target, WindowedSketchStore)
-    if store:
-        _, items, deltas = target.validate_timestamped(epochs, keys, items, deltas)
-    else:
-        _, items, deltas = target.validate_timestamped(epochs, items, deltas)
-    return IngestPlan(
-        "epoch", "template-epochs", "adopt-in-order", "epochs",
-        _epoch_shards(epochs, items, deltas, keys, count), batch_size,
-        meta=("store" if store else "sketch", target.turnstile),
-    )
 
 
 def _epoch_shards(epochs, items, deltas, keys, count):

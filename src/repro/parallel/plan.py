@@ -21,6 +21,11 @@ target type                axis       recipe               discipline
 Because all plans flow through one engine, capabilities land everywhere
 at once:
 
+* **The coordinator is a worker** — it ingests shard 0 straight into its
+  own object while the other shards run, so a plan with ``workers``
+  processes asks the pool for ``workers - 1``.  Shard 0 needs no
+  template revival, no result transport and no merge.
+
 * **Pipelined shard handoff** — shards are submitted individually and
   their serialized states are consumed as they complete
   (``imap_unordered`` style), so the coordinator deserializes and merges
@@ -48,14 +53,23 @@ at once:
 * **The persistent worker pool** — pooled execution draws from the
   process-wide pool (:mod:`repro.parallel.pool`); pool startup is paid
   once per process, not once per call.
+
+* **Measured placement** — the engine keeps, per target type, what its
+  direct feeds cost per item and what its pooled calls cost beyond
+  shard 0, and :func:`~repro.parallel.api.parallel_ingest_into` keeps a
+  call in-process when the pool cannot save more than it costs (see
+  :func:`_stays_in_process`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import BrokenExecutor, as_completed
+import time
+from collections import deque
+from concurrent.futures import BrokenExecutor, Future, as_completed
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from statistics import median
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from .. import serialize
 from ..estimators.base import CardinalityEstimator, TurnstileEstimator
@@ -66,8 +80,16 @@ from ..exceptions import (
     WorkerFailureError,
 )
 from ..vectorize import np
-from .pool import default_workers, get_pool, reset_pool
-from .workers import ShardFault, ingest_shard, _feed_items, _feed_updates
+from .pool import _COSTS, default_workers, get_pool, reset_pool
+from .workers import (
+    InjectedShardFault,
+    ShardFault,
+    ingest_shard,
+    _feed_items,
+    _feed_keyed,
+    _feed_updates,
+    _trip_fault,
+)
 
 __all__ = [
     "DEFAULT_SHARD_BATCH",
@@ -87,6 +109,12 @@ _AXES = ("range", "key", "epoch")
 _RECIPES = ("clone", "cleared-clone", "template-epochs")
 _DISCIPLINES = ("merge-reduce", "additive", "adopt-in-order")
 _KINDS = ("items", "updates", "keyed", "epochs")
+
+#: Samples kept per cost, and the fewest that may decide a placement: a
+#: cold pool's first call costs tens of milliseconds and must not decide
+#: alone.
+_COST_SAMPLES = 8
+_COST_WARMUP = 3
 
 
 @dataclass
@@ -147,11 +175,42 @@ class IngestPlan:
 
 
 def _shard_size(kind: str, shard) -> int:
+    """The number of updates in one shard."""
     if kind == "items":
         return len(shard)
     if kind == "epochs":
-        return len(shard)  # runs carry at least one update each
+        return sum(len(run[-2]) for run in shard)  # each run's items
     return len(shard[0])  # updates / keyed: aligned arrays
+
+
+def _costs(target) -> Tuple[Deque[float], Deque[float]]:
+    """The target type's cost samples: ``(ns per item, fixed ns)``.
+
+    The first are the last direct feeds (calls kept in-process, and shard
+    0); the second the last pooled calls with one shard per worker: the
+    coordinator's wall time from template to last landed result, minus
+    its shard-0 feed.  The table (:data:`repro.parallel.pool._COSTS`)
+    holds only floats, never sketch state, and goes with the pool.
+    """
+    key = type(target)
+    if key not in _COSTS:
+        _COSTS[key] = (deque(maxlen=_COST_SAMPLES), deque(maxlen=_COST_SAMPLES))
+    return _COSTS[key]
+
+
+def _stays_in_process(target, items: int, workers: int) -> bool:
+    """Whether a call of ``items`` updates costs least fed in-process.
+
+    With ``c`` the median ns per item of the target type's recent direct
+    feeds and ``F`` the median fixed cost of its recent pooled calls, a
+    pooled call costs about ``F + n·c/w`` and an in-process one ``n·c``;
+    so the call stays in-process when ``n·c·(1 − 1/w) ≤ F``.  A type with
+    fewer than :data:`_COST_WARMUP` samples of either is pooled.
+    """
+    per_item, fixed = _COSTS.get(type(target), ((), ()))
+    if len(per_item) < _COST_WARMUP or len(fixed) < _COST_WARMUP:
+        return False
+    return items * median(per_item) * (1.0 - 1.0 / workers) <= median(fixed)
 
 
 def _supports_merge(estimator) -> bool:
@@ -195,20 +254,21 @@ def _template_for(plan: IngestPlan, target) -> bytes:
     return target.template_bytes  # "template-epochs"
 
 
-def _feed_direct(plan: IngestPlan, target, shard) -> None:
-    """Degenerate single-shard path: feed the coordinator's object itself.
+def _feed_direct(plan: IngestPlan, target, shard) -> int:
+    """Feed one shard into the coordinator's object itself; return its ns.
 
-    No worker state, no serialized transport, no merge — so one
-    non-empty shard works even for unmergeable or seedless sketches,
-    byte-identical to calling the object's own ingestion API.
+    No worker state, no serialized transport, no merge, so a one-shard
+    plan works even for unmergeable or seedless sketches.  The shard is
+    chunked by ``plan.batch_size`` exactly as a worker would feed it.
+    The ns per update is recorded for :func:`_stays_in_process`.
     """
+    start = time.perf_counter_ns()
     if plan.kind == "items":
         _feed_items(target, shard, plan.batch_size)
     elif plan.kind == "updates":
         _feed_updates(target, shard, plan.batch_size)
     elif plan.kind == "keyed":
-        keys, items, deltas = shard
-        target.update_grouped(keys, items, deltas)
+        _feed_keyed(target, shard, plan.batch_size)
     else:  # epochs: replay the runs through the ring's own timestamped path
         template_kind = plan.meta[0]
         for run in shard:
@@ -224,6 +284,31 @@ def _feed_direct(plan: IngestPlan, target, shard) -> None:
                 target.ingest_timestamped(
                     stamped, items, deltas, batch_size=plan.batch_size
                 )
+    elapsed = time.perf_counter_ns() - start
+    _costs(target)[0].append(elapsed / _shard_size(plan.kind, shard))
+    return elapsed
+
+
+def _feed_shard_zero(plan: IngestPlan, target, shard) -> int:
+    """The coordinator's own shard: fault check first, then :func:`_feed_direct`.
+
+    A fault planned for shard 0 trips before anything is fed (a ``kill``
+    raises instead, as in-process execution does), so each failed
+    attempt leaves the target untouched and the retry is against the
+    target itself.
+    """
+    attempt = 0
+    while True:
+        try:
+            _trip_fault(_fault_mode(plan, 0, attempt), True)
+            return _feed_direct(plan, target, shard)
+        except InjectedShardFault as error:
+            attempt += 1
+            if attempt > plan.retries:
+                raise WorkerFailureError(
+                    "shard 0 failed %d time(s), exhausting its retry budget "
+                    "of %d" % (attempt, plan.retries)
+                ) from error
 
 
 def _apply_result(plan: IngestPlan, target, result) -> None:
@@ -243,7 +328,9 @@ class _ResultSink:
 
     Commutative disciplines fold results the moment they arrive;
     order-sensitive ones buffer out-of-order completions and flush each
-    contiguous prefix of shard indices as soon as it is complete.
+    contiguous prefix of shard indices as soon as it is complete.  Shard
+    0 is the coordinator's own, fed before any result lands, so the
+    prefix starts at shard 1.
     """
 
     def __init__(self, plan: IngestPlan, target) -> None:
@@ -254,7 +341,7 @@ class _ResultSink:
         # the ring forward — both need plan-order application.
         self._ordered = plan.discipline == "adopt-in-order" or plan.axis == "key"
         self._buffer: Dict[int, Any] = {}
-        self._next = 0
+        self._next = 1
 
     def add(self, index: int, result) -> None:
         if not self._ordered:
@@ -273,8 +360,10 @@ class _ResultSpool:
     :class:`~repro.durability.DurableLog` in ``directory`` *before* it is
     merged, so a coordinator that dies mid-plan can re-run the same plan
     with the same ``spool_dir`` and re-ingest only the shards that never
-    delivered.  The spool opens with a fingerprint record binding it to
-    the plan (kind, axes, shard count, worker template bytes); resuming
+    delivered.  Shard 0, fed by the coordinator itself, never has a
+    result to spool: a resumed plan feeds it again.  The spool opens
+    with a fingerprint record binding it to the plan (kind, axes, shard
+    count, worker template bytes); resuming
     with a different plan fails fast rather than merging foreign results.
     The spool is destroyed on successful completion — finished state must
     not be mistaken for something resumable.
@@ -360,64 +449,53 @@ class _ResultSpool:
         self._log.destroy()
 
 
-def _payload(plan: IngestPlan, template: bytes, shard, index: int,
-             attempt: int, inline: bool) -> Tuple:
+def _fault_mode(plan: IngestPlan, index: int, attempt: int) -> Optional[str]:
     spec = None if plan.fault is None else plan.fault.get(index)
-    fault = spec.mode if spec is not None and attempt < spec.failures else None
-    return (plan.kind, template, shard, plan.batch_size, plan.meta, fault, inline)
+    return spec.mode if spec is not None and attempt < spec.failures else None
 
 
-def _run_inline(
-    plan: IngestPlan,
-    target,
-    work: List[Any],
-    template: bytes,
-    spool: Optional[_ResultSpool] = None,
-) -> None:
-    sink = _ResultSink(plan, target)
-    done = {} if spool is None else spool.recovered
-    for index in sorted(done):
-        sink.add(index, done[index])
-    for index, shard in enumerate(work):
-        if index in done:
-            continue
-        attempt = 0
-        while True:
-            try:
-                result = ingest_shard(
-                    _payload(plan, template, shard, index, attempt, True)
-                )
-                break
-            except Exception as error:
-                attempt += 1
-                if attempt > plan.retries:
-                    raise WorkerFailureError(
-                        "shard %d failed %d time(s), exhausting its retry "
-                        "budget of %d" % (index, attempt, plan.retries)
-                    ) from error
-        if spool is not None:
-            spool.record(index, result)
-        sink.add(index, result)
+class _InlineExecutor:
+    """Runs each submitted shard at once, in the coordinator's process.
+
+    With ``workers=1`` the other shards take the pooled path's dataflow
+    and retry loop unchanged; their payloads say ``inline``, so a
+    ``kill`` fault raises instead of killing the coordinator.
+    """
+
+    def submit(self, function, payload) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(function(payload))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
-def _run_pooled(
+def _run_shards(
     plan: IngestPlan,
     target,
     work: List[Any],
     template: bytes,
     workers: int,
     spool: Optional[_ResultSpool] = None,
-) -> None:
-    """Fan shards out over the persistent pool with pipelined handoff and retry."""
-    executor = get_pool(workers)
+) -> int:
+    """Run a plan: shard 0 in the coordinator, the others on ``workers - 1``.
+
+    Shards 1… are submitted first, so they ingest while the coordinator
+    feeds shard 0; their results then land as they complete, with retry.
+    Returns the ns the coordinator spent feeding shard 0.
+    """
+    inline = workers == 1
+    executor = _InlineExecutor() if inline else get_pool(workers - 1)
     sink = _ResultSink(plan, target)
-    done = {} if spool is None else spool.recovered
-    for index in sorted(done):
-        sink.add(index, done[index])
+    # Shard 0 is fed again on a resume, so a spooled shard-0 result (older
+    # builds spooled one) is skipped: an additive merge must not count it twice.
+    done = {} if spool is None else {i: r for i, r in spool.recovered.items() if i}
     attempts = [0] * len(work)
-    pending = [index for index in range(len(work)) if index not in done]
+    pending = [index for index in range(1, len(work)) if index not in done]
     last_error: Optional[BaseException] = None
-    while pending:
+    fed = None
+    while fed is None or pending:
         futures = {}
         failed: List[int] = []
         broken = False
@@ -425,8 +503,8 @@ def _run_pooled(
             if broken:
                 failed.append(index)
                 continue
-            payload = _payload(plan, template, work[index], index,
-                               attempts[index], False)
+            payload = (plan.kind, template, work[index], plan.batch_size, plan.meta,
+                       _fault_mode(plan, index, attempts[index]), inline)
             try:
                 futures[executor.submit(ingest_shard, payload)] = index
             except Exception as error:  # a pool already broken by a prior round
@@ -434,6 +512,10 @@ def _run_pooled(
                 broken = True
                 attempts[index] += 1
                 failed.append(index)
+        if fed is None:
+            fed = _feed_shard_zero(plan, target, work[0])
+            for index in sorted(done):
+                sink.add(index, done[index])
         for future in as_completed(futures):
             index = futures[future]
             try:
@@ -460,8 +542,9 @@ def _run_pooled(
             ) from last_error
         if failed and broken:
             reset_pool()
-            executor = get_pool(workers)
+            executor = get_pool(workers - 1)
         pending = sorted(failed)
+    return fed
 
 
 def execute_plan(
@@ -477,21 +560,24 @@ def execute_plan(
         target: the coordinator's object — an estimator, a
             :class:`~repro.store.store.SketchStore`, or a windowed ring —
             matching the plan's axis/discipline.
-        workers: process count; defaults to
+        workers: the number of processes that ingest, the coordinator
+            included; defaults to
             :func:`~repro.parallel.pool.default_workers`, capped at the
-            number of non-empty shards.  When that cap leaves one
-            worker, the identical shard / serialize / revive / merge
-            dataflow runs in-process — results are byte-for-byte the
-            same; otherwise shards go to the persistent pool.
+            number of non-empty shards.  The coordinator feeds shard 0
+            into ``target`` itself and the persistent pool gets
+            ``workers - 1`` processes for the rest; with one worker the
+            other shards run the identical serialize / revive / merge
+            dataflow in-process.  Results are byte-for-byte the same
+            either way.  A plan with one non-empty shard (and no fault
+            or spool) is simply fed to ``target``.
         spool_dir: optional directory for a durable per-shard result
             spool.  Every delivered shard result is fsync'd there before
             being merged; re-running the same plan with the same
             ``spool_dir`` after a coordinator crash submits only the
             shards that never delivered, merging the spooled results for
-            the rest (bit-identical to an uninterrupted run).  The spool
-            is deleted when the plan completes.  Requires a mergeable
-            target even for single-shard plans (the direct-feed shortcut
-            would bypass the spooled transport).
+            the rest (bit-identical to an uninterrupted run).  Shard 0
+            delivers nothing to spool: a re-run feeds it again.  The
+            spool is deleted when the plan completes.
 
     Returns:
         ``target``, for chaining.
@@ -515,17 +601,19 @@ def execute_plan(
         _require_explicit_seed(target)
 
     workers = min(workers, len(work))
+    start = time.perf_counter_ns()
+    # The template is realized before anything is fed: it is the state
+    # the call started from.
     template = _template_for(plan, target)
     spool = None if spool_dir is None else _ResultSpool(spool_dir, plan, template)
     try:
-        if workers == 1:
-            _run_inline(plan, target, work, template, spool=spool)
-        else:
-            _run_pooled(plan, target, work, template, workers, spool=spool)
+        fed = _run_shards(plan, target, work, template, workers, spool=spool)
     except BaseException:
         if spool is not None:
             spool.close()  # keep the delivered results for the re-run
         raise
+    if workers == len(work) > 1:  # shaped like the pooled calls the rule weighs
+        _costs(target)[1].append(time.perf_counter_ns() - start - fed)
     if spool is not None:
         spool.destroy()
     return target

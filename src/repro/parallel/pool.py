@@ -86,6 +86,11 @@ _POOL_PID: Optional[int] = None
 _POOLS_CREATED = 0  # lifetime creation count, observable via pool_stats()
 _POOL_RESTARTS = 0  # live pools replaced/discarded (recovery + growth), ditto
 
+#: The plan executor's cost samples per target type (see
+#: ``repro.parallel.plan._stays_in_process``): only floats, measured
+#: against this pool, so dropped with it (reset, shutdown, fork child).
+_COSTS: Dict[type, Any] = {}
+
 
 def _drop_pool_reference() -> None:
     """Forget the singleton without shutting it down (fork child path)."""
@@ -93,6 +98,7 @@ def _drop_pool_reference() -> None:
     _POOL = None
     _POOL_SIZE = 0
     _POOL_PID = None
+    _COSTS.clear()
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython on POSIX

@@ -403,6 +403,18 @@ class LinearCountingSketchArray(SketchArray):
         return self._rows * self.bits
 
 
+def _rough_hashes(estimator) -> List[tuple]:
+    """What the seed drew for each copy: ``h1``/``h2`` parameters, ``h3`` coefficients.
+
+    A :class:`RoughEstimator` keeps no seed, so this is how a row import
+    tells another seed's estimator apart.
+    """
+    return [
+        (copy.h1._a, copy.h1._b, copy.h2._a, copy.h2._b, copy.h3._coefficients)
+        for copy in estimator._copies
+    ]
+
+
 class RoughSketchArray(SketchArray):
     """N KNW Figure 2 rough estimators as an ``(N, 3, K_RE)`` counter tensor.
 
@@ -533,10 +545,11 @@ class RoughSketchArray(SketchArray):
             or sketch.universe_size != self.universe_size
             or sketch.counters_per_copy != self.counters_per_copy
             or not isinstance(sketch._copies[0].h3, KWiseHash)
+            or _rough_hashes(sketch) != _rough_hashes(self._template)
         ):
             raise ParameterError(
-                "import_row needs a same-parameter polynomial-family "
-                "RoughEstimator"
+                "import_row needs a same-parameter, same-seed "
+                "polynomial-family RoughEstimator"
             )
         for j, copy in enumerate(sketch._copies):
             self._state[row, j] = copy.counters.to_numpy().astype(np.int64)

@@ -536,14 +536,15 @@ def bursty_windowed_workload(
     window ring must close every intervening epoch as empty
     (:meth:`~repro.window.windowed._EpochRing.advance_epoch`'s gap
     closing) and window queries spanning a gap must roll up across the
-    empty epochs without drift.
+    empty epochs without drift.  There are at least two bursts, so
+    even the smallest scale has a gap inside its epoch range.
     """
     require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     if gap_epochs < 1 or burst_epochs < 1:
         raise ParameterError("gap_epochs and burst_epochs must be positive")
     rng = np.random.default_rng(seed)
-    bursts = max(scale.epochs // burst_epochs, 1)
+    bursts = max(scale.epochs // burst_epochs, 2)
     epoch_column: List[int] = []
     items: List[int] = []
     epoch_cursor = 0

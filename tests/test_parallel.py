@@ -24,6 +24,7 @@ from repro.parallel import (
     shard_items,
 )
 from repro.streams.generators import uniform_random_stream
+from repro.window import WindowedSketch, WindowedSketchStore
 
 UNIVERSE = 1 << 20
 SHARD_COUNTS = [1, 3, 8]
@@ -96,7 +97,7 @@ def test_sharded_merge_equals_sequential_scalar(name, items, sequential_states):
 def test_four_worker_processes_bit_identical(name, items, sequential_states):
     """The acceptance shape: real process pool, 4 workers, bit-identical."""
     merged = parallel_ingest_into(
-        make_f0_estimator(name, UNIVERSE, 0.1, 71), items, workers=4
+        make_f0_estimator(name, UNIVERSE, 0.1, 71), items, workers=4, shards=4
     )
     state, estimate = sequential_states[name]
     assert merged.state_dict() == state
@@ -418,6 +419,7 @@ def test_l0_four_worker_processes_bit_identical(
         make_l0_estimator("knw-l0", UNIVERSE, 0.2, 1 << 16, 73),
         *turnstile_updates,
         workers=4,
+        shards=4,
     )
     state, estimate = sequential_l0_states["knw-l0"]
     assert estimator.state_dict() == state
@@ -740,3 +742,65 @@ def test_rejected_batch_raises_as_sequential_and_merges_nothing(case, shards):
         parallel_ingest_into(target, *args, workers=1, shards=shards, **inputs)
     assert type(raised.value) is type(expected.value), raised.value
     assert target.to_bytes() == before
+
+
+# -- the coordinator ingests shard 0: every target type, real processes --------
+
+_ENGINE_RNG = np.random.RandomState(89)
+_ENGINE_ITEMS = _ENGINE_RNG.randint(0, UNIVERSE, size=4000).astype(np.uint64)
+_ENGINE_DELTAS = np.where(_ENGINE_RNG.rand(4000) < 0.25, -1, 2).astype(np.int64)
+_ENGINE_KEYS = _ENGINE_RNG.randint(0, 24, size=4000).astype(np.int64)
+_ENGINE_EPOCHS = np.arange(4000, dtype=np.int64) // 400
+
+
+def _grouped_in_key_axis_order(store, shards):
+    """Sequential grouped ingest, with the updates regrouped shard by shard.
+
+    The key axis registers store rows shard by shard (part of the store's
+    bytes), so this is the sequential ingest whose bytes sharding matches.
+    """
+    rank = np.unique(_ENGINE_KEYS, return_inverse=True)[1]
+    order = np.argsort(rank % shards, kind="stable")
+    store.update_grouped(_ENGINE_KEYS[order], _ENGINE_ITEMS[order])
+
+
+#: ``(target factory, inputs, sequential ingest(target, shards))``
+ENGINE_TARGETS = {
+    "estimator": (
+        lambda: make_f0_estimator("knw", UNIVERSE, 0.1, 71),
+        dict(),
+        lambda target, shards: target.update_batch(_ENGINE_ITEMS),
+    ),
+    "turnstile-estimator": (
+        lambda: make_l0_estimator("knw-l0", UNIVERSE, 0.2, 1 << 16, 73),
+        dict(deltas=_ENGINE_DELTAS),
+        lambda target, shards: target.update_batch(_ENGINE_ITEMS, _ENGINE_DELTAS),
+    ),
+    "store": (_store, dict(keys=_ENGINE_KEYS), _grouped_in_key_axis_order),
+    "windowed-sketch": (
+        lambda: WindowedSketch(make_f0_estimator("knw", UNIVERSE, 0.1, 71), retention=16),
+        dict(epochs=_ENGINE_EPOCHS),
+        lambda target, shards: target.ingest_timestamped(_ENGINE_EPOCHS, _ENGINE_ITEMS),
+    ),
+    "windowed-store": (
+        lambda: WindowedSketchStore(_store(), retention=16),
+        dict(epochs=_ENGINE_EPOCHS, keys=_ENGINE_KEYS),
+        lambda target, shards: target.ingest_timestamped(
+            _ENGINE_EPOCHS, _ENGINE_KEYS, _ENGINE_ITEMS
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", [2, 3, 8])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", sorted(ENGINE_TARGETS))
+def test_coordinator_and_pool_match_sequential_bytes(case, workers, shards):
+    """Shard 0 fed by the coordinator, the rest by pool processes: the
+    bytes equal sequential ingest for every target type."""
+    build, inputs, sequential = ENGINE_TARGETS[case]
+    reference = build()
+    sequential(reference, shards)
+    sharded = build()
+    parallel_ingest_into(sharded, _ENGINE_ITEMS, workers=workers, shards=shards, **inputs)
+    assert sharded.to_bytes() == reference.to_bytes()

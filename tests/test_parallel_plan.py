@@ -9,6 +9,12 @@ This suite pins what the declarative engine *added*:
   recovered result is bit-identical to the zero-failure run for every
   shard-deterministic family, and a shard that keeps failing raises
   :class:`~repro.exceptions.WorkerFailureError`;
+* **the coordinator as a worker** — it feeds shard 0 itself (faults on
+  it trip before anything is fed) and asks the pool for one process
+  fewer;
+* **measured placement** — a call without ``shards=`` stays in-process
+  exactly when the target type's recorded costs say the pool cannot
+  save more than it costs;
 * **the persistent worker pool** — lazily created, reused across calls,
   grown by recreation, explicitly shut down, and fork-safe;
 * **shared-payload staging** — the pool-initializer replacement used by
@@ -42,7 +48,9 @@ from repro.parallel import (
     load_shared,
     discard_shared,
 )
+from repro.parallel import parallel_ingest_into
 from repro.parallel.api import _epoch_shards
+from repro.parallel.plan import _COSTS, _costs, _stays_in_process
 from repro.store import SketchStore
 from repro.window import WindowedSketch
 
@@ -228,11 +236,152 @@ class TestShardFaultRecovery:
         with pytest.raises(WorkerFailureError):
             execute_plan(plan, estimator, workers=1)
 
+    @pytest.mark.parametrize("mode", ["raise", "kill"])
+    def test_l0_pool_shard_recovers_bit_identical(self, updates, mode):
+        sequential = _sequential_l0("knw-l0", updates)
+        recovered = make_l0_estimator("knw-l0", UNIVERSE, EPS, 1 << 12, seed=SEED)
+        plan = _l0_plan(updates, fault={SHARDS - 1: ShardFault(mode)})
+        execute_plan(plan, recovered, workers=2)
+        assert recovered.to_bytes() == sequential.to_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["raise", "kill"])
+    def test_shard_zero_fault_recovers_in_the_coordinator(self, items, mode, workers):
+        sequential = _sequential_f0("knw-paper", items)
+        recovered = make_f0_estimator("knw-paper", UNIVERSE, EPS, seed=SEED)
+        get_pool(1)
+        restarts = pool_stats()["restarts"]
+        plan = _f0_plan(items, fault={0: ShardFault(mode, failures=2)})
+        execute_plan(plan, recovered, workers=workers)
+        assert recovered.to_bytes() == sequential.to_bytes()
+        # Shard 0 is the coordinator's: a kill there raises, no worker dies.
+        assert pool_stats()["restarts"] == restarts
+
+    @pytest.mark.parametrize("mode", ["raise", "kill"])
+    def test_permanent_shard_zero_fault_raises_before_anything_lands(self, items, mode):
+        estimator = make_f0_estimator("knw-paper", UNIVERSE, EPS, seed=SEED)
+        before = estimator.to_bytes()
+        plan = _f0_plan(items, fault={0: ShardFault(mode, failures=3)})
+        with pytest.raises(WorkerFailureError):
+            execute_plan(plan, estimator, workers=2)
+        assert estimator.to_bytes() == before
+
     def test_fault_spec_validation(self):
         with pytest.raises(ParameterError):
             ShardFault(mode="explode")
         with pytest.raises(ParameterError):
             ShardFault(failures=0)
+
+
+class TestCoordinatorShard:
+    def test_pool_gets_one_process_fewer_than_workers(self, items):
+        shutdown_pool()
+        estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        execute_plan(_f0_plan(items), estimator, workers=2)
+        assert pool_stats()["size"] == 1
+        assert estimator.to_bytes() == _sequential_f0("hyperloglog", items).to_bytes()
+
+    def test_one_worker_needs_no_pool(self, items):
+        shutdown_pool()
+        estimator = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        execute_plan(_f0_plan(items), estimator, workers=1)
+        assert not pool_stats()["alive"]
+        assert estimator.to_bytes() == _sequential_f0("hyperloglog", items).to_bytes()
+
+
+def _seed_costs(target, per_item, fixed):
+    """Inject cost samples for ``target``'s type: ns per item, fixed ns."""
+    recorded_per_item, recorded_fixed = _costs(target)
+    recorded_per_item.extend(per_item)
+    recorded_fixed.extend(fixed)
+
+
+class TestInProcessRule:
+    @pytest.fixture(autouse=True)
+    def _fresh_costs(self):
+        _COSTS.clear()
+        yield
+        _COSTS.clear()
+
+    def test_rule_on_injected_samples(self):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        assert not _stays_in_process(target, 16, 2)  # no samples: pooled
+        _seed_costs(target, [200.0, 300.0, 400.0], [44e6])
+        # n·c·(1 − 1/w) = 65536 · 300 · ½ ≈ 9.8 ms: below one cold 44 ms
+        # pool start, but a single sample must not decide alone.
+        assert not _stays_in_process(target, 1 << 16, 2)
+        _seed_costs(target, [], [6e6, 6e6])  # F: median of 44, 6, 6 ms
+        assert not _stays_in_process(target, 1 << 16, 2)  # 9.8 ms > 6 ms
+        assert _stays_in_process(target, 1 << 15, 2)  # 4.9 ms ≤ 6 ms
+        assert not _stays_in_process(target, 1 << 15, 3)  # 6.6 ms > 6 ms
+        assert _stays_in_process(target, 1 << 15, 1)  # one worker saves nothing
+        # Costs are per target type.
+        other = make_f0_estimator("kmv", UNIVERSE, EPS, seed=SEED)
+        assert not _stays_in_process(other, 1 << 15, 2)
+
+    def test_fewer_than_three_per_item_samples_pool(self):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0, 300.0], [6e6, 6e6, 6e6])
+        assert not _stays_in_process(target, 16, 2)
+
+    def test_samples_keep_the_last_eight(self):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [1e9] * 8 + [100.0] * 8, [1e6] * 3)
+        per_item, _ = _costs(target)
+        assert list(per_item) == [100.0] * 8
+
+    def test_call_ruled_in_process_uses_no_pool(self, items):
+        shutdown_pool()
+        target = make_f0_estimator("knw-paper", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [50e6] * 3)
+        created = pool_stats()["created"]
+        parallel_ingest_into(target, items, workers=2)
+        assert pool_stats()["created"] == created
+        assert not pool_stats()["alive"]
+        assert target.to_bytes() == _sequential_f0("knw-paper", items).to_bytes()
+        # Kept in-process, the call's own feed is a new per-item sample.
+        assert len(_costs(target)[0]) == 4
+
+    def test_call_the_pool_pays_for_goes_to_the_pool(self, items):
+        shutdown_pool()
+        target = make_f0_estimator("knw-paper", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [1.0] * 3)
+        parallel_ingest_into(target, items, workers=2)
+        assert pool_stats()["alive"]
+        assert target.to_bytes() == _sequential_f0("knw-paper", items).to_bytes()
+        per_item, fixed = _costs(target)
+        assert (len(per_item), len(fixed)) == (4, 4)  # shard 0's feed; the call
+
+    def test_explicit_shards_is_the_plan_as_asked(self, items):
+        shutdown_pool()
+        target = make_f0_estimator("knw-paper", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [50e6] * 3)
+        parallel_ingest_into(target, items, workers=2, shards=2)
+        assert pool_stats()["alive"]
+        assert target.to_bytes() == _sequential_f0("knw-paper", items).to_bytes()
+
+    def test_nonpositive_workers_raise_with_warm_costs(self, items):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [6e6] * 3)
+        with pytest.raises(ParameterError):
+            parallel_ingest_into(target, items, workers=0)
+
+    @pytest.mark.parametrize("drop", [reset_pool, shutdown_pool])
+    def test_pool_teardown_drops_the_costs(self, drop):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [6e6] * 3)
+        drop()
+        assert _COSTS == {}
+
+    def test_fork_child_drops_the_costs(self):
+        target = make_f0_estimator("hyperloglog", UNIVERSE, EPS, seed=SEED)
+        _seed_costs(target, [300.0] * 3, [6e6] * 3)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if not _COSTS else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert _COSTS  # the parent keeps its own
 
 
 class TestPlanValidation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,29 @@ class TestGuarantees:
             solo.update(update.item)
         merged.merge_max(other)
         assert merged.estimate() == solo.estimate()
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_merge_max_equals_the_maximize_many_form(self, uniform):
+        """One ``np.maximum`` and one repack per copy, against the scatter form."""
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            left = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
+            right = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
+            oracle = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
+            for sketch in (left, right):
+                for copy in sketch._copies:
+                    peak = copy.counters._mask + 1
+                    values = rng.integers(0, peak, size=copy.counters.length)
+                    copy.counters = PackedCounterArray.from_numpy(values, copy.counters.width)
+                sketch._monotone_floor = float(rng.integers(-1, 64))
+            oracle.load_state_dict(left.state_dict())
+            for mine, theirs in zip(oracle._copies, right._copies):
+                mine.counters.maximize_many(
+                    np.arange(mine.counters.length), theirs.counters.to_numpy()
+                )
+            oracle._monotone_floor = max(oracle._monotone_floor, right._monotone_floor)
+            left.merge_max(right)
+            assert left.state_dict() == oracle.state_dict()
 
     def test_merge_max_rejects_mismatched(self):
         a = RoughEstimator(1 << 12, counters_per_copy=8, seed=1)

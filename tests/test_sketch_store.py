@@ -403,6 +403,26 @@ class TestStoreLifecycle:
         reference.update_batch([1, 2, 3, 10, 11])
         assert store.sketch(3).state_dict() == reference.state_dict()
 
+    def test_rough_load_sketch_round_trip(self):
+        store = _make_store("knw-rough", {})
+        store.update_batch(3, [1, 2, 3])
+        exported = store.sketch(3)
+        exported.update_batch([10, 11])
+        store.load_sketch(3, exported)
+        reference = RoughEstimator(UNIVERSE, seed=SEED, use_uniform_family=False)
+        reference.update_batch([1, 2, 3, 10, 11])
+        assert store.sketch(3).state_dict() == reference.state_dict()
+
+    def test_rough_load_sketch_rejects_another_seed(self):
+        store = _make_store("knw-rough", {})
+        store.update_batch(3, [1, 2, 3])
+        before = store.sketch(3).state_dict()
+        foreign = RoughEstimator(UNIVERSE, seed=SEED + 1, use_uniform_family=False)
+        foreign.update_batch(np.random.default_rng(13).integers(0, UNIVERSE, 5000))
+        with pytest.raises(ParameterError):
+            store.load_sketch(3, foreign)
+        assert store.sketch(3).state_dict() == before
+
     def test_wrapping_a_non_empty_array_names_its_rows(self):
         array = make_sketch_array("hyperloglog", UNIVERSE, rows=2, eps=0.1, seed=SEED)
         array.update_row_batch(0, [1, 2, 3])
@@ -498,7 +518,7 @@ class TestKeyedSharding:
         serial = _make_store("hyperloglog", {})
         serial.update_grouped(keys, items)
         sharded = _make_store("hyperloglog", {})
-        parallel_ingest_into(sharded, items, keys=keys, workers=2)
+        parallel_ingest_into(sharded, items, keys=keys, workers=2, shards=2)
         assert sharded.estimate_all() == serial.estimate_all()
 
 
