@@ -5,9 +5,9 @@ occupancy count incrementally and evaluates the logarithm via the Appendix
 A.2 lookup table.  The benchmark times ``estimate()`` on warm sketches and
 checks that the fast KNW report does not scale with eps.  The
 register-scanning baselines (LogLog/HLL) still do Theta(1/eps^2) *work*
-per report, but since their estimators read the registers through one
-bulk ``PackedCounterArray.to_numpy`` pass, the interpreter-level cost no
-longer scales with 1/eps^2 — only the (far cheaper) vector reductions do.
+per report, but since their registers are one NumPy array, the
+interpreter-level cost does not scale with 1/eps^2 — only the (far
+cheaper) vector reductions do.
 """
 
 from __future__ import annotations

@@ -51,10 +51,8 @@ setup(
     # 3.10 floor: the word-RAM code relies on int.bit_count() (3.10+).
     python_requires=">=3.10",
     install_requires=[
-        # The batch-ingestion pipeline (repro.vectorize and every
-        # update_batch override) vectorizes over numpy arrays; the scalar
-        # API degrades gracefully without it, but it is a declared
-        # dependency so batch ingestion works out of the box.
+        # Sketch state and the batch-ingestion pipeline (repro.vectorize
+        # and every update_batch override) are numpy arrays.
         "numpy>=1.22",
     ],
     extras_require={

@@ -38,7 +38,7 @@ from ..l0.knw_l0 import KNWHammingNormEstimator
 from ..parallel import parallel_ingest_into
 from ..store import LinearCountingSketchArray, SketchStore
 from ..streams.datasets import FlowRecord
-from ..vectorize import HAS_NUMPY, np
+from ..vectorize import np
 from ..window import WindowedSketch, WindowedSketchStore
 
 __all__ = ["FlowCardinalityMonitor", "WindowReport"]
@@ -301,13 +301,6 @@ class FlowCardinalityMonitor(SerializableState):
     def _packet_arrays(self, records: Sequence[FlowRecord]) -> Tuple[Any, ...]:
         """Extract the four WAL-record arrays for one in-window packet slice."""
         universe = self.universe_size
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return (
-                [record.flow_id(universe) for record in records],
-                [record.source % universe for record in records],
-                [record.destination % universe for record in records],
-                [record.source for record in records],
-            )
         count = len(records)
         return (
             np.fromiter(
@@ -418,14 +411,6 @@ class FlowCardinalityMonitor(SerializableState):
 
     def _observe_slice(self, records: Sequence[FlowRecord]) -> None:
         """Ingest records known to fall inside the current window."""
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            for record in records:
-                flow_id = record.flow_id(self.universe_size)
-                self._flows.update(flow_id)
-                self._sources.update(record.source % self.universe_size)
-                self._destinations.update(record.destination % self.universe_size)
-            self._observe_fanout(records)
-            return
         universe = self.universe_size
         flow_ids = np.fromiter(
             (record.flow_id(universe) for record in records),
@@ -497,9 +482,7 @@ class FlowCardinalityMonitor(SerializableState):
 
         def field_items(extract):
             values = (extract(record) for link in links for record in link)
-            if HAS_NUMPY:
-                return np.fromiter(values, dtype=np.uint64, count=packets)
-            return list(values)
+            return np.fromiter(values, dtype=np.uint64, count=packets)
 
         fields = [
             (self._flows.current, field_items(lambda r: r.flow_id(universe))),
@@ -559,16 +542,6 @@ class FlowCardinalityMonitor(SerializableState):
             raise ParameterError(
                 "observe_flow_events_batch needs one delta per record"
             )
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            if self._checkpointer is not None:
-                flow_ids = [record.flow_id(self.universe_size) for record in records]
-                self._checkpointer.call(
-                    "_wal_flow_events", flow_ids, [int(delta) for delta in deltas]
-                )
-                return
-            for record, delta in zip(records, deltas):
-                sketch.update(record.flow_id(self.universe_size), int(delta))
-            return
         universe = self.universe_size
         flow_ids = np.fromiter(
             (record.flow_id(universe) for record in records),
@@ -590,12 +563,6 @@ class FlowCardinalityMonitor(SerializableState):
         if not records:
             return
         universe = self.universe_size
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            for record in records:
-                self._fanout_store.update(
-                    record.source, record.destination % universe
-                )
-            return
         sources = np.fromiter(
             (record.source for record in records),
             dtype=np.int64,

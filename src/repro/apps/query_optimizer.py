@@ -34,7 +34,6 @@ from ..core.knw import KNWDistinctCounter
 from ..exceptions import ParameterError
 from ..parallel import parallel_ingest_into
 from ..store import ObjectSketchArray, SketchStore
-from ..vectorize import HAS_NUMPY
 
 __all__ = ["ColumnStatisticsCollector", "JoinEstimate"]
 
@@ -158,14 +157,10 @@ class ColumnStatisticsCollector:
         non_null = [value for value in values if value is not None]
         if not non_null:
             return
-        if HAS_NUMPY:
-            # The plain list goes straight to the batch path: its validation
-            # turns negatives / non-integers into the same ParameterError
-            # the scalar path raises, instead of a dtype-conversion error.
-            self._store.update_batch(column, non_null)
-        else:  # pragma: no cover - numpy is a declared dependency
-            for value in non_null:
-                self._store.update(column, value)
+        # The plain list goes straight to the batch path: its validation
+        # turns negatives / non-integers into the same ParameterError
+        # the scalar path raises, instead of a dtype-conversion error.
+        self._store.update_batch(column, non_null)
         self._row_counts[column] += len(non_null)
 
     def ingest_column_partitions(

@@ -12,16 +12,12 @@ the main practical yardstick for the KNW estimator.
 from __future__ import annotations
 
 import math
-import random
-from typing import Optional
+from typing import List, Optional
 
-from ..bitstructs.packed import PackedCounterArray
-from ..bitstructs.space import SpaceBreakdown
-from ..estimators.base import CardinalityEstimator
-from ..exceptions import MergeError, ParameterError
-from ..hashing.bitops import is_power_of_two, lsb, rho_batch
-from ..hashing.random_oracle import RandomOracle
-from ..vectorize import as_key_array, np
+from ..exceptions import ParameterError
+from ..hashing.bitops import is_power_of_two
+from ..vectorize import np
+from .loglog import _RegisterCounter
 
 __all__ = ["HyperLogLogCounter", "hll_registers_for_eps"]
 
@@ -45,7 +41,7 @@ def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
-class HyperLogLogCounter(CardinalityEstimator):
+class HyperLogLogCounter(_RegisterCounter):
     """The HyperLogLog cardinality estimator (random-oracle model).
 
     Attributes:
@@ -54,7 +50,6 @@ class HyperLogLogCounter(CardinalityEstimator):
     """
 
     name = "hyperloglog"
-    requires_random_oracle = True
 
     def __init__(
         self,
@@ -71,104 +66,31 @@ class HyperLogLogCounter(CardinalityEstimator):
             registers: explicit register count (power of two); overrides ``eps``.
             seed: RNG seed.
         """
-        if universe_size < 2:
-            raise ParameterError("universe_size must be at least 2")
-        self.universe_size = universe_size
-        self.registers = registers if registers is not None else hll_registers_for_eps(eps)
-        if not is_power_of_two(self.registers) or self.registers < 16:
+        registers = registers if registers is not None else hll_registers_for_eps(eps)
+        if not is_power_of_two(registers) or registers < 16:
             raise ParameterError("registers must be a power of two, at least 16")
-        self.seed = seed
-        rng = random.Random(seed)
-        self._register_bits = self.registers.bit_length() - 1
-        hash_bits = max((universe_size - 1).bit_length(), 1) + 8
-        self._value_bits = hash_bits
-        oracle_seed = rng.randrange(1 << 62) if seed is not None else None
-        self._oracle = RandomOracle(
-            universe_size, 1 << (self._register_bits + hash_bits), seed=oracle_seed
-        )
-        register_width = max(math.ceil(math.log2(self._value_bits + 2)), 1)
-        self._registers = PackedCounterArray(self.registers, register_width)
+        super().__init__(universe_size, registers, seed)
 
-    def update(self, item: int) -> None:
-        """Route the item to a register and record max(rho)."""
-        if not 0 <= item < self.universe_size:
-            raise ParameterError(
-                "item %d outside universe [0, %d)" % (item, self.universe_size)
-            )
-        value = self._oracle(item)
-        register = value & (self.registers - 1)
-        remainder = value >> self._register_bits
-        rho = lsb(remainder, zero_value=self._value_bits - 1) + 1
-        self._registers.maximize(register, min(rho, (1 << self._registers.width) - 1))
+    def _estimates(self, registers) -> List[float]:
+        """The bias-corrected harmonic-mean estimate per row.
 
-    def update_batch(self, items) -> None:
-        """Vectorized ingestion of a chunk of items.
-
-        One splitmix64 pass, one register slice, and one de Bruijn ``rho``
-        extraction over the whole array, followed by a single grouped
-        register maximisation — bit-identical to the scalar loop because
-        the per-register reduction is a plain maximum.
-        """
-        keys = as_key_array(items, self.universe_size)
-        if keys.size == 0:
-            return
-        values = self._oracle.hash_batch_validated(keys)
-        registers = values & np.uint64(self.registers - 1)
-        remainders = values >> np.uint64(self._register_bits)
-        rho = rho_batch(remainders, zero_value=self._value_bits - 1)
-        rho = np.minimum(rho, np.int64((1 << self._registers.width) - 1))
-        self._registers.maximize_many(registers, rho)
-
-    def estimate(self) -> float:
-        """Return the bias-corrected harmonic-mean estimate.
-
-        The register scan is one bulk :meth:`PackedCounterArray.to_numpy
-        <repro.bitstructs.packed.PackedCounterArray.to_numpy>` read plus
-        two vector reductions, so reporting time no longer scales with
-        ``m = O(1/eps^2)`` Python-level register extractions.
+        Zero counts and harmonic sums are vector reductions; the final
+        assembly runs per row with ``math.log``, because ``np.log`` can
+        differ from libm by an ulp.
         """
         m = self.registers
-        if np is not None:
-            # int32 exponents: np.ldexp has no int64-exponent loop on
-            # platforms where C long is 32 bits (register values are < 64).
-            values = self._registers.to_numpy().astype(np.int32)
-            zero_registers = int(np.count_nonzero(values == 0))
-            inverse_sum = float(np.ldexp(1.0, -values).sum())
-        else:  # pragma: no cover - numpy is a declared dependency
-            inverse_sum = 0.0
-            zero_registers = 0
-            for index in range(m):
-                value = self._registers.get(index)
-                if value == 0:
-                    zero_registers += 1
-                inverse_sum += 2.0 ** (-value)
-        raw = _alpha(m) * m * m / inverse_sum
-        if raw <= 2.5 * m and zero_registers > 0:
-            # Small-range correction: fall back to linear counting.
-            return m * math.log(m / zero_registers)
-        return raw
-
-    def merge(self, other: "CardinalityEstimator") -> None:
-        """Take the register-wise maximum of two same-seed counters."""
-        if not isinstance(other, HyperLogLogCounter):
-            raise MergeError("can only merge HyperLogLogCounter with its own kind")
-        if (
-            other.universe_size != self.universe_size
-            or other.registers != self.registers
-            or self.seed is None
-            or other.seed != self.seed
-        ):
-            raise MergeError("HLL counters must share parameters and an explicit seed")
-        for index in range(self.registers):
-            self._registers.maximize(index, other._registers.get(index))
-
-    def space_breakdown(self) -> SpaceBreakdown:
-        """Return the itemised space cost."""
-        breakdown = SpaceBreakdown(self.name)
-        breakdown.add_component("registers", self._registers)
-        breakdown.add_component("random-oracle", self._oracle)
-        return breakdown
-
-    def space_bits(self) -> int:
-        """Return the counter's space in bits (random oracle not charged)."""
-        return self.space_breakdown().total()
+        alpha = _alpha(m)
+        # int32 exponents: np.ldexp has no int64-exponent loop on
+        # platforms where C long is 32 bits.
+        values = registers.astype(np.int32)
+        zeros = (values == 0).sum(axis=1).tolist()
+        inverse_sums = np.ldexp(1.0, -values).sum(axis=1).tolist()
+        estimates = []
+        for zero_registers, inverse_sum in zip(zeros, inverse_sums):
+            raw = alpha * m * m / inverse_sum
+            if raw <= 2.5 * m and zero_registers > 0:
+                # Small-range correction: fall back to linear counting.
+                estimates.append(m * math.log(m / zero_registers))
+            else:
+                estimates.append(raw)
+        return estimates

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import List, Optional
 
-from ..bitstructs.packed import PackedCounterArray
 from ..bitstructs.space import SpaceBreakdown
 from ..estimators.base import CardinalityEstimator
 from ..exceptions import MergeError, ParameterError
 from ..hashing.bitops import is_power_of_two, lsb, rho_batch
 from ..hashing.random_oracle import RandomOracle
-from ..vectorize import as_key_array, np
+from ..vectorize import as_key_array, counter_dtype, grouped_max_scatter, np
 
 __all__ = ["LogLogCounter", "registers_for_eps"]
 
@@ -40,7 +39,113 @@ def registers_for_eps(eps: float, constant: float = 1.30) -> int:
     return 1 << max(int(math.ceil(math.log2(raw))), 2)
 
 
-class LogLogCounter(CardinalityEstimator):
+class _RegisterCounter(CardinalityEstimator):
+    """``m`` registers, each the maximum ``rho`` of the items routed to it.
+
+    The state LogLog and HyperLogLog share; they differ only in their
+    estimator (:meth:`_estimates`) and register count.  The registers are
+    one array, a byte each while ``rho`` fits one; :meth:`space_bits`
+    charges the paper's ``log log n`` bits per register.  A keyed store
+    row of either family is this array, hashed by :meth:`_slots` and
+    reported by :meth:`_estimates`.
+
+    Attributes:
+        universe_size: the universe size ``n``.
+        registers: number of registers ``m`` (a power of two).
+    """
+
+    requires_random_oracle = True
+
+    def __init__(self, universe_size: int, registers: int, seed: Optional[int]) -> None:
+        if universe_size < 2:
+            raise ParameterError("universe_size must be at least 2")
+        self.universe_size = universe_size
+        self.registers = registers
+        self.seed = seed
+        rng = random.Random(seed)
+        self._register_bits = registers.bit_length() - 1
+        hash_bits = max((universe_size - 1).bit_length(), 1) + 8
+        self._value_bits = hash_bits
+        oracle_seed = rng.randrange(1 << 62) if seed is not None else None
+        self._oracle = RandomOracle(
+            universe_size, 1 << (self._register_bits + hash_bits), seed=oracle_seed
+        )
+        self._register_width = max(math.ceil(math.log2(hash_bits + 2)), 1)
+        self._registers = np.zeros(
+            registers, dtype=counter_dtype((1 << self._register_width) - 1)
+        )
+
+    def _slot(self, item: int):
+        """Return the item's register and its ``rho``, capped at the width."""
+        value = self._oracle(item)
+        rho = lsb(value >> self._register_bits, zero_value=self._value_bits - 1) + 1
+        return value & (self.registers - 1), min(rho, (1 << self._register_width) - 1)
+
+    def _slots(self, keys):
+        """:meth:`_slot` for a validated key array, as ``int64`` arrays."""
+        values = self._oracle.hash_batch_validated(keys)
+        registers = (values & np.uint64(self.registers - 1)).astype(np.int64)
+        rho = rho_batch(values >> np.uint64(self._register_bits), zero_value=self._value_bits - 1)
+        return registers, np.minimum(rho, np.int64((1 << self._register_width) - 1))
+
+    def update(self, item: int) -> None:
+        """Route the item to a register and record max(rho)."""
+        if not 0 <= item < self.universe_size:
+            raise ParameterError(
+                "item %d outside universe [0, %d)" % (item, self.universe_size)
+            )
+        register, rho = self._slot(item)
+        if rho > self._registers.item(register):
+            self._registers[register] = rho
+
+    def update_batch(self, items) -> None:
+        """Vectorized ingestion of a chunk of items.
+
+        One oracle pass, one register slice, and one de Bruijn ``rho``
+        extraction over the whole array, then one grouped register
+        maximum — bit-identical to the scalar loop because the
+        per-register reduction is a plain maximum.
+        """
+        keys = as_key_array(items, self.universe_size)
+        if keys.size == 0:
+            return
+        grouped_max_scatter(self._registers, *self._slots(keys))
+
+    def estimate(self) -> float:
+        """Return the estimate of the registers."""
+        return self._estimates(self._registers.reshape(1, -1))[0]
+
+    def _estimates(self, registers) -> List[float]:
+        """The estimate of every row of a ``(rows, m)`` register matrix."""
+        raise NotImplementedError
+
+    def merge(self, other: "CardinalityEstimator") -> None:
+        """Take the register-wise maximum of two same-seed counters."""
+        kind = type(self).__name__
+        if not isinstance(other, type(self)):
+            raise MergeError("can only merge %s with its own kind" % kind)
+        if (
+            other.universe_size != self.universe_size
+            or other.registers != self.registers
+            or self.seed is None
+            or other.seed != self.seed
+        ):
+            raise MergeError("%s merges need equal parameters and an explicit seed" % kind)
+        np.maximum(self._registers, other._registers, out=self._registers)
+
+    def space_breakdown(self) -> SpaceBreakdown:
+        """Return the itemised space cost (``m`` registers of log log n bits)."""
+        breakdown = SpaceBreakdown(self.name)
+        breakdown.add("registers", self.registers * self._register_width)
+        breakdown.add_component("random-oracle", self._oracle)
+        return breakdown
+
+    def space_bits(self) -> int:
+        """Return the counter's space in bits (random oracle not charged)."""
+        return self.space_breakdown().total()
+
+
+class LogLogCounter(_RegisterCounter):
     """The LogLog cardinality estimator (random-oracle model).
 
     Attributes:
@@ -49,7 +154,6 @@ class LogLogCounter(CardinalityEstimator):
     """
 
     name = "loglog"
-    requires_random_oracle = True
 
     def __init__(
         self,
@@ -66,89 +170,20 @@ class LogLogCounter(CardinalityEstimator):
             registers: explicit register count (power of two); overrides ``eps``.
             seed: RNG seed.
         """
-        if universe_size < 2:
-            raise ParameterError("universe_size must be at least 2")
-        self.universe_size = universe_size
-        self.registers = registers if registers is not None else registers_for_eps(eps)
-        if not is_power_of_two(self.registers):
+        registers = registers if registers is not None else registers_for_eps(eps)
+        if not is_power_of_two(registers):
             raise ParameterError("registers must be a power of two")
-        self.seed = seed
-        rng = random.Random(seed)
-        self._register_bits = self.registers.bit_length() - 1
-        hash_bits = max((universe_size - 1).bit_length(), 1) + 8
-        self._value_bits = hash_bits
-        oracle_seed = rng.randrange(1 << 62) if seed is not None else None
-        self._oracle = RandomOracle(universe_size, 1 << (self._register_bits + hash_bits), seed=oracle_seed)
-        register_width = max(math.ceil(math.log2(self._value_bits + 2)), 1)
-        self._registers = PackedCounterArray(self.registers, register_width)
+        super().__init__(universe_size, registers, seed)
         # alpha_m for the LogLog estimator (the m -> infinity constant).
         self._alpha = 0.39701
 
-    def update(self, item: int) -> None:
-        """Route the item to a register and record max(rho)."""
-        if not 0 <= item < self.universe_size:
-            raise ParameterError(
-                "item %d outside universe [0, %d)" % (item, self.universe_size)
-            )
-        value = self._oracle(item)
-        register = value & (self.registers - 1)
-        remainder = value >> self._register_bits
-        rho = lsb(remainder, zero_value=self._value_bits - 1) + 1
-        self._registers.maximize(register, min(rho, (1 << self._registers.width) - 1))
+    def _estimates(self, registers) -> List[float]:
+        """``alpha * m * 2^{mean register}`` per row.
 
-    def update_batch(self, items) -> None:
-        """Vectorized ingestion of a chunk of items (see HyperLogLog's note).
-
-        The register state is a per-register maximum of ``rho`` values, so
-        reducing the whole chunk at once is bit-identical to the loop.
+        Register totals are exact integer sums; the exponentiation uses
+        Python's ``**`` because NumPy's vectorized pow can differ from
+        libm by an ulp.
         """
-        keys = as_key_array(items, self.universe_size)
-        if keys.size == 0:
-            return
-        values = self._oracle.hash_batch_validated(keys)
-        registers = values & np.uint64(self.registers - 1)
-        remainders = values >> np.uint64(self._register_bits)
-        rho = rho_batch(remainders, zero_value=self._value_bits - 1)
-        rho = np.minimum(rho, np.int64((1 << self._registers.width) - 1))
-        self._registers.maximize_many(registers, rho)
-
-    def estimate(self) -> float:
-        """Return ``alpha * m * 2^{mean register}``.
-
-        The register total comes from one bulk
-        :meth:`PackedCounterArray.to_numpy
-        <repro.bitstructs.packed.PackedCounterArray.to_numpy>` read (an
-        exact integer sum), so reporting no longer pays ``m`` Python-level
-        register extractions.
-        """
-        if np is not None:
-            total = int(self._registers.to_numpy().sum())
-        else:  # pragma: no cover - numpy is a declared dependency
-            total = sum(self._registers.get(index) for index in range(self.registers))
-        mean = total / self.registers
-        return self._alpha * self.registers * (2.0 ** mean)
-
-    def merge(self, other: "CardinalityEstimator") -> None:
-        """Take the register-wise maximum of two same-seed counters."""
-        if not isinstance(other, LogLogCounter):
-            raise MergeError("can only merge LogLogCounter with its own kind")
-        if (
-            other.universe_size != self.universe_size
-            or other.registers != self.registers
-            or self.seed is None
-            or other.seed != self.seed
-        ):
-            raise MergeError("LogLog counters must share parameters and an explicit seed")
-        for index in range(self.registers):
-            self._registers.maximize(index, other._registers.get(index))
-
-    def space_breakdown(self) -> SpaceBreakdown:
-        """Return the itemised space cost (``m`` registers of log log n bits)."""
-        breakdown = SpaceBreakdown(self.name)
-        breakdown.add_component("registers", self._registers)
-        breakdown.add_component("random-oracle", self._oracle)
-        return breakdown
-
-    def space_bits(self) -> int:
-        """Return the counter's space in bits (random oracle not charged)."""
-        return self.space_breakdown().total()
+        m = self.registers
+        totals = registers.sum(axis=1, dtype=np.int64)
+        return [self._alpha * m * (2.0 ** (total / m)) for total in totals.tolist()]

@@ -6,18 +6,19 @@
   Figure 4 skeleton.
 * :mod:`repro.bitstructs.vla` — variable-bit-length array
   (Blandford--Blelloch, paper Theorem 8) for the bit-packed offset counters.
-* :mod:`repro.bitstructs.packed` — fixed-width packed counter arrays
-  (RoughEstimator counters, LogLog/HLL registers).
 * :mod:`repro.bitstructs.loglookup` — O(1) natural-log lookup table
   (Appendix A.2, Lemma 7).
 * :mod:`repro.bitstructs.space` — the ``space_bits()`` protocol and
   space-budget helpers used by the Figure-1 space benchmark.
+
+Fixed-width counter arrays (Figure 2/3 counters, LogLog/HLL registers)
+are plain NumPy arrays (:func:`repro.vectorize.counter_dtype`), charged
+at the paper's width by their owners' ``space_bits()``.
 """
 
 from .bitmatrix import BitMatrix
 from .bitvector import BitVector
 from .loglookup import LogLookupTable
-from .packed import PackedCounterArray
 from .space import (
     SizedBits,
     SpaceBreakdown,
@@ -31,7 +32,6 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "LogLookupTable",
-    "PackedCounterArray",
     "SizedBits",
     "SpaceBreakdown",
     "bits_for_counter",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..exceptions import ParameterError
-from ..vectorize import HAS_NUMPY, grouped_or_scatter, np
+from ..vectorize import grouped_or_scatter, np
 
 __all__ = ["BitVector"]
 
@@ -76,10 +76,6 @@ class BitVector:
                 positions; the whole batch is range-validated up front,
                 like :meth:`set` validates per position.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            for index in sorted(set(int(index) for index in indices)):
-                self.set(index, 1)
-            return
         positions = np.asarray(indices, dtype=np.int64).reshape(-1)
         if positions.size == 0:
             return
@@ -102,8 +98,6 @@ class BitVector:
         ``np.unpackbits`` pass; the query-side batch paths use it to scan
         a bitmap without ``length`` Python calls.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            raise ParameterError("BitVector.to_numpy requires numpy")
         return np.unpackbits(
             np.frombuffer(bytes(self._bytes), dtype=np.uint8),
             count=self.length,
@@ -135,19 +129,11 @@ class BitVector:
             raise ParameterError("union_update expects a BitVector")
         if other.length != self.length:
             raise ParameterError("cannot union BitVectors of different lengths")
-        if HAS_NUMPY:
-            merged = np.frombuffer(bytes(self._bytes), dtype=np.uint8) | np.frombuffer(
-                bytes(other._bytes), dtype=np.uint8
-            )
-            self._bytes = bytearray(merged.tobytes())
-            self._ones = int(np.unpackbits(merged).sum())
-            return
-        ones = 0  # pragma: no cover - numpy is a declared dependency
-        for i in range(len(self._bytes)):
-            merged = self._bytes[i] | other._bytes[i]
-            self._bytes[i] = merged
-            ones += bin(merged).count("1")
-        self._ones = ones
+        merged = np.frombuffer(bytes(self._bytes), dtype=np.uint8) | np.frombuffer(
+            bytes(other._bytes), dtype=np.uint8
+        )
+        self._bytes = bytearray(merged.tobytes())
+        self._ones = int(np.unpackbits(merged).sum())
 
     def iter_ones(self) -> Iterator[int]:
         """Yield the indices of the set bits in increasing order."""
@@ -186,12 +172,7 @@ class BitVector:
         if spare and raw[-1] >> (8 - spare):
             raise ParameterError("buffer sets bits beyond the vector length")
         vector._bytes = bytearray(raw)
-        if HAS_NUMPY:
-            vector._ones = int(
-                np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).sum()
-            )
-        else:  # pragma: no cover - numpy is a declared dependency
-            vector._ones = sum(bin(byte).count("1") for byte in raw)
+        vector._ones = int(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).sum())
         return vector
 
     @classmethod

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..bitstructs.space import SpaceBreakdown
 from ..estimators.base import CardinalityEstimator
 from ..exceptions import MergeError, ParameterError, SketchFailure
 from ..hashing.bitops import ceil_log2, is_power_of_two
-from ..vectorize import as_key_array, grouped_max_scatter, np
+from ..vectorize import as_key_array, counter_dtype, grouped_max_scatter, np
 from .balls_bins import invert_occupancy
 from .hashes import F0HashBundle
 from .rough_estimator import RoughEstimator
@@ -69,27 +69,29 @@ def _counter_bits(value: int) -> int:
     return ceil_log2(value + 2)
 
 
+#: The steps of :func:`_counter_bits`: ``C`` costs one bit per ``2^k - 1 <= C``.
+_COST_STEPS = (1 << np.arange(63, dtype=np.int64)) - 1
+
+
 def _total_counter_bits(counters) -> int:
     """Return the paper's ``A``: the sum of :func:`_counter_bits` over counters.
 
-    Counters take few distinct values, so this charges each distinct value
-    once, times its multiplicity.
+    One ``searchsorted`` against :data:`_COST_STEPS` reads every
+    counter's cost at once (0 for an empty ``-1``).
     """
-    values, counts = np.unique(np.asarray(counters, dtype=np.int64), return_counts=True)
-    return sum(
-        _counter_bits(value) * count
-        for value, count in zip(values.tolist(), counts.tolist())
-    )
+    return int(np.searchsorted(_COST_STEPS, counters, side="right").sum())
 
 
 def _shift_and_clamp(counters, shift: int):
-    """Return the counters moved by ``shift`` as an ``int64`` array.
+    """Return the counters moved by ``shift``, in their own dtype.
 
     Steps (a)-(c) of Figure 3: an occupied counter ``C >= 0`` becomes
-    ``max(-1, C + shift)`` and an empty one (``-1``) stays empty.
+    ``max(-1, C + shift)`` and an empty one (``-1``) stays empty.  The
+    shift runs in ``int64``, so no counter wraps on the way.
     """
-    values = np.asarray(counters, dtype=np.int64)
-    return np.where(values >= 0, np.maximum(values + shift, -1), -1)
+    values = counters.astype(np.int64)
+    shifted = np.where(values >= 0, np.maximum(values + shift, -1), -1)
+    return shifted.astype(counters.dtype)
 
 
 class KNWFigure3Sketch(CardinalityEstimator):
@@ -184,11 +186,14 @@ class KNWFigure3Sketch(CardinalityEstimator):
             seed=rough_seed,
             use_uniform_family=rough_uniform_family,
         )
-        self._counters: List[int] = [-1] * self.bins
-        self._bit_budget = _total_counter_bits(self._counters)  # the paper's A
+        # Offsets C_j in {-1} u [0, log n]: a byte each while log n <= 127.
+        self._counters = np.full(
+            self.bins, -1, dtype=counter_dtype(self.hashes.level_limit, signed=True)
+        )
+        self._bit_budget = 0  # the paper's A
         self._base_level = 0  # the paper's b
         self._est_exponent = 0  # the paper's est (2^est is the committed rough estimate)
-        self._occupied = 0  # |{j : C_j >= 0}| maintained incrementally (the T of Step 7)
+        self._occupied = 0  # |{j : C_j >= 0}| (the T of Step 7)
         self._failed = False
 
     # -- update path ----------------------------------------------------------------
@@ -200,12 +205,11 @@ class KNWFigure3Sketch(CardinalityEstimator):
                 "item %d outside universe [0, %d)" % (item, self.universe_size)
             )
         index = self.hashes.main_bin(item)
-        level = self.hashes.level(item)
-        current = self._counters[index]
-        candidate = max(current, level - self._base_level)
-        if candidate != current:
+        candidate = self.hashes.level(item) - self._base_level
+        current = self._counters.item(index)
+        if candidate > current:
             self._bit_budget += _counter_bits(candidate) - _counter_bits(current)
-            if current < 0 <= candidate:
+            if current < 0:
                 self._occupied += 1
             self._counters[index] = candidate
         if self._bit_budget > self.FAIL_FACTOR * self.bins:
@@ -258,18 +262,10 @@ class KNWFigure3Sketch(CardinalityEstimator):
             return
         indices = self.hashes.main_bin_batch(keys, extended_bins=extended_bins)
         levels = self.hashes.level_batch(keys)
-        relative = levels - np.int64(self._base_level)
-        before = np.array(self._counters, dtype=np.int64)
-        after = before.copy()
-        grouped_max_scatter(after, indices, relative)
-        changed = np.nonzero(after != before)[0]
-        for index in changed.tolist():
-            old = int(before[index])
-            new = int(after[index])
-            self._bit_budget += _counter_bits(new) - _counter_bits(old)
-            if old < 0 <= new:
-                self._occupied += 1
-            self._counters[index] = new
+        # An offset below -1 never beats a counter, which is at least -1.
+        relative = np.maximum(levels - np.int64(self._base_level), np.int64(-1))
+        grouped_max_scatter(self._counters, indices, relative)
+        self._count_counters()
 
         self.rough.update_batch(keys)
         rough_estimate = self.rough.estimate()
@@ -285,11 +281,15 @@ class KNWFigure3Sketch(CardinalityEstimator):
             0, self._est_exponent - int(math.log2(self.bins // self.offset_divisor))
         )
         if new_base != self._base_level:
-            counters = _shift_and_clamp(self._counters, self._base_level - new_base)
-            self._counters = counters.tolist()
-            self._occupied = int(np.count_nonzero(counters >= 0))
+            self._counters = _shift_and_clamp(self._counters, self._base_level - new_base)
             self._base_level = new_base
-        self._bit_budget = _total_counter_bits(self._counters)
+        self._count_counters()
+
+    def _count_counters(self) -> None:
+        """Recount ``T`` and the paper's ``A`` from the counters."""
+        counters = self._counters
+        self._occupied = int(np.count_nonzero(counters >= 0))
+        self._bit_budget = _total_counter_bits(counters)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -298,7 +298,7 @@ class KNWFigure3Sketch(CardinalityEstimator):
         return self._failed
 
     def occupied_counters(self) -> int:
-        """Return ``T = |{j : C_j >= 0}|`` (maintained incrementally)."""
+        """Return ``T = |{j : C_j >= 0}|``."""
         return self._occupied
 
     def estimate(self) -> float:
@@ -344,14 +344,12 @@ class KNWFigure3Sketch(CardinalityEstimator):
                 "parameters and an identical, explicit seed"
             )
         target_base = max(self._base_level, other._base_level)
-        merged = np.maximum(
+        self._counters = np.maximum(
             _shift_and_clamp(self._counters, self._base_level - target_base),
             _shift_and_clamp(other._counters, other._base_level - target_base),
         )
-        self._counters = merged.tolist()
         self._base_level = target_base
-        self._occupied = int(np.count_nonzero(merged >= 0))
-        self._bit_budget = _total_counter_bits(merged)
+        self._count_counters()
         self._est_exponent = max(self._est_exponent, other._est_exponent)
         self._failed = self._failed or other._failed
         if self._owns_rough and other._owns_rough:

@@ -10,8 +10,8 @@ extra ``log m`` factor to union-bound over stream positions.
 Structure (three independent copies ``j = 1, 2, 3``, median combined):
 
 * ``K_RE = max(8, log(n)/log log(n))`` counters per copy, each storing the
-  deepest lsb-level of any item hashed to it (``-1`` when empty), packed at
-  ``O(log log n)`` bits per counter;
+  deepest lsb-level of any item hashed to it (``-1`` when empty), charged
+  at ``O(log log n)`` bits per counter;
 * ``h1^j`` pairwise hashing items to levels via ``lsb``;
 * ``h2^j`` pairwise hashing items into a cubically larger domain
   ``[K_RE^3]`` so the surviving items are perfectly hashed w.h.p.;
@@ -30,15 +30,14 @@ import math
 import random
 from typing import List, Optional
 
-from ..bitstructs.packed import PackedCounterArray
-from ..bitstructs.space import SpaceBreakdown
+from ..bitstructs.space import SpaceBreakdown, bits_for_counter
 from ..estimators.base import SerializableState
 from ..exceptions import ParameterError
 from ..hashing.bitops import lsb, lsb_batch
 from ..hashing.kwise import KWiseHash
 from ..hashing.uniform import PaghPaghHash
 from ..hashing.universal import PairwiseHash
-from ..vectorize import as_key_array, np
+from ..vectorize import as_key_array, counter_dtype, grouped_max_scatter, np
 
 __all__ = [
     "RoughEstimator",
@@ -71,7 +70,7 @@ def rough_counter_count(universe_size: int) -> int:
 def threshold_estimates(stored, rank: int):
     """Figure 2's per-copy report for counters along the last axis of ``stored``.
 
-    ``stored`` holds counters shifted by +1 (0 = empty), as the packed
+    ``stored`` holds counters shifted by +1 (0 = empty), as the counter
     arrays keep them.  ``T_r >= rank`` holds exactly when the ``rank``-th
     largest stored value is at least ``r + 1``, so the largest such level
     is that value minus one and the report is ``2^(value - 1) K_RE``; a
@@ -94,10 +93,20 @@ def threshold_estimates(stored, rank: int):
     return np.where(kth >= 1, np.ldexp(float(count), exponents), -1.0)
 
 
-class _RoughCopy:
-    """One of the three independent sub-estimators of Figure 2."""
+def rough_medians(stored, rank: int):
+    """Figure 2's report: the median of the copies' threshold estimates.
 
-    __slots__ = ("counters", "h1", "h2", "h3", "level_limit", "_store_width")
+    ``stored`` is ``(..., copies, K_RE)``: one estimator's counter matrix,
+    or a keyed store's stack of them.  Before the monotone floor.
+    """
+    per_copy = threshold_estimates(stored, rank)
+    return np.sort(per_copy, axis=-1)[..., per_copy.shape[-1] // 2]
+
+
+class _RoughCopy:
+    """The hash functions of one of the three sub-estimators of Figure 2."""
+
+    __slots__ = ("h1", "h2", "h3", "level_limit")
 
     def __init__(
         self,
@@ -107,10 +116,6 @@ class _RoughCopy:
         use_uniform_family: bool,
     ) -> None:
         self.level_limit = max((universe_size - 1).bit_length(), 1)
-        # Counters take values in {-1} u [0, level_limit]; they are stored
-        # shifted by +1 so the packed array holds non-negative values.
-        self._store_width = max((self.level_limit + 1).bit_length(), 1)
-        self.counters = PackedCounterArray(counters, self._store_width, initial_value=0)
         domain_cubed = max(counters ** 3, counters)
         self.h1 = PairwiseHash(universe_size, universe_size, rng=rng)
         self.h2 = PairwiseHash(universe_size, domain_cubed, rng=rng)
@@ -121,48 +126,23 @@ class _RoughCopy:
         else:
             self.h3 = KWiseHash(domain_cubed, counters, independence=2 * counters, rng=rng)
 
-    def update(self, item: int) -> None:
-        level = lsb(self.h1(item), zero_value=self.level_limit)
-        index = self.h3(self.h2(item))
-        stored = self.counters.get(index)
-        if level + 1 > stored:
-            self.counters.set(index, level + 1)
+    def slot(self, item: int):
+        """Return the item's counter and its stored value ``lsb(h1) + 1``.
 
-    def update_batch(self, keys) -> None:
-        """Vectorized copy update: two hash passes plus one grouped max.
-
-        Counters hold the deepest level hashed to them — a pure per-counter
-        maximum — so one ``maximize_many`` over the whole chunk is
-        bit-identical to the scalar loop.  The keys must already be a
-        validated ``uint64`` array (the owning estimator converts once for
-        all three copies).
+        Counters take values in ``{-1} u [0, level_limit]`` and are stored
+        shifted by +1, so an empty counter holds 0.
         """
-        levels = lsb_batch(self.h1.hash_batch_validated(keys), zero_value=self.level_limit)
+        return self.h3(self.h2(item)), lsb(self.h1(item), zero_value=self.level_limit) + 1
+
+    def slots(self, keys):
+        """:meth:`slot` for a validated key array: ``int64`` indices and values."""
+        values = lsb_batch(self.h1.hash_batch_validated(keys), zero_value=self.level_limit)
         indices = self.h3.hash_batch_validated(self.h2.hash_batch_validated(keys))
-        self.counters.maximize_many(indices, levels + np.int64(1))
+        return indices.astype(np.int64), values + np.int64(1)
 
-    def counts_at_least(self, level: int) -> int:
-        """Return ``T_r = |{i : C_i >= level}|`` (stored values are C + 1)."""
-        return self.counters.count_at_least(level + 1)
-
-    def estimate(self, threshold: float) -> float:
-        """Return ``2^{r*} K_RE`` for the largest level meeting the threshold, or -1.
-
-        ``T_r`` is an integer, so ``T_r >= threshold`` is ``T_r >=
-        ceil(threshold)``; one counter read answers every level at once
-        (:func:`threshold_estimates`).  ``threshold`` must be positive.
-        """
-        return float(
-            threshold_estimates(self.counters.to_numpy(), int(math.ceil(threshold)))
-        )
-
-    def space(self) -> SpaceBreakdown:
-        breakdown = SpaceBreakdown("rough-copy")
-        breakdown.add_component("counters", self.counters)
-        breakdown.add_component("h1", self.h1)
-        breakdown.add_component("h2", self.h2)
-        breakdown.add_component("h3", self.h3)
-        return breakdown
+    def space_bits(self) -> int:
+        """The copy's three hash functions."""
+        return self.h1.space_bits() + self.h2.space_bits() + self.h3.space_bits()
 
 
 class RoughEstimator(SerializableState):
@@ -170,6 +150,10 @@ class RoughEstimator(SerializableState):
 
     The estimate is monotonically non-decreasing in the stream position,
     a property the Figure 3 analysis relies on (``est`` only grows).
+
+    The three copies' counters are one ``(3, K_RE)`` array, a byte per
+    counter (two past ``n = 2^254``); :meth:`space_bits` charges the
+    paper's ``O(log log n)`` bits per counter.
 
     Attributes:
         universe_size: the universe size ``n``.
@@ -213,6 +197,10 @@ class RoughEstimator(SerializableState):
             _RoughCopy(universe_size, self.counters_per_copy, rng, use_uniform_family)
             for _ in range(_COPIES)
         ]
+        self._counters = np.zeros(
+            (_COPIES, self.counters_per_copy),
+            dtype=counter_dtype(self._copies[0].level_limit + 1),
+        )
         self._threshold = OCCUPANCY_THRESHOLD_RHO * self.counters_per_copy
         self._monotone_floor = -1.0
 
@@ -222,20 +210,25 @@ class RoughEstimator(SerializableState):
             raise ParameterError(
                 "item %d outside universe [0, %d)" % (item, self.universe_size)
             )
-        for copy in self._copies:
-            copy.update(item)
+        counters = self._counters
+        for row, copy in enumerate(self._copies):
+            index, value = copy.slot(item)
+            if value > counters.item(row, index):
+                counters[row, index] = value
 
     def update_batch(self, items) -> None:
         """Process a chunk of items through all three copies, vectorized.
 
-        Equivalent to the :meth:`update` loop: each copy reduces the whole
-        chunk independently (both ``h3`` families are fixed by the seed).
+        Counters hold the deepest level hashed to them — a pure
+        per-counter maximum — so one grouped maximum per copy is
+        bit-identical to the :meth:`update` loop (both ``h3`` families
+        are fixed by the seed).
         """
         keys = as_key_array(items, self.universe_size)
         if keys.size == 0:
             return
-        for copy in self._copies:
-            copy.update_batch(keys)
+        for counters, copy in zip(self._counters, self._copies):
+            grouped_max_scatter(counters, *copy.slots(keys))
 
     def estimate(self) -> float:
         """Return the current rough estimate (median of the three copies).
@@ -243,9 +236,10 @@ class RoughEstimator(SerializableState):
         Returns ``-1.0`` while no copy has enough occupancy to commit to an
         estimate (the regime ``F0 < K_RE`` where Theorem 1 makes no claim).
         The returned value never decreases over the lifetime of the sketch.
+        ``T_r`` is an integer, so ``T_r >= rho K_RE`` is ``T_r >=
+        ceil(rho K_RE)``.
         """
-        values = sorted(copy.estimate(self._threshold) for copy in self._copies)
-        median = values[len(values) // 2]
+        median = float(rough_medians(self._counters, int(math.ceil(self._threshold))))
         if median > self._monotone_floor:
             self._monotone_floor = median
         return self._monotone_floor
@@ -266,21 +260,24 @@ class RoughEstimator(SerializableState):
             or len(other._copies) != len(self._copies)
         ):
             raise ParameterError("cannot merge RoughEstimators with different parameters")
-        for mine, theirs in zip(self._copies, other._copies):
-            merged = np.maximum(mine.counters.to_numpy(), theirs.counters.to_numpy())
-            mine.counters = PackedCounterArray.from_numpy(merged, mine.counters.width)
+        np.maximum(self._counters, other._counters, out=self._counters)
         if other._monotone_floor > self._monotone_floor:
             self._monotone_floor = other._monotone_floor
 
+    def _copy_bits(self, copy: _RoughCopy) -> int:
+        """One copy's ``K_RE`` counters at the paper's width, plus its hashes."""
+        width = bits_for_counter(copy.level_limit + 1)
+        return self.counters_per_copy * width + copy.space_bits()
+
     def space_bits(self) -> int:
         """Return the total space (three copies)."""
-        return sum(copy.space().total() for copy in self._copies)
+        return sum(self._copy_bits(copy) for copy in self._copies)
 
     def space_breakdown(self) -> SpaceBreakdown:
         """Return an itemised space budget."""
         breakdown = SpaceBreakdown(self.name)
         for index, copy in enumerate(self._copies):
-            breakdown.add("copy-%d" % index, copy.space().total())
+            breakdown.add("copy-%d" % index, self._copy_bits(copy))
         return breakdown
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
@@ -333,11 +330,9 @@ class FastRoughEstimator(RoughEstimator):
         next_level = self._committed_level + 1
         if next_level > self._copies[0].level_limit:
             return
-        hits = 0
-        for copy in self._copies:
-            if copy.counts_at_least(next_level) >= self._threshold:
-                hits += 1
-        if hits >= 2:
+        # T_r per copy: stored values are C + 1, so C >= r is stored > r.
+        occupancy = np.count_nonzero(self._counters > next_level, axis=1)
+        if np.count_nonzero(occupancy >= self._threshold) >= 2:
             self._committed_level = next_level
             self._cached_estimate = float(
                 (1 << next_level) * self.counters_per_copy

@@ -23,7 +23,7 @@ Conventions (matching Section 1.2 of the paper):
 from __future__ import annotations
 
 from ..exceptions import ParameterError
-from ..vectorize import lsb64_batch, np, require_numpy
+from ..vectorize import lsb64_batch, np
 
 __all__ = [
     "WORD_SIZE",
@@ -174,7 +174,6 @@ def lsb_batch(values, zero_value: int):
     Returns:
         An ``int64`` ndarray of bit indices.
     """
-    require_numpy("lsb_batch")
     if values.dtype == object:
         return np.array(
             [lsb(int(value), zero_value=zero_value) for value in values.tolist()],
@@ -189,7 +188,6 @@ def rho_batch(values, zero_value: int):
     LogLog/HyperLogLog record ``rho = lsb + 1`` per item; providing the
     fused form keeps their ``update_batch`` overrides one-liners.
     """
-    require_numpy("rho_batch")
     return lsb_batch(values, zero_value) + np.int64(1)
 
 

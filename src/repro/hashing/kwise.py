@@ -40,7 +40,7 @@ TABLE_CAPACITY = 64
 
 #: Marks a table entry not evaluated yet; every hash value is below the
 #: field prime (< 2^63), so it never collides with one.
-_UNFILLED = np.uint64(2**64 - 1) if np is not None else None
+_UNFILLED = np.uint64(2**64 - 1)
 
 
 @functools.lru_cache(maxsize=TABLE_CAPACITY)

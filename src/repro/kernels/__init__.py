@@ -155,9 +155,9 @@ def _resolve_from_environment():
 def active():
     """Return the active backend, resolving it on first use.
 
-    Resolution is deliberately lazy: importing :mod:`repro` (or even
-    :mod:`repro.vectorize`, which works without numpy) never triggers a
-    compile; the first *kernel call* does.
+    Resolution is deliberately lazy: importing :mod:`repro` (or
+    :mod:`repro.vectorize`) never triggers a compile; the first *kernel
+    call* does.
     """
     global _active, _chosen_by
     if _active is None:
@@ -211,9 +211,8 @@ def kernel_backend_info() -> dict:
 def require_backend(name: str, feature: str) -> None:
     """Raise an actionable error unless the named backend can load.
 
-    The backend-seam counterpart of ``vectorize.require_numpy``: call
-    sites that *need* a specific backend (benchmark gates, forced CI
-    runs) get a message naming the missing prerequisite instead of a
+    Call sites that *need* a specific backend (benchmark gates, forced
+    CI runs) get a message naming the missing prerequisite instead of a
     silent fallback.
     """
     try:

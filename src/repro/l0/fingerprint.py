@@ -33,7 +33,6 @@ from ..vectorize import (
     mod_range,
     mulmod_arrays,
     np,
-    require_numpy,
     residues_mod,
 )
 
@@ -179,7 +178,6 @@ class FingerprintMatrix:
             spread_keys: the ``h2(item)`` values feeding ``h4``.
             deltas: signed frequency changes (``int64`` or object array).
         """
-        require_numpy("FingerprintMatrix.update_many")
         if len(levels) == 0:
             return
         prime = self.prime

@@ -33,7 +33,7 @@ from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
 from ..hashing.bitops import lsb, lsb_batch
 from ..hashing.universal import PairwiseHash
-from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, np
+from ..vectorize import as_delta_array, as_key_array, np
 
 __all__ = ["GangulyStyleL0Estimator"]
 
@@ -136,8 +136,6 @@ class GangulyStyleL0Estimator(TurnstileEstimator):
         in range, and fall back to exact big-int (object-array)
         accumulation otherwise.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return super().update_batch(items, deltas)
         keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
         if keys.size == 0:

@@ -33,7 +33,7 @@ from ..exceptions import MergeError, ParameterError
 from ..hashing.bitops import lsb, lsb_batch
 from ..hashing.kwise import KWiseHash, required_independence
 from ..hashing.universal import PairwiseHash
-from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, mod_range, np
+from ..vectorize import as_delta_array, as_key_array, mod_range, np
 from .fingerprint import FingerprintMatrix
 from .rough_l0 import RoughL0Estimator
 from .small_l0 import SmallL0Recovery
@@ -184,8 +184,6 @@ class KNWHammingNormEstimator(TurnstileEstimator):
         rejected batch leaves the sketch untouched; zero deltas are
         skipped, exactly as the scalar update skips them.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return super().update_batch(items, deltas)
         keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
         live = np.asarray(deltas != 0, dtype=bool)

@@ -24,7 +24,7 @@ from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
 from ..hashing.bitops import lsb, lsb_batch, msb
 from ..hashing.universal import PairwiseHash
-from ..vectorize import HAS_NUMPY, as_delta_array, as_key_array, np
+from ..vectorize import as_delta_array, as_key_array, np
 from .fingerprint import residue_counters
 from .small_l0 import choose_small_prime, make_trial_hashes, trials_for_failure_probability
 
@@ -141,8 +141,6 @@ class RoughL0Estimator(TurnstileEstimator):
         nonzero counts and the live-level word are then recounted, which
         equals the scalar loop's last write per level.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return super().update_batch(items, deltas)
         keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
         if keys.size == 0:

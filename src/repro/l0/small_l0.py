@@ -35,7 +35,6 @@ from ..exceptions import MergeError, ParameterError
 from ..hashing.primes import random_prime
 from ..hashing.universal import PairwiseHash
 from ..vectorize import (
-    HAS_NUMPY,
     as_delta_array,
     as_key_array,
     grouped_residue_sums,
@@ -176,8 +175,6 @@ class SmallL0Recovery(TurnstileEstimator):
         the state is bit-identical to the scalar loop; the whole batch is
         validated before any trial is mutated.
         """
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            return super().update_batch(items, deltas)
         keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
         if keys.size == 0:

@@ -26,7 +26,7 @@ from typing import Any, List, Sequence, Tuple, Union
 
 from ..exceptions import ParameterError
 from ..streams.model import MaterializedStream
-from ..vectorize import HAS_NUMPY, np
+from ..vectorize import np
 
 __all__ = [
     "shard_items",
@@ -51,7 +51,7 @@ def _as_items(source: ItemSource):
                 "use shard_updates for turnstile streams"
             )
         return source.item_array()
-    if HAS_NUMPY and not isinstance(source, np.ndarray):
+    if not isinstance(source, np.ndarray):
         return np.asarray(source)
     return source
 
@@ -86,11 +86,10 @@ def _as_update_arrays(source) -> UpdateShard:
     if isinstance(source, MaterializedStream):
         return source.item_array(), source.delta_array()
     items, deltas = source
-    if HAS_NUMPY:
-        if not isinstance(items, np.ndarray):
-            items = np.asarray(items)
-        if not isinstance(deltas, np.ndarray):
-            deltas = np.asarray(deltas)
+    if not isinstance(items, np.ndarray):
+        items = np.asarray(items)
+    if not isinstance(deltas, np.ndarray):
+        deltas = np.asarray(deltas)
     if len(items) != len(deltas):
         raise ParameterError("turnstile sources need as many deltas as items")
     return items, deltas
@@ -144,8 +143,6 @@ def shard_keyed_updates(keys, items, deltas=None, shards: int = 1) -> List[Keyed
     """
     if shards <= 0:
         raise ParameterError("shard count must be positive")
-    if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-        raise ParameterError("shard_keyed_updates requires numpy")
     key_array = np.asarray(keys)
     item_array = items if isinstance(items, np.ndarray) else np.asarray(items)
     if len(key_array) != len(item_array):

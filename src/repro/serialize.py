@@ -37,8 +37,8 @@ components — hash families, bit structures, shared RNGs) without
   arbitrary importable callables.
 
 The supported value set is deliberately closed: ``None``, ``bool``,
-``int`` (arbitrary precision — the bit-packed counter buffers are
-multi-thousand-bit Python integers), ``float`` (bit-exact via IEEE-754
+``int`` (arbitrary precision — field primes, hash coefficients and ids
+of universes past 2^64 exceed a word), ``float`` (bit-exact via IEEE-754
 encoding), ``str``, ``bytes``, ``bytearray``, ``list``, ``tuple``,
 ``dict``, ``set``/``frozenset``, NumPy arrays and scalars,
 ``random.Random``, and objects of classes defined inside ``repro``.
@@ -66,7 +66,7 @@ from operator import countOf
 from typing import Any, Dict, List, Optional, Tuple
 
 from .exceptions import FormatVersionError, SerializationError
-from .vectorize import HAS_NUMPY, np
+from .vectorize import np
 
 __all__ = [
     "snapshot",
@@ -153,7 +153,7 @@ def _sorted_set(values) -> List[int]:
     insertion order is usually sorted runs (batch paths insert unique,
     sorted keys), which it merges faster than the NumPy round trip.
     """
-    if HAS_NUMPY and len(values) >= _NUMPY_COLUMN:
+    if len(values) >= _NUMPY_COLUMN:
         try:
             column = np.fromiter(values, dtype=np.uint64, count=len(values))
         except OverflowError:  # a negative or wider than 64-bit entry
@@ -181,8 +181,8 @@ def _int_column(column) -> Tuple[bytes, bytes]:
     64-bit sequences, the common case, pack in one C pass into a
     ``uint64`` buffer that NumPy then measures and narrows.
     """
-    values = column if HAS_NUMPY and isinstance(column, np.ndarray) else None
-    if values is None and HAS_NUMPY and len(column) >= _NUMPY_COLUMN:
+    values = column if isinstance(column, np.ndarray) else None
+    if values is None and len(column) >= _NUMPY_COLUMN:
         try:
             values = np.frombuffer(array.array("Q", column), dtype=np.uint64)
         except OverflowError:  # a negative or wider than 64-bit entry
@@ -283,17 +283,12 @@ _ARRAY_DENSE, _ARRAY_SPARSE = range(2)
 #: integer width in either byte order, and object.  The decoder looks the
 #: name up here rather than parsing it, so a payload cannot make NumPy
 #: interpret arbitrary text.
-_ARRAY_DTYPES = (
-    {
-        np.dtype(order + kind + str(width)).str: np.dtype(order + kind + str(width))
-        for order in "<>"
-        for kind in "iu"
-        for width in (1, 2, 4, 8)
-    }
-    | {np.dtype(object).str: np.dtype(object)}
-    if HAS_NUMPY
-    else {}
-)
+_ARRAY_DTYPES = {
+    np.dtype(order + kind + str(width)).str: np.dtype(order + kind + str(width))
+    for order in "<>"
+    for kind in "iu"
+    for width in (1, 2, 4, 8)
+} | {np.dtype(object).str: np.dtype(object)}
 
 
 def _int_array_block(value: "np.ndarray", entries: Optional[List[int]] = None) -> bytes:
@@ -483,7 +478,7 @@ class _Snapshotter:
                 ordered = list(value)
             marker = "__frozenset__" if frozen else "__set__"
             return {marker: [self.encode(entry) for entry in ordered]}
-        if HAS_NUMPY and isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             if value.dtype.kind in "iu":
                 return {"__intarray__": _int_array_block(value)}
             if value.dtype == object:
@@ -504,7 +499,7 @@ class _Snapshotter:
                     "data": np.ascontiguousarray(value).tobytes(),
                 }
             }
-        if HAS_NUMPY and isinstance(value, np.generic):
+        if isinstance(value, np.generic):
             return {"__npscalar__": value.dtype.str, "data": value.tobytes()}
         if isinstance(value, random.Random):
             known = self._memo.get(id(value))

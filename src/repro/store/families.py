@@ -34,15 +34,13 @@ import math
 from typing import List, Optional
 
 from .. import serialize
-from ..baselines.hyperloglog import HyperLogLogCounter, _alpha
+from ..baselines.hyperloglog import HyperLogLogCounter
 from ..baselines.linear_counting import LinearCounter
 from ..baselines.loglog import LogLogCounter
 from ..bitstructs.bitvector import BitVector
-from ..bitstructs.packed import PackedCounterArray
-from ..core.rough_estimator import RoughEstimator, threshold_estimates
+from ..core.rough_estimator import RoughEstimator, rough_medians
 from ..estimators.base import TurnstileEstimator
 from ..exceptions import ParameterError
-from ..hashing.bitops import lsb, lsb_batch, rho_batch
 from ..hashing.kwise import KWiseHash
 from ..vectorize import (
     group_slices,
@@ -63,15 +61,6 @@ __all__ = [
 ]
 
 
-def _counter_dtype(peak: int):
-    """Smallest unsigned dtype holding values up to ``peak``."""
-    if peak <= 0xFF:
-        return np.uint8
-    if peak <= 0xFFFF:
-        return np.uint16
-    return np.uint32
-
-
 _POPCOUNT_TABLE = None
 
 
@@ -89,10 +78,15 @@ class _RegisterSketchArray(SketchArray):
     """Shared struct-of-arrays core of the LogLog-style register sketches.
 
     Rows are ``m``-register sketches whose per-register reduction is a
-    maximum of ``rho`` values; the state is one ``(N, m)`` matrix and a
-    grouped batch reduces with one :func:`grouped_max_scatter` over the
-    flattened ``row * m + register`` index.
+    maximum of ``rho`` values; the state is one ``(N, m)`` matrix whose
+    rows are the sketches' own register arrays, and a grouped batch
+    reduces with one :func:`grouped_max_scatter` over the flattened
+    ``row * m + register`` index.  Hashing and reporting are the
+    sketch class's own.
     """
+
+    #: The sketch class each row is.
+    _sketch_class = None
 
     def __init__(
         self,
@@ -114,21 +108,14 @@ class _RegisterSketchArray(SketchArray):
         """
         super().__init__(universe_size, rows, seed)
         self.eps = eps
-        self._template = self._make_template(
-            universe_size, eps, registers, seed
+        self._template = self._sketch_class(
+            universe_size, eps=eps, registers=registers, seed=seed
         )
         self.registers = self._template.registers
-        self._register_bits = self._template._register_bits
-        self._value_bits = self._template._value_bits
-        self._width = self._template._registers.width
-        self._value_cap = (1 << self._width) - 1
         self._state = np.zeros(
             (self._capacity_for(rows), self.registers),
-            dtype=_counter_dtype(self._value_cap),
+            dtype=self._template._registers.dtype,
         )
-
-    def _make_template(self, universe_size, eps, registers, seed):
-        raise NotImplementedError
 
     # -- geometry --------------------------------------------------------------------
 
@@ -138,24 +125,26 @@ class _RegisterSketchArray(SketchArray):
     # -- ingestion -------------------------------------------------------------------
 
     def _update_scalar(self, row: int, item: int, delta: Optional[int]) -> None:
-        value = self._template._oracle(item)
-        register = value & (self.registers - 1)
-        remainder = value >> self._register_bits
-        rho = min(
-            lsb(remainder, zero_value=self._value_bits - 1) + 1, self._value_cap
-        )
-        if rho > int(self._state[row, register]):
+        register, rho = self._template._slot(item)
+        if rho > self._state.item(row, register):
             self._state[row, register] = rho
 
     def _update_grouped(self, rows, keys, deltas) -> None:
-        values = self._template._oracle.hash_batch_validated(keys)
-        registers = (values & np.uint64(self.registers - 1)).astype(np.int64)
-        remainders = values >> np.uint64(self._register_bits)
-        rho = rho_batch(remainders, zero_value=self._value_bits - 1)
-        rho = np.minimum(rho, np.int64(self._value_cap))
+        registers, rho = self._template._slots(keys)
         flat = rows * np.int64(self.registers) + registers
         target = self._state[: self._rows].reshape(-1)
         grouped_max_scatter(target, flat, rho)
+
+    # -- reporting -------------------------------------------------------------------
+
+    def estimate_all(self) -> List[float]:
+        """Every row's estimate in one sweep."""
+        if self._rows == 0:
+            return []
+        return self._template._estimates(self._state[: self._rows])
+
+    def _estimate_row(self, row: int) -> float:
+        return self._template._estimates(self._state[row : row + 1])[0]
 
     # -- row materialisation ---------------------------------------------------------
 
@@ -165,9 +154,7 @@ class _RegisterSketchArray(SketchArray):
     def export_row(self, row: int):
         self._check_row(row)
         sketch = self.make_sketch()
-        sketch._registers = PackedCounterArray.from_numpy(
-            self._state[row], self._width
-        )
+        sketch._registers = self._state[row].copy()
         return sketch
 
     def import_row(self, row: int, sketch) -> None:
@@ -182,7 +169,7 @@ class _RegisterSketchArray(SketchArray):
                 "import_row needs a same-parameter, same-seed %s"
                 % type(self._template).__name__
             )
-        self._state[row] = sketch._registers.to_numpy().astype(self._state.dtype)
+        self._state[row] = sketch._registers
 
     # -- merging ---------------------------------------------------------------------
 
@@ -206,75 +193,22 @@ class _RegisterSketchArray(SketchArray):
     # -- space -----------------------------------------------------------------------
 
     def space_bits(self) -> int:
-        """Row registers at their packed width; the shared oracle charges 0."""
-        return self._rows * self.registers * self._width
+        """Row registers at the paper's width; the shared oracle charges 0."""
+        return self._rows * self.registers * self._template._register_width
 
 
 class HyperLogLogSketchArray(_RegisterSketchArray):
     """N HyperLogLog counters as an ``(N, m)`` register matrix."""
 
     family = "hyperloglog"
-
-    def _make_template(self, universe_size, eps, registers, seed):
-        return HyperLogLogCounter(
-            universe_size, eps=eps, registers=registers, seed=seed
-        )
-
-    def estimate_all(self) -> List[float]:
-        """Every row's bias-corrected harmonic-mean estimate in one sweep."""
-        if self._rows == 0:
-            return []
-        return self._estimates(self._state[: self._rows])
-
-    def _estimate_row(self, row: int) -> float:
-        return self._estimates(self._state[row : row + 1])[0]
-
-    def _estimates(self, state):
-        # Zero counts and harmonic sums are bulk (vectorized) reductions;
-        # the final assembly runs per row with ``math.log``, because
-        # ``np.log`` can differ from libm by an ulp and row estimates
-        # must equal the scalar sketches' exactly.
-        m = self.registers
-        alpha = _alpha(m)
-        values = state.astype(np.int32)
-        zeros = (values == 0).sum(axis=1).tolist()
-        inverse_sums = np.ldexp(1.0, -values).sum(axis=1).tolist()
-        estimates = []
-        for zero_registers, inverse_sum in zip(zeros, inverse_sums):
-            raw = alpha * m * m / inverse_sum
-            if raw <= 2.5 * m and zero_registers > 0:
-                estimates.append(m * math.log(m / zero_registers))
-            else:
-                estimates.append(raw)
-        return estimates
+    _sketch_class = HyperLogLogCounter
 
 
 class LogLogSketchArray(_RegisterSketchArray):
     """N LogLog counters as an ``(N, m)`` register matrix."""
 
     family = "loglog"
-
-    def _make_template(self, universe_size, eps, registers, seed):
-        return LogLogCounter(universe_size, eps=eps, registers=registers, seed=seed)
-
-    def estimate_all(self) -> List[float]:
-        """Every row's ``alpha * m * 2^{mean register}`` in one sweep."""
-        if self._rows == 0:
-            return []
-        return self._estimates(self._state[: self._rows])
-
-    def _estimate_row(self, row: int) -> float:
-        return self._estimates(self._state[row : row + 1])[0]
-
-    def _estimates(self, state):
-        # Register totals are one bulk (vectorized) reduction; the final
-        # exponentiation uses Python's ``**`` per row because NumPy's
-        # vectorized pow can differ from libm by an ulp, and estimates
-        # must equal the scalar sketches' exactly.
-        m = self.registers
-        alpha = self._template._alpha
-        totals = state.sum(axis=1, dtype=np.int64)
-        return [alpha * m * (2.0 ** (total / m)) for total in totals.tolist()]
+    _sketch_class = LogLogCounter
 
 
 class LinearCountingSketchArray(SketchArray):
@@ -460,12 +394,10 @@ class RoughSketchArray(SketchArray):
         )
         self.counters_per_copy = self._template.counters_per_copy
         self.copies = len(self._template._copies)
-        self._store_width = self._template._copies[0]._store_width
         self._threshold_rank = int(math.ceil(self._template._threshold))
         capacity = self._capacity_for(rows)
-        self._state = np.zeros(
-            (capacity, self.copies, self.counters_per_copy), dtype=np.int64
-        )
+        counters = self._template._counters
+        self._state = np.zeros((capacity,) + counters.shape, dtype=counters.dtype)
         self._floors = np.full(capacity, -1.0, dtype=np.float64)
 
     def _reserve(self, rows: int) -> None:
@@ -479,28 +411,18 @@ class RoughSketchArray(SketchArray):
 
     def _update_scalar(self, row: int, item: int, delta: Optional[int]) -> None:
         for j, copy in enumerate(self._template._copies):
-            level = lsb(copy.h1(item), zero_value=copy.level_limit)
-            index = copy.h3(copy.h2(item))
-            if level + 1 > int(self._state[row, j, index]):
-                self._state[row, j, index] = level + 1
+            index, value = copy.slot(item)
+            if value > self._state.item(row, j, index):
+                self._state[row, j, index] = value
 
     def _update_grouped(self, rows, keys, deltas) -> None:
         stride = self.copies * self.counters_per_copy
         target = self._state[: self._rows].reshape(-1)
         base = rows * np.int64(stride)
         for j, copy in enumerate(self._template._copies):
-            levels = lsb_batch(
-                copy.h1.hash_batch_validated(keys), zero_value=copy.level_limit
-            ) + np.int64(1)
-            indices = copy.h3.hash_batch_validated(
-                copy.h2.hash_batch_validated(keys)
-            )
-            if indices.dtype == object:
-                indices = indices.astype(np.int64)
-            else:
-                indices = indices.astype(np.int64, copy=False)
+            indices, values = copy.slots(keys)
             flat = base + np.int64(j * self.counters_per_copy) + indices
-            grouped_max_scatter(target, flat, levels)
+            grouped_max_scatter(target, flat, values)
 
     # -- reporting -------------------------------------------------------------------
 
@@ -508,20 +430,16 @@ class RoughSketchArray(SketchArray):
         """Every row's monotone rough estimate (median of three copies)."""
         if self._rows == 0:
             return []
-        medians = self._medians(self._state[: self._rows])
+        medians = rough_medians(self._state[: self._rows], self._threshold_rank)
         floors = self._floors[: self._rows]
         np.maximum(floors, medians, out=floors)
         return floors.tolist()
 
     def _estimate_row(self, row: int) -> float:
-        median = float(self._medians(self._state[row : row + 1])[0])
+        median = float(rough_medians(self._state[row], self._threshold_rank))
         if median > self._floors[row]:
             self._floors[row] = median
         return float(self._floors[row])
-
-    def _medians(self, state):
-        per_copy = threshold_estimates(state, self._threshold_rank)
-        return np.sort(per_copy, axis=1)[:, self.copies // 2]
 
     # -- row materialisation ---------------------------------------------------------
 
@@ -531,10 +449,7 @@ class RoughSketchArray(SketchArray):
     def export_row(self, row: int):
         self._check_row(row)
         sketch = self.make_sketch()
-        for j, copy in enumerate(sketch._copies):
-            copy.counters = PackedCounterArray.from_numpy(
-                self._state[row, j], self._store_width
-            )
+        sketch._counters = self._state[row].copy()
         sketch._monotone_floor = float(self._floors[row])
         return sketch
 
@@ -551,8 +466,7 @@ class RoughSketchArray(SketchArray):
                 "import_row needs a same-parameter, same-seed "
                 "polynomial-family RoughEstimator"
             )
-        for j, copy in enumerate(sketch._copies):
-            self._state[row, j] = copy.counters.to_numpy().astype(np.int64)
+        self._state[row] = sketch._counters
         self._floors[row] = float(sketch._monotone_floor)
 
     # -- merging ---------------------------------------------------------------------
@@ -577,12 +491,9 @@ class RoughSketchArray(SketchArray):
         )
 
     def space_bits(self) -> int:
-        """Row counters at their packed width, plus the shared hash bundle."""
-        hashes = sum(
-            copy.h1.space_bits() + copy.h2.space_bits() + copy.h3.space_bits()
-            for copy in self._template._copies
-        )
-        per_row = self.copies * self.counters_per_copy * self._store_width
+        """Row counters at the paper's width, plus the shared hash bundle."""
+        hashes = sum(copy.space_bits() for copy in self._template._copies)
+        per_row = self._template.space_bits() - hashes
         return hashes + self._rows * per_row
 
 

@@ -40,13 +40,7 @@ from typing import List, Optional, Sequence
 
 from ..estimators.base import SerializableState
 from ..exceptions import MergeError, ParameterError, UpdateError
-from ..vectorize import (
-    HAS_NUMPY,
-    as_delta_array,
-    as_key_array,
-    np,
-    require_numpy,
-)
+from ..vectorize import as_delta_array, as_key_array, np
 
 __all__ = ["SketchArray"]
 
@@ -158,7 +152,6 @@ class SketchArray(SerializableState, abc.ABC):
             ``(items, deltas)`` as validated arrays (``deltas`` stays
             ``None`` for insertion-only families).
         """
-        require_numpy("SketchArray batches")
         keys = as_key_array(items, self.universe_size)
         if self.turnstile:
             if deltas is None:
@@ -330,8 +323,6 @@ class SketchArray(SerializableState, abc.ABC):
 
     def _as_row_array(self, rows, expected_length: Optional[int]):
         """Validate a row-index batch: integer dtype, in range, aligned."""
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            require_numpy("SketchArray row batches")
         if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
             values = rows
         else:
@@ -393,6 +384,6 @@ def as_sequence(values) -> Sequence:
     """Return ``values`` as a sequence (materialising iterators once)."""
     if isinstance(values, (list, tuple)):
         return values
-    if HAS_NUMPY and isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
         return values
     return list(values)

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..estimators.base import SerializableState
 from ..exceptions import MergeError, ParameterError
-from ..vectorize import HAS_NUMPY, np, require_numpy
+from ..vectorize import np
 from .families import make_sketch_array
 from .sketch_array import SketchArray
 
@@ -133,7 +133,6 @@ class SketchStore(SerializableState):
         collapses the batch to its distinct keys, so the Python dict is
         consulted once per *distinct* key rather than once per update.
         """
-        require_numpy("SketchStore.update_grouped")
         lookup = self._key_to_row
         arr = keys if isinstance(keys, np.ndarray) else np.asarray(keys)
         if arr.dtype.kind in ("i", "u") and arr.ndim == 1:
@@ -268,8 +267,6 @@ class SketchStore(SerializableState):
         """
         if not isinstance(other, SketchStore):
             raise MergeError("merge_from expects a SketchStore")
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            require_numpy("SketchStore.merge_from")
         self.add_keys(other._keys)
         my_rows = np.fromiter(
             (self._key_to_row[key] for key in other._keys),

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import ParameterError
 from ..hashing.bitops import reverse_bits
-from ..vectorize import HAS_NUMPY, np
+from ..vectorize import np
 from .model import MaterializedStream, Update
 
 __all__ = [
@@ -71,10 +71,7 @@ def iter_item_chunks(items: Iterable[int], chunk_size: int) -> Iterator["object"
         window = list(itertools.islice(iterator, chunk_size))
         if not window:
             return
-        if HAS_NUMPY:
-            yield np.asarray(window, dtype=np.uint64)
-        else:  # pragma: no cover - numpy is a declared dependency
-            yield window
+        yield np.asarray(window, dtype=np.uint64)
 
 
 def _check_universe(universe_size: int) -> None:
@@ -317,55 +314,39 @@ class KeyedWorkload:
     def ground_truth(self) -> Dict[int, int]:
         """Return the exact per-key distinct/support counts (computed once)."""
         if self._truth is None:
-            if HAS_NUMPY:
-                pairs = np.stack(
-                    (
-                        np.asarray(self.keys, dtype=np.int64),
-                        np.asarray(self.items, dtype=np.int64),
-                    ),
-                    axis=1,
+            pairs = np.stack(
+                (
+                    np.asarray(self.keys, dtype=np.int64),
+                    np.asarray(self.items, dtype=np.int64),
+                ),
+                axis=1,
+            )
+            if self.deltas is None:
+                distinct = np.unique(pairs, axis=0)
+                touched, counts = np.unique(distinct[:, 0], return_counts=True)
+            else:
+                # Exact per-key L0: net delta per (key, item) pair, then
+                # count the pairs whose net frequency is non-zero.
+                distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+                net = np.zeros(len(distinct), dtype=np.int64)
+                np.add.at(
+                    net,
+                    inverse.reshape(-1),
+                    np.asarray(self.deltas, dtype=np.int64),
                 )
-                if self.deltas is None:
-                    distinct = np.unique(pairs, axis=0)
-                    touched, counts = np.unique(distinct[:, 0], return_counts=True)
-                else:
-                    # Exact per-key L0: net delta per (key, item) pair, then
-                    # count the pairs whose net frequency is non-zero.
-                    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
-                    net = np.zeros(len(distinct), dtype=np.int64)
-                    np.add.at(
-                        net,
-                        inverse.reshape(-1),
-                        np.asarray(self.deltas, dtype=np.int64),
-                    )
-                    surviving = distinct[net != 0]
-                    touched, counts = np.unique(surviving[:, 0], return_counts=True)
-                    self._truth = dict(
-                        zip(touched.tolist(), (int(c) for c in counts.tolist()))
-                    )
-                    # Keys whose support cancelled entirely still count as
-                    # observed entities with L0 = 0.
-                    for key in np.unique(pairs[:, 0]).tolist():
-                        self._truth.setdefault(int(key), 0)
-                    return self._truth
+                surviving = distinct[net != 0]
+                touched, counts = np.unique(surviving[:, 0], return_counts=True)
                 self._truth = dict(
                     zip(touched.tolist(), (int(c) for c in counts.tolist()))
                 )
-            else:  # pragma: no cover - numpy is a declared dependency
-                if self.deltas is None:
-                    seen: Dict[int, set] = {}
-                    for key, item in zip(self.keys, self.items):
-                        seen.setdefault(int(key), set()).add(int(item))
-                    self._truth = {key: len(values) for key, values in seen.items()}
-                else:
-                    net_by_key: Dict[int, Dict[int, int]] = {}
-                    for key, item, delta in zip(self.keys, self.items, self.deltas):
-                        freqs = net_by_key.setdefault(int(key), {})
-                        freqs[int(item)] = freqs.get(int(item), 0) + int(delta)
-                    self._truth = {
-                        key: sum(1 for value in freqs.values() if value != 0)
-                        for key, freqs in net_by_key.items()
-                    }
+                # Keys whose support cancelled entirely still count as
+                # observed entities with L0 = 0.
+                for key in np.unique(pairs[:, 0]).tolist():
+                    self._truth.setdefault(int(key), 0)
+                return self._truth
+            self._truth = dict(
+                zip(touched.tolist(), (int(c) for c in counts.tolist()))
+            )
         return self._truth
 
 
@@ -403,8 +384,6 @@ def keyed_uniform_stream(
         raise ParameterError("length must be non-negative")
     if distinct_per_key is not None and distinct_per_key <= 0:
         raise ParameterError("distinct_per_key must be positive")
-    if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-        raise ParameterError("keyed_uniform_stream requires numpy")
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, key_count, size=length, dtype=np.int64)
     if distinct_per_key is None:
@@ -523,8 +502,6 @@ def windowed_uniform_stream(
         raise ParameterError("updates_per_epoch must be non-negative")
     if distinct_per_epoch is not None and distinct_per_epoch <= 0:
         raise ParameterError("distinct_per_epoch must be positive")
-    if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-        raise ParameterError("windowed_uniform_stream requires numpy")
     rng = np.random.default_rng(seed)
     length = epochs * updates_per_epoch
     epoch_column = np.repeat(np.arange(epochs, dtype=np.int64), updates_per_epoch)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import ParameterError, StreamFormatError
-from ..vectorize import HAS_NUMPY, np
+from ..vectorize import np
 
 __all__ = [
     "Update",
@@ -143,14 +143,11 @@ class MaterializedStream:
         """
         cached = getattr(self, "_item_array", None)
         if cached is None:
-            if HAS_NUMPY:
-                cached = np.fromiter(
-                    (update.item for update in self._updates),
-                    dtype=np.uint64,
-                    count=len(self._updates),
-                )
-            else:  # pragma: no cover - numpy is a declared dependency
-                cached = [update.item for update in self._updates]
+            cached = np.fromiter(
+                (update.item for update in self._updates),
+                dtype=np.uint64,
+                count=len(self._updates),
+            )
             self._item_array = cached
         return cached
 
@@ -158,14 +155,11 @@ class MaterializedStream:
         """Return the update deltas as an ``int64`` NumPy array (cached)."""
         cached = getattr(self, "_delta_array", None)
         if cached is None:
-            if HAS_NUMPY:
-                cached = np.fromiter(
-                    (update.delta for update in self._updates),
-                    dtype=np.int64,
-                    count=len(self._updates),
-                )
-            else:  # pragma: no cover - numpy is a declared dependency
-                cached = [update.delta for update in self._updates]
+            cached = np.fromiter(
+                (update.delta for update in self._updates),
+                dtype=np.int64,
+                count=len(self._updates),
+            )
             self._delta_array = cached
         return cached
 
@@ -218,11 +212,7 @@ class MaterializedStream:
         """
         cached = getattr(self, "_insertion_only", None)
         if cached is None:
-            if HAS_NUMPY:
-                deltas = self.delta_array()
-                cached = bool((deltas == 1).all())
-            else:  # pragma: no cover - numpy is a declared dependency
-                cached = all(update.delta == 1 for update in self._updates)
+            cached = bool((self.delta_array() == 1).all())
             self._insertion_only = cached
         return cached
 

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..exceptions import ParameterError
 from ..hashing.bitops import reverse_bits
-from ..vectorize import HAS_NUMPY, np, require_numpy
+from ..vectorize import np
 from .generators import KeyedWorkload, WindowedWorkload
 from .model import MaterializedStream, Update
 
@@ -227,7 +227,6 @@ def skewed_stream(
     covers that separately).  The vectorized counterpart of
     :func:`repro.streams.generators.zipf_stream`, accepting ``skew >= 0``.
     """
-    require_numpy("workload zoo generators")
     if length < 0:
         raise ParameterError("length must be non-negative")
     if universe_size <= 0:
@@ -256,7 +255,6 @@ def skewed_keyed_workload(
     covering most updates, and the per-row update counts span orders of
     magnitude.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     rng = np.random.default_rng(seed)
     key_ranks = _zipf_draws(rng, scale.key_count, key_skew, scale.length)
@@ -282,7 +280,6 @@ def skewed_windowed_workload(
     window rollup must deduplicate the same hot identifiers across every
     epoch it merges.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     rng = np.random.default_rng(seed)
     length = scale.epochs * scale.updates_per_epoch
@@ -376,7 +373,6 @@ def churn_keyed_workload(
     grouped turnstile scatter sees interleaved signed updates.  Ground
     truth is the exact per-key support size after cancellation.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     per_key = max(scale.length // (2 * scale.key_count), 1)
     rng = np.random.default_rng(seed)
@@ -417,7 +413,6 @@ def churn_windowed_workload(
     (legal in the turnstile model — exactly the generality the KNW L0
     sketch supports and Ganguly-style non-negative schemes do not).
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     rng = np.random.default_rng(seed)
     per_epoch = max(scale.updates_per_epoch // 2, 1)
@@ -467,7 +462,6 @@ def bursty_stream(
     between bursts — the profile RoughEstimator's "correct at all times"
     guarantee must track.
     """
-    require_numpy("workload zoo generators")
     if universe_size <= 0:
         raise ParameterError("universe_size must be positive")
     if length < 0:
@@ -503,7 +497,6 @@ def bursty_keyed_workload(
     The grouped path degenerates to single-row scatters per batch — the
     opposite extreme from the skew class's many-group batches.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     rng = np.random.default_rng(seed)
     per_key = max(scale.length // scale.key_count, 1)
@@ -539,7 +532,6 @@ def bursty_windowed_workload(
     empty epochs without drift.  There are at least two bursts, so
     even the smallest scale has a gap inside its epoch range.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     if gap_epochs < 1 or burst_epochs < 1:
         raise ParameterError("gap_epochs and burst_epochs must be positive")
@@ -611,7 +603,6 @@ def cold_key_stream(
     one.  Sequential introduction ids map through a seed-deterministic
     permutation, so identifiers themselves carry no counter structure.
     """
-    require_numpy("workload zoo generators")
     if universe_size <= 0:
         raise ParameterError("universe_size must be positive")
     if length <= 0:
@@ -640,7 +631,6 @@ def cold_key_workload(
     geometric over-allocation steps rather than one up-front
     registration — the scaled-down millions-of-cold-keys regime.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     if not 0.0 <= revisit_fraction < 1.0:
         raise ParameterError("revisit_fraction must lie in [0, 1)")
@@ -662,7 +652,6 @@ def cold_key_windowed_workload(
     exact distinct counts — the window rollup must track growth rather
     than re-count a stable population.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     rng = np.random.default_rng(seed)
     length = scale.epochs * scale.updates_per_epoch
@@ -797,7 +786,6 @@ def near_collision_keyed_workload(
     path's sort over structured key values); each update's item comes
     from one shared near-collision identifier set.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     distinct = min(
         max(scale.length // 2, 1),
@@ -827,7 +815,6 @@ def near_collision_windowed_workload(
     Epoch ``e`` draws from a sliding slice of the structured identifier
     set, so consecutive windows share most of their (structured) support.
     """
-    require_numpy("workload zoo generators")
     scale = _require_scale(scale)
     length = scale.epochs * scale.updates_per_epoch
     distinct = min(
@@ -1060,8 +1047,6 @@ def workload_fingerprint(workload) -> bytes:
     """
     from .. import serialize
 
-    if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-        require_numpy("workload_fingerprint")
     if isinstance(workload, MaterializedStream):
         state = {
             "shape": "stream",

@@ -21,8 +21,8 @@ backend in :mod:`repro.kernels` (``REPRO_KERNEL_BACKEND=numpy|compiled|
 auto``, or :func:`repro.kernels.set_backend`).  The NumPy backend
 (:mod:`repro.kernels.numpy_backend`) is the always-available reference;
 the compiled backend fuses each chain into a single C pass.  Backends are
-resolved lazily on the first kernel call — importing this module still
-works without numpy, and never triggers a compile.
+resolved lazily on the first kernel call, so importing this module never
+triggers a compile.
 
 All routines here are *exact* — batch ingestion must produce bit-identical
 sketch state to the scalar loop (``tests/test_batch_equivalence.py``), and
@@ -35,18 +35,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .exceptions import ParameterError
 from . import kernels as _kernels
 
-try:  # pragma: no cover - exercised implicitly by every batch test
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None  # type: ignore[assignment]
-
 __all__ = [
     "np",
-    "HAS_NUMPY",
-    "require_numpy",
     "as_key_array",
     "as_delta_array",
     "residues_mod",
@@ -63,17 +58,18 @@ __all__ = [
     "grouped_or_scatter",
 ]
 
-HAS_NUMPY = np is not None
 
+def counter_dtype(peak: int, signed: bool = False):
+    """The narrowest integer dtype holding every counter value up to ``peak``.
 
-def require_numpy(feature: str) -> None:
-    """Raise a clear error when a vectorized path is hit without numpy."""
-    if not HAS_NUMPY:
-        raise ParameterError(
-            "%s requires numpy; install it (pip install numpy, or the "
-            "package's declared dependencies: pip install .) or use the "
-            "scalar update() API" % feature
-        )
+    Fixed-width counter arrays (registers, Figure 2/3 counters, store
+    rows) keep one such lane per counter: a byte while ``peak`` fits one,
+    then two.  The signed form also holds Figure 3's empty marker ``-1``.
+    """
+    for dtype in (np.int8, np.int16, np.int32) if signed else (np.uint8, np.uint16, np.uint32):
+        if peak <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64 if signed else np.uint64
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +106,6 @@ def as_key_array(
     Raises:
         ParameterError: on negative or out-of-universe identifiers.
     """
-    require_numpy("batch ingestion")
     if isinstance(items, np.ndarray):
         if items.dtype == np.uint64:
             keys = items
@@ -149,6 +144,12 @@ def as_key_array(
                 keys = inferred.astype(np.uint64)
             elif inferred.dtype.kind in ("u", "b"):
                 keys = inferred.astype(np.uint64)
+            elif inferred.dtype.kind == "f" and all(isinstance(v, int) for v in items):
+                # NumPy promotes an int64-range int beside a uint64-range
+                # one (1 and 2^63) to float; such ids are still words.
+                if min(items) < 0:
+                    raise ParameterError("item identifiers must be non-negative")
+                keys = np.asarray(items, dtype=np.uint64)
             else:
                 raise ParameterError("batch items must be integers")
     if keys.ndim != 1:
@@ -190,7 +191,6 @@ def as_delta_array(
         UpdateError: on a length mismatch.
         ParameterError: on non-integer deltas.
     """
-    require_numpy("batch ingestion")
     from .exceptions import UpdateError
 
     if not isinstance(deltas, np.ndarray):

@@ -52,7 +52,7 @@ from ..estimators.base import (
 )
 from ..exceptions import MergeError, ParameterError, UpdateError
 from ..store.store import SketchStore
-from ..vectorize import as_delta_array, as_key_array, np, require_numpy
+from ..vectorize import as_delta_array, as_key_array, np
 
 __all__ = [
     "WindowedSketch",
@@ -76,7 +76,6 @@ def epoch_runs(epochs, expected_length: Optional[int] = None) -> List[Tuple[int,
         ``(epoch, start, stop)`` triples, one per distinct epoch value,
         in stream order; ``[start, stop)`` indexes the update arrays.
     """
-    require_numpy("windowed ingestion")
     values = epochs if isinstance(epochs, np.ndarray) else np.asarray(epochs)
     if values.ndim != 1:
         raise ParameterError("epoch values must form a one-dimensional sequence")

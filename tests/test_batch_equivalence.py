@@ -57,7 +57,7 @@ def _feed_batches(estimator, items, batch_size):
 
 
 def _hll_state(est):
-    return est._registers.to_list()
+    return est._registers.tolist()
 
 
 def _fm_state(est):
@@ -77,7 +77,7 @@ def _bjkst_state(est):
 
 
 def _rough_state(est):
-    return [copy.counters.to_list() for copy in est._copies]
+    return est._counters.tolist()
 
 
 def _fast_rough_state(est):
@@ -86,7 +86,7 @@ def _fast_rough_state(est):
 
 def _fig3_state(est):
     return (
-        est._counters,
+        est._counters.tolist(),
         est._base_level,
         est._est_exponent,
         est._occupied,

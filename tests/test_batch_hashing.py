@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.bitstructs.bitvector import BitVector
-from repro.bitstructs.packed import PackedCounterArray
 from repro.analysis.runner import run_f0, run_f0_by_name
 from repro.core.hashes import F0HashBundle
+from repro.estimators.registry import make_f0_estimator
 from repro.exceptions import ParameterError
 from repro.hashing.bitops import lsb, lsb_batch, rho_batch
 from repro.hashing.kwise import KWiseHash
@@ -203,18 +203,27 @@ def test_as_delta_array_keeps_every_int_exact():
         as_delta_array([2**63, 0.5])
 
 
-def test_packed_counter_maximize_many_matches_loop():
-    scalar = PackedCounterArray(32, 6)
-    batched = PackedCounterArray(32, 6)
-    rng = random.Random(8)
-    pairs = [(rng.randrange(32), rng.randrange(60)) for _ in range(500)]
-    for index, value in pairs:
-        scalar.maximize(index, value)
-    batched.maximize_many(
-        np.asarray([p[0] for p in pairs], dtype=np.int64),
-        np.asarray([p[1] for p in pairs], dtype=np.int64),
-    )
-    assert scalar.to_list() == batched.to_list()
+def test_as_key_array_keeps_every_word_exact():
+    """Ids on both sides of 2^63 stay exact ``uint64`` keys, not floats."""
+    for items in ([1, 2**63], [0, 2**64 - 1]):
+        keys = as_key_array(items, 1 << 64)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == items
+    with pytest.raises(ParameterError):
+        as_key_array([1, 2.5], 1 << 64)
+    with pytest.raises(ParameterError):
+        as_key_array([-1, 2**63], 1 << 64)
+
+
+@pytest.mark.parametrize("name", ["knw-paper", "hyperloglog"])
+def test_word_ids_past_2_63_batch_like_the_scalar_loop(name):
+    items = [1, 2**63, 2**64 - 1]
+    scalar = make_f0_estimator(name, 1 << 64, 0.1, 5)
+    batched = make_f0_estimator(name, 1 << 64, 0.1, 5)
+    for item in items:
+        scalar.update(item)
+    batched.update_batch(items)
+    assert batched.to_bytes() == scalar.to_bytes()
 
 
 def test_bitvector_set_many_matches_loop():

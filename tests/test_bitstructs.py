@@ -1,16 +1,12 @@
-"""Tests for the bit-level data structures (bitvector, bitmatrix, VLA, packed)."""
+"""Tests for the bit-level data structures (bitvector, bitmatrix, VLA)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bitstructs import (
     BitMatrix,
     BitVector,
-    PackedCounterArray,
     SpaceBreakdown,
     VariableBitLengthArray,
     bits_for_counter,
@@ -181,86 +177,6 @@ class TestVariableBitLengthArray:
         array = VariableBitLengthArray(4)
         with pytest.raises(ParameterError):
             array.read(4)
-
-
-class TestPackedCounterArray:
-    def test_initial_value_replicated(self):
-        array = PackedCounterArray(10, 4, initial_value=7)
-        assert array.to_list() == [7] * 10
-
-    def test_set_get_width_respected(self):
-        array = PackedCounterArray(8, 5)
-        array.set(0, 31)
-        array.set(7, 1)
-        assert array.get(0) == 31
-        assert array.get(7) == 1
-        with pytest.raises(ParameterError):
-            array.set(1, 32)
-
-    def test_neighbouring_entries_do_not_interfere(self):
-        array = PackedCounterArray(16, 3)
-        for index in range(16):
-            array.set(index, index % 8)
-        assert array.to_list() == [index % 8 for index in range(16)]
-
-    def test_maximize(self):
-        array = PackedCounterArray(4, 4)
-        assert array.maximize(2, 9) == 9
-        assert array.maximize(2, 3) == 9
-        assert array.get(2) == 9
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        width=st.integers(1, 12),
-        data=st.data(),
-    )
-    def test_maximize_many_matches_per_pair_loop(self, width, data):
-        length = data.draw(st.integers(1, 40), label="length")
-        value = st.integers(0, (1 << width) - 1)
-        start = data.draw(st.lists(value, min_size=length, max_size=length), label="start")
-        pairs = data.draw(
-            st.lists(st.tuples(st.integers(0, length - 1), value), max_size=200),
-            label="pairs",
-        )
-        batch = PackedCounterArray.from_values(start, width)
-        loop = PackedCounterArray.from_values(start, width)
-        batch.maximize_many(
-            np.array([index for index, _ in pairs], dtype=np.uint64),
-            np.array([v for _, v in pairs], dtype=np.int64),
-        )
-        for index, v in pairs:
-            loop.maximize(index, v)
-        assert batch.to_list() == loop.to_list()
-        assert batch._buffer == loop._buffer
-
-    def test_maximize_many_rejects_over_width_growth(self):
-        array = PackedCounterArray.from_values([1, 2, 3, 4], width=3)
-        with pytest.raises(ParameterError, match="does not fit"):
-            array.maximize_many(np.array([0, 2]), np.array([5, 8]))
-        assert array.to_list() == [1, 2, 3, 4]
-        with pytest.raises(ParameterError, match="does not fit"):
-            array.maximize(2, 8)
-
-    @pytest.mark.parametrize("bad", [-1, 4, 1 << 40])
-    def test_maximize_many_rejects_out_of_range_index(self, bad):
-        array = PackedCounterArray.from_values([1, 2, 3, 4], width=3)
-        with pytest.raises(ParameterError, match="outside"):
-            array.maximize_many(np.array([0, bad]), np.array([5, 5]))
-        assert array.to_list() == [1, 2, 3, 4]
-
-    def test_count_at_least(self):
-        array = PackedCounterArray.from_values([0, 1, 5, 7, 2], width=3)
-        assert array.count_at_least(2) == 3
-        assert array.count_at_least(0) == 5
-        assert array.count_at_least(7) == 1
-
-    def test_fill(self):
-        array = PackedCounterArray(6, 4)
-        array.fill(9)
-        assert array.to_list() == [9] * 6
-
-    def test_space(self):
-        assert PackedCounterArray(20, 5).space_bits() == 100
 
 
 class TestSpaceHelpers:

@@ -523,17 +523,3 @@ def test_auto_falls_back_with_single_warning_when_compiled_unavailable(tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["numpy", "1"]
 
-
-def test_require_numpy_error_names_install_route():
-    from repro.vectorize import require_numpy
-
-    require_numpy("anything")  # numpy present here: no raise
-    import repro.vectorize as vectorize
-
-    saved = vectorize.HAS_NUMPY
-    vectorize.HAS_NUMPY = False
-    try:
-        with pytest.raises(Exception, match="pip install numpy"):
-            require_numpy("batch ingestion")
-    finally:
-        vectorize.HAS_NUMPY = saved

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,17 @@ def _loop_shift(counters, shift):
     return [max(-1, value + shift) if value >= 0 else -1 for value in counters]
 
 
+def _set_counters(sketch, values):
+    """Store a list of counters in the sketch's own array dtype."""
+    sketch._counters = np.array(values, dtype=sketch._counters.dtype)
+
+
+def _loop_recount(sketch):
+    values = sketch._counters.tolist()
+    sketch._occupied = sum(1 for value in values if value >= 0)
+    sketch._bit_budget = sum(ceil_log2(value + 2) for value in values)
+
+
 def _loop_rebase(sketch, rough_estimate):
     """``KNWFigure3Sketch._rebase`` as a loop over the counters."""
     sketch._est_exponent = max(int(math.ceil(math.log2(rough_estimate))), 0)
@@ -243,28 +255,29 @@ def _loop_rebase(sketch, rough_estimate):
         0, sketch._est_exponent - int(math.log2(sketch.bins // sketch.offset_divisor))
     )
     if new_base != sketch._base_level:
-        sketch._counters = _loop_shift(sketch._counters, sketch._base_level - new_base)
-        sketch._occupied = sum(1 for value in sketch._counters if value >= 0)
+        shift = sketch._base_level - new_base
+        _set_counters(sketch, _loop_shift(sketch._counters.tolist(), shift))
         sketch._base_level = new_base
-    sketch._bit_budget = sum(ceil_log2(value + 2) for value in sketch._counters)
+    _loop_recount(sketch)
 
 
 def _loop_merge(sketch, other):
     """``KNWFigure3Sketch.merge`` (and ``RoughEstimator.merge_max``) as loops."""
     target = max(sketch._base_level, other._base_level)
-    mine = _loop_shift(sketch._counters, sketch._base_level - target)
-    theirs = _loop_shift(other._counters, other._base_level - target)
-    sketch._counters = [max(a, b) for a, b in zip(mine, theirs)]
+    mine = _loop_shift(sketch._counters.tolist(), sketch._base_level - target)
+    theirs = _loop_shift(other._counters.tolist(), other._base_level - target)
+    _set_counters(sketch, [max(a, b) for a, b in zip(mine, theirs)])
     sketch._base_level = target
-    sketch._occupied = sum(1 for value in sketch._counters if value >= 0)
-    sketch._bit_budget = sum(ceil_log2(value + 2) for value in sketch._counters)
+    _loop_recount(sketch)
     sketch._est_exponent = max(sketch._est_exponent, other._est_exponent)
     sketch._failed = sketch._failed or other._failed
     if sketch._owns_rough and other._owns_rough:
         rough, other_rough = sketch.rough, other.rough
-        for copy, other_copy in zip(rough._copies, other_rough._copies):
-            for index in range(copy.counters.length):
-                copy.counters.maximize(index, other_copy.counters.get(index))
+        counters, other_counters = rough._counters, other_rough._counters
+        for row in range(counters.shape[0]):
+            for index in range(counters.shape[1]):
+                if other_counters[row, index] > counters[row, index]:
+                    counters[row, index] = other_counters[row, index]
         rough._monotone_floor = max(rough._monotone_floor, other_rough._monotone_floor)
         rough_estimate = rough.estimate()
         if rough_estimate > float(1 << sketch._est_exponent):
@@ -283,10 +296,11 @@ def _random_sketch(data, label):
     if items:
         sketch.update_batch(items)
     if data.draw(st.booleans(), label=label + " arbitrary counters"):
-        sketch._counters = data.draw(
+        counters = data.draw(
             st.lists(st.integers(-1, 12), min_size=64, max_size=64),
             label=label + " counters",
         )
+        _set_counters(sketch, counters)
         sketch._base_level = data.draw(st.integers(0, 9), label=label + " base")
     if data.draw(st.booleans(), label=label + " failed"):
         sketch._failed = True
@@ -303,7 +317,8 @@ def test_array_merge_matches_the_counter_loops(data):
     _loop_merge(oracle, other)
     assert sketch.to_bytes() == oracle.to_bytes()
     assert other.to_bytes() == other_before
-    assert all(type(value) is int for value in sketch._counters)
+    assert sketch._counters.dtype == np.int8
+    assert type(sketch._occupied) is int and type(sketch._bit_budget) is int
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,9 +329,11 @@ def test_array_merge_matches_the_counter_loops(data):
 )
 def test_array_rebase_matches_the_counter_loop(counters, base, exponent):
     sketch = KNWFigure3Sketch(UNIVERSE, bins=64, seed=41, offset_divisor=2)
-    sketch._counters, sketch._base_level = counters, base
+    _set_counters(sketch, counters)
+    sketch._base_level = base
     oracle = copy.deepcopy(sketch)
     sketch._rebase(float(1 << exponent) + 0.5)
     _loop_rebase(oracle, float(1 << exponent) + 0.5)
     assert sketch.to_bytes() == oracle.to_bytes()
-    assert all(type(value) is int for value in sketch._counters)
+    assert sketch._counters.dtype == np.int8
+    assert type(sketch._occupied) is int and type(sketch._bit_budget) is int

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.bitstructs import (
     BitVector,
     LogLookupTable,
-    PackedCounterArray,
     VariableBitLengthArray,
 )
 from repro.core.balls_bins import expected_occupied_bins, invert_occupancy
@@ -83,16 +82,6 @@ def test_vla_round_trip(values):
     array = VariableBitLengthArray.from_values(values)
     assert array.to_list() == values
     assert array.payload_bits() == sum(max(v.bit_length(), 1) for v in values)
-
-
-@given(
-    st.integers(min_value=1, max_value=64),
-    st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=100),
-)
-def test_packed_counters_round_trip(width, values):
-    width = max(width, 8)
-    array = PackedCounterArray.from_values(values, width=width)
-    assert array.to_list() == values
 
 
 @given(st.integers(min_value=8, max_value=2048))

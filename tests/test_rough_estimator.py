@@ -7,22 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitstructs import PackedCounterArray
+import repro.core.rough_estimator as rough_module
 from repro.core import FastRoughEstimator, RoughEstimator, rough_counter_count
+from repro.core.rough_estimator import threshold_estimates
 from repro.exceptions import ParameterError
 from repro.streams import distinct_items_stream, growing_then_repeating_stream
+from repro.vectorize import grouped_max_scatter
 
 
-def _level_walk(copy, threshold):
+def _level_walk(stored, level_limit, threshold):
     """Figure 2's report, one ``T_r`` count per level from the top down.
 
-    This is the rule as ``_RoughCopy.estimate`` first ran it; the
-    one-read ``np.partition`` form must agree with it exactly.
+    This is the rule as a rough copy first ran it, over one copy's
+    stored counters (``C + 1``); the one-read ``np.partition`` form must
+    agree with it exactly.
     """
-    for level in range(copy.level_limit, -1, -1):
-        if copy.counts_at_least(level) >= threshold:
-            return float((1 << level) * copy.counters.length)
+    for level in range(level_limit, -1, -1):
+        if sum(1 for value in stored if value >= level + 1) >= threshold:
+            return float((1 << level) * len(stored))
     return -1.0
+
+
+def _copy_estimate(stored, threshold):
+    """One copy's report as :meth:`RoughEstimator.estimate` rounds it."""
+    return float(threshold_estimates(np.asarray(stored), int(np.ceil(threshold))))
 
 
 class TestParameters:
@@ -116,25 +124,22 @@ class TestGuarantees:
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_merge_max_equals_the_maximize_many_form(self, uniform):
-        """One ``np.maximum`` and one repack per copy, against the scatter form."""
+        """One ``np.maximum`` over the counter matrix, against the scatter form."""
         rng = np.random.default_rng(17)
         for trial in range(20):
             left = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
             right = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
             oracle = RoughEstimator(1 << 20, seed=trial, use_uniform_family=uniform)
             for sketch in (left, right):
-                for copy in sketch._copies:
-                    peak = copy.counters._mask + 1
-                    values = rng.integers(0, peak, size=copy.counters.length)
-                    copy.counters = PackedCounterArray.from_numpy(values, copy.counters.width)
+                peak = sketch._copies[0].level_limit + 2
+                sketch._counters[:] = rng.integers(0, peak, size=sketch._counters.shape)
                 sketch._monotone_floor = float(rng.integers(-1, 64))
             oracle.load_state_dict(left.state_dict())
-            for mine, theirs in zip(oracle._copies, right._copies):
-                mine.counters.maximize_many(
-                    np.arange(mine.counters.length), theirs.counters.to_numpy()
-                )
+            for mine, theirs in zip(oracle._counters, right._counters):
+                grouped_max_scatter(mine, np.arange(len(mine)), theirs.astype(np.int64))
             oracle._monotone_floor = max(oracle._monotone_floor, right._monotone_floor)
             left.merge_max(right)
+            assert left._counters.dtype == np.uint8
             assert left.state_dict() == oracle.state_dict()
 
     def test_merge_max_rejects_mismatched(self):
@@ -177,10 +182,10 @@ class TestOneReadEstimate:
     )
     def test_matches_level_walk(self, universe_bits, counters, data):
         estimator = RoughEstimator(1 << universe_bits, counters_per_copy=counters, seed=1)
-        copy = estimator._copies[0]
+        level_limit = estimator._copies[0].level_limit
         stored = data.draw(
             st.lists(
-                st.integers(0, copy.level_limit + 1), min_size=counters, max_size=counters
+                st.integers(0, level_limit + 1), min_size=counters, max_size=counters
             ),
             label="stored",
         )
@@ -192,30 +197,31 @@ class TestOneReadEstimate:
             ),
             label="threshold",
         )
-        copy.counters = PackedCounterArray.from_values(stored, copy._store_width)
-        got = copy.estimate(threshold)
-        assert type(got) is float
-        assert got == _level_walk(copy, threshold)
+        row = np.asarray(stored, dtype=estimator._counters.dtype)
+        got = _copy_estimate(row, threshold)
+        assert got == _level_walk(stored, level_limit, threshold)
+        # Three equal rows: the estimator's median is that row's report.
+        estimator._counters[:] = row
+        assert estimator.estimate() == _level_walk(stored, level_limit, estimator._threshold)
 
     def test_empty_counters_and_rank_above_k_re(self):
         estimator = RoughEstimator(1 << 16, counters_per_copy=8, seed=2)
-        copy = estimator._copies[0]
-        assert copy.estimate(estimator._threshold) == -1.0
-        copy.counters = PackedCounterArray.from_values([17] * 8, copy._store_width)
+        assert estimator.estimate() == -1.0
+        top = [17] * 8
         # Every counter at the top level: rank K_RE still qualifies, K_RE + 1 never.
-        assert copy.estimate(8.0) == float((1 << 16) * 8) == _level_walk(copy, 8.0)
-        assert copy.estimate(8.5) == -1.0 == _level_walk(copy, 8.5)
-        assert copy.estimate(9.0) == -1.0 == _level_walk(copy, 9.0)
+        assert _copy_estimate(top, 8.0) == float((1 << 16) * 8) == _level_walk(top, 16, 8.0)
+        assert _copy_estimate(top, 8.5) == -1.0 == _level_walk(top, 16, 8.5)
+        assert _copy_estimate(top, 9.0) == -1.0 == _level_walk(top, 16, 9.0)
 
     def test_estimate_reads_the_counters_once(self, monkeypatch):
         estimator = RoughEstimator(1 << 20, counters_per_copy=20, seed=3)
         estimator.update_batch(list(range(0, 1 << 20, 97)))
         reads = []
-        original = PackedCounterArray.to_numpy
+        original = rough_module.threshold_estimates
         monkeypatch.setattr(
-            PackedCounterArray,
-            "to_numpy",
-            lambda self: reads.append(1) or original(self),
+            rough_module,
+            "threshold_estimates",
+            lambda stored, rank: reads.append(stored.shape) or original(stored, rank),
         )
         estimator.estimate()
-        assert len(reads) == len(estimator._copies)
+        assert reads == [(len(estimator._copies), 20)]
