@@ -10,10 +10,16 @@ ingest at least 10x faster through the batch path.  The KNW estimators are
 reported alongside (their batch speedups are far larger, since their
 scalar updates do the most per-item Python work) together with a
 batch-size sensitivity row.
+
+Each family's scalar and batch rates are timed back to back, and every
+family once per round, in :data:`ROUNDS` rounds; a row records the median
+over the rounds and a speedup the median of the rounds' ratios, so a
+slow stretch of the host moves every row alike instead of one.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -39,6 +45,9 @@ BATCH_LENGTH = 1 << 17
 #: Estimators under the assertion gate and their required speedups.
 GATED = {"hyperloglog": 10.0, "kmv": 10.0}
 
+#: Interleaved rounds behind each table row.
+ROUNDS = 5
+
 
 def _stream() -> np.ndarray:
     rng = np.random.default_rng(20100607)
@@ -60,10 +69,6 @@ def _batch_rate(estimator, items, batch_length=BATCH_LENGTH) -> float:
     return len(items) / (time.perf_counter() - start)
 
 
-def _best_of(measure, rounds: int = 3) -> float:
-    return max(measure() for _ in range(rounds))
-
-
 FACTORIES = {
     "hyperloglog": lambda: HyperLogLogCounter(BENCH_UNIVERSE, eps=0.05, seed=1),
     "kmv": lambda: KMinimumValues(BENCH_UNIVERSE, eps=0.05, seed=2),
@@ -79,12 +84,19 @@ def test_batch_throughput_table(benchmark):
     np.unique(np.arange(4, dtype=np.uint64))  # trigger numpy lazy imports
 
     def experiment():
-        rows = {}
-        for name, factory in FACTORIES.items():
-            scalar = _best_of(lambda: _scalar_rate(factory(), item_list))
-            batch = _best_of(lambda: _batch_rate(factory(), items))
-            rows[name] = (scalar, batch, batch / scalar)
-        return rows
+        rounds = {name: [] for name in FACTORIES}
+        for _ in range(ROUNDS):
+            for name, factory in FACTORIES.items():
+                scalar = _scalar_rate(factory(), item_list)
+                rounds[name].append((scalar, _batch_rate(factory(), items)))
+        return {
+            name: (
+                statistics.median(scalar for scalar, _ in pairs),
+                statistics.median(batch for _, batch in pairs),
+                statistics.median(batch / scalar for scalar, batch in pairs),
+            )
+            for name, pairs in rounds.items()
+        }
 
     rows = run_once(benchmark, experiment)
     lines = ["%-12s %14s %14s %9s" % ("algorithm", "scalar it/s", "batch it/s", "speedup")]

@@ -16,6 +16,11 @@ passes should dominate:
 * ``grouped_max`` / ``grouped_or`` — the sketch-store register scatters.
 * ``mulmod_arrays`` — the element-by-element field multiply.
 * ``lsb`` — the batched least-significant-bit extraction.
+* ``knw_chain`` — ``hashed_max_scatter``, the whole Figure 3 update of a
+  KNW sketch at eps = 0.05 and ``n = 2^32``: ``h1``/``h2`` over
+  2^61 - 1, the bundle ``h3`` above, 512 ``int8`` counters and the 1024
+  small-F0 bits.  Each backend runs as the active one, so the NumPy
+  row's hash passes are NumPy's too.
 
 Acceptance gate (asserted at full scale when the compiled backend is
 available): the compiled backend must beat the NumPy reference by >= 5x
@@ -31,6 +36,7 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import random
 import time
 
 import numpy as np
@@ -38,7 +44,9 @@ import pytest
 from conftest import emit, metric, record, run_once
 
 from repro.exceptions import KernelBackendError
-from repro.kernels import available_backends, load_backend
+from repro.hashing.kwise import KWiseHash
+from repro.hashing.universal import PairwiseHash
+from repro.kernels import available_backends, get_backend, load_backend, set_backend
 
 #: Full-scale default; override via the environment for smoke runs.
 ELEMENTS = int(os.environ.get("BENCH_KERNEL_ITEMS", 1_000_000))
@@ -94,6 +102,22 @@ def _inputs():
         backend.grouped_residue_sums(counters, groups, field, MERSENNE61)
         return counters
 
+    draw = random.Random(0xBE7C)
+    h1 = PairwiseHash(1 << 32, 1 << 32, rng=draw)
+    h2 = PairwiseHash(1 << 32, BUNDLE_H3_DOMAIN, rng=draw)
+    h3 = KWiseHash(BUNDLE_H3_DOMAIN, BUNDLE_H3_RANGE, BUNDLE_H3_K, coefficients=bundle_h3)
+
+    def knw_chain(backend):
+        counters = np.full(BUNDLE_H3_RANGE // 2, -1, dtype=np.int8)
+        bits = np.zeros(BUNDLE_H3_RANGE // 8, dtype=np.uint8)
+        active = get_backend()
+        set_backend(backend.name)
+        try:
+            backend.hashed_max_scatter(counters, keys, h1, h2, h3, -3, -1, 32, bits)
+        finally:
+            set_backend(active)
+        return np.concatenate([counters.view(np.uint8), bits])
+
     kernels = {
         "hash_affine": lambda backend: backend.affine_mod_range(
             a, b, keys, MERSENNE61, 1 << 32, 1 << 16
@@ -115,6 +139,7 @@ def _inputs():
             field, keys, MERSENNE61, 1 << 32
         ),
         "lsb": lambda backend: backend.lsb64_batch(keys, 64),
+        "knw_chain": knw_chain,
     }
     return kernels
 

@@ -84,12 +84,22 @@ class BitVector:
             raise ParameterError(
                 "bit index %d outside [0, %d)" % (bad, self.length)
             )
-        # frombuffer over the bytearray is a writable zero-copy view, so
-        # the OR-scatter mutates the vector's own storage in place.
-        buffer = np.frombuffer(self._bytes, dtype=np.uint8)
         masks = (1 << (positions & np.int64(7))).astype(np.uint8)
-        grouped_or_scatter(buffer, positions >> np.int64(3), masks)
-        self._ones = int(np.unpackbits(buffer).sum())
+        grouped_or_scatter(self.byte_view(), positions >> np.int64(3), masks)
+        self.recount()
+
+    def byte_view(self):
+        """A writable zero-copy ``uint8`` view of the storage.
+
+        Bit ``i`` is bit ``i & 7`` of byte ``i >> 3``.  A kernel that sets
+        bits through the view leaves :meth:`count_ones` stale until
+        :meth:`recount`.
+        """
+        return np.frombuffer(self._bytes, dtype=np.uint8)
+
+    def recount(self) -> None:
+        """Recompute the ones count from the storage, with one popcount pass."""
+        self._ones = int(np.unpackbits(self.byte_view()).sum())
 
     def to_numpy(self):
         """Return all bits as a ``uint8`` 0/1 ndarray in one bulk read.
@@ -133,7 +143,7 @@ class BitVector:
             bytes(other._bytes), dtype=np.uint8
         )
         self._bytes = bytearray(merged.tobytes())
-        self._ones = int(np.unpackbits(merged).sum())
+        self.recount()
 
     def iter_ones(self) -> Iterator[int]:
         """Yield the indices of the set bits in increasing order."""
@@ -172,7 +182,7 @@ class BitVector:
         if spare and raw[-1] >> (8 - spare):
             raise ParameterError("buffer sets bits beyond the vector length")
         vector._bytes = bytearray(raw)
-        vector._ones = int(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).sum())
+        vector.recount()
         return vector
 
     @classmethod

@@ -26,11 +26,10 @@ from typing import Optional
 
 from ..bitstructs.space import SpaceBreakdown
 from ..exceptions import ParameterError
-from ..hashing.bitops import is_power_of_two, lsb, lsb_batch
+from ..hashing.bitops import is_power_of_two, lsb
 from ..hashing.kwise import KWiseHash, required_independence
 from ..hashing.siegel import SiegelHash
 from ..hashing.universal import PairwiseHash
-from ..vectorize import as_key_array, np
 
 __all__ = ["F0HashBundle"]
 
@@ -118,50 +117,6 @@ class F0HashBundle:
         """
         self._last_item = -1
         self._last_extended_bin = -1
-
-    # -- batch forms ---------------------------------------------------------------
-
-    def level_batch(self, items):
-        """Return ``lsb(h1(item))`` for a whole chunk (``int64`` ndarray).
-
-        The batch counterpart of :meth:`level`: one pairwise-hash pass and
-        one vectorized de Bruijn extraction.
-        """
-        keys = as_key_array(items, self.universe_size)
-        # lsb_batch handles object-dtype hashes (universes beyond 2^61)
-        # exactly, via the scalar lsb.
-        return lsb_batch(self.h1.hash_batch_validated(keys), zero_value=self._level_limit)
-
-    def extended_bin_batch(self, items):
-        """Return ``h3(h2(item))`` in ``[0, 2K)`` for a whole chunk.
-
-        The combined estimator computes this once per chunk and shares the
-        result between the small-F0 subroutine and the Figure 3 core —
-        the batch equivalent of the scalar one-entry memo below.
-        """
-        keys = as_key_array(items, self.universe_size)
-        spread = self.h2.hash_batch_validated(keys)
-        # SiegelHash (the Theorem 9 bundle) has no pre-validated form; its
-        # memoised walk validates internally.
-        if hasattr(self.h3, "hash_batch_validated"):
-            return self.h3.hash_batch_validated(spread)
-        return self.h3.hash_batch(spread)
-
-    def main_bin_batch(self, items, extended_bins=None):
-        """Return the Figure 3 counter indices for a whole chunk.
-
-        Args:
-            items: the chunk of identifiers.
-            extended_bins: a precomputed :meth:`extended_bin_batch` result
-                to reduce modulo ``K`` instead of re-hashing (the sharing
-                the paper prescribes for the combined estimator).
-        """
-        if extended_bins is None:
-            extended_bins = self.extended_bin_batch(items)
-        if extended_bins.dtype == object:
-            return (extended_bins % self.bins).astype(np.int64)
-        # Extended bins live in [0, 2K); int64 avoids mixed-dtype promotion.
-        return extended_bins.astype(np.int64) % np.int64(self.bins)
 
     @property
     def level_limit(self) -> int:

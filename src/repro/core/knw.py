@@ -26,7 +26,7 @@ from ..bitstructs.space import SpaceBreakdown
 from ..estimators.base import CardinalityEstimator
 from ..exceptions import MergeError, ParameterError, SketchFailure
 from ..hashing.bitops import ceil_log2, is_power_of_two
-from ..vectorize import as_key_array, counter_dtype, grouped_max_scatter, np
+from ..vectorize import as_key_array, counter_dtype, hashed_max_scatter, np
 from .balls_bins import invert_occupancy
 from .hashes import F0HashBundle
 from .rough_estimator import RoughEstimator
@@ -220,7 +220,7 @@ class KNWFigure3Sketch(CardinalityEstimator):
         if rough_estimate > float(1 << self._est_exponent):
             self._rebase(rough_estimate)
 
-    def update_batch(self, items, extended_bins=None) -> None:
+    def update_batch(self, items) -> None:
         """Vectorized ingestion of a chunk of items (Step 6, batched).
 
         The counter state commutes with rebasing — ``max`` with the
@@ -229,9 +229,10 @@ class KNWFigure3Sketch(CardinalityEstimator):
         so the final counters, base level and occupancy are identical to
         the scalar loop's no matter how updates and rebases interleave.
         The batch path exploits this: it reduces up to :data:`BATCH_CHUNK`
-        items into the counters at the current base with one grouped
-        maximum, then feeds the same chunk to the RoughEstimator and
-        rebases if its (monotone) estimate crossed a power of two.
+        items into the counters at the current base with one
+        :func:`~repro.vectorize.hashed_max_scatter`, then feeds the same
+        chunk to the RoughEstimator and rebases if its (monotone) estimate
+        crossed a power of two.
 
         The one semantic difference from the loop is FAIL granularity: the
         ``A > 3K`` test runs once per chunk, *after* rebasing, instead of
@@ -240,34 +241,36 @@ class KNWFigure3Sketch(CardinalityEstimator):
         processing would have performed items earlier is still pending —
         therefore does not latch FAIL spuriously; a sketch whose
         steady-state budget genuinely overflows still does.
-
-        Args:
-            items: the chunk of identifiers.
-            extended_bins: optional precomputed
-                :meth:`repro.core.hashes.F0HashBundle.extended_bin_batch`
-                values for ``items`` (the combined estimator shares them
-                with the small-F0 subroutine, as the paper prescribes).
         """
         keys = as_key_array(items, self.universe_size)
         for start in range(0, len(keys), BATCH_CHUNK):
-            chunk = keys[start : start + BATCH_CHUNK]
-            shared = None
-            if extended_bins is not None:
-                shared = extended_bins[start : start + BATCH_CHUNK]
-            self._ingest_chunk(chunk, shared)
+            self._ingest_chunk(keys[start : start + BATCH_CHUNK])
 
-    def _ingest_chunk(self, keys, extended_bins) -> None:
-        """Reduce one bounded chunk into the counters, then rebase once."""
+    def _ingest_chunk(self, keys, bits=None) -> None:
+        """Reduce one bounded chunk of validated keys into the counters, then rebase once.
+
+        One kernel call updates every counter at the current base (an
+        offset below -1 never beats a counter, so the floor is -1) and,
+        when given the small-F0 subroutine's ``bits``, sets each key's bit
+        ``h3(h2(x))`` there too: the batch form of the shared memo.
+        """
         if len(keys) == 0:
             return
-        indices = self.hashes.main_bin_batch(keys, extended_bins=extended_bins)
-        levels = self.hashes.level_batch(keys)
-        # An offset below -1 never beats a counter, which is at least -1.
-        relative = np.maximum(levels - np.int64(self._base_level), np.int64(-1))
-        grouped_max_scatter(self._counters, indices, relative)
+        hashes = self.hashes
+        hashed_max_scatter(
+            self._counters,
+            keys,
+            hashes.h1,
+            hashes.h2,
+            hashes.h3,
+            -self._base_level,
+            -1,
+            hashes.level_limit,
+            bits,
+        )
         self._count_counters()
 
-        self.rough.update_batch(keys)
+        self.rough.update_batch_validated(keys)
         rough_estimate = self.rough.estimate()
         if rough_estimate > float(1 << self._est_exponent):
             self._rebase(rough_estimate)
@@ -507,9 +510,10 @@ class KNWDistinctCounter(CardinalityEstimator):
     def update_batch(self, items) -> None:
         """Vectorized ingestion of a chunk of items.
 
-        Works in :data:`BATCH_CHUNK` slices, so its temporaries stay
-        bounded however long the call: each slice computes the shared
-        ``h3(h2(.))`` evaluation once and hands it to both regimes — the
+        Validates once, then works in :data:`BATCH_CHUNK` slices, so its
+        temporaries stay bounded however long the call.  Each slice's
+        ``h3(h2(.))`` is evaluated once, inside the kernel call that
+        updates the Figure 3 counters and sets the small-F0 bits — the
         batch form of the hash-bundle sharing the paper prescribes (and
         of the scalar one-entry memo).  State after any batch partition
         is identical to the scalar loop's (see
@@ -517,11 +521,13 @@ class KNWDistinctCounter(CardinalityEstimator):
         caveat, whose chunks these slices are).
         """
         keys = as_key_array(items, self.universe_size)
+        bits = self.small._bits
+        buffer = bits.byte_view()
         for start in range(0, len(keys), BATCH_CHUNK):
             chunk = keys[start : start + BATCH_CHUNK]
-            extended = self.hashes.extended_bin_batch(chunk)
-            self.small.update_batch(chunk, extended_bins=extended)
-            self.core.update_batch(chunk, extended_bins=extended)
+            self.small.admit(chunk)
+            self.core._ingest_chunk(chunk, buffer)
+        bits.recount()
 
     def estimate(self) -> float:
         """Return the current ``(1 +/- eps)`` estimate of F0.

@@ -37,13 +37,14 @@ from ..hashing.bitops import lsb, lsb_batch
 from ..hashing.kwise import KWiseHash
 from ..hashing.uniform import PaghPaghHash
 from ..hashing.universal import PairwiseHash
-from ..vectorize import as_key_array, counter_dtype, grouped_max_scatter, np
+from ..vectorize import as_key_array, counter_dtype, hashed_max_scatter, np
 
 __all__ = [
     "RoughEstimator",
     "FastRoughEstimator",
     "OCCUPANCY_THRESHOLD_RHO",
     "rough_counter_count",
+    "rough_draws",
     "threshold_estimates",
 ]
 
@@ -140,9 +141,24 @@ class _RoughCopy:
         indices = self.h3.hash_batch_validated(self.h2.hash_batch_validated(keys))
         return indices.astype(np.int64), values + np.int64(1)
 
+    def draws(self) -> tuple:
+        """What the seed drew for the copy's three hash functions."""
+        h3 = self.h3
+        drawn = h3.draws() if isinstance(h3, PaghPaghHash) else tuple(h3._coefficients)
+        return self.h1.word_form(), self.h2.word_form(), drawn
+
     def space_bits(self) -> int:
         """The copy's three hash functions."""
         return self.h1.space_bits() + self.h2.space_bits() + self.h3.space_bits()
+
+
+def rough_draws(estimator: "RoughEstimator") -> List[tuple]:
+    """Every copy's :meth:`_RoughCopy.draws`.
+
+    A :class:`RoughEstimator` keeps no seed, so this is how a merge or a
+    keyed store's row import tells another seed's estimator apart.
+    """
+    return [copy.draws() for copy in estimator._copies]
 
 
 class RoughEstimator(SerializableState):
@@ -220,15 +236,16 @@ class RoughEstimator(SerializableState):
         """Process a chunk of items through all three copies, vectorized.
 
         Counters hold the deepest level hashed to them — a pure
-        per-counter maximum — so one grouped maximum per copy is
-        bit-identical to the :meth:`update` loop (both ``h3`` families
-        are fixed by the seed).
+        per-counter maximum — so one :func:`~repro.vectorize.hashed_max_scatter`
+        per copy is bit-identical to the :meth:`update` loop (both ``h3``
+        families are fixed by the seed).
         """
-        keys = as_key_array(items, self.universe_size)
-        if keys.size == 0:
-            return
+        self.update_batch_validated(as_key_array(items, self.universe_size))
+
+    def update_batch_validated(self, keys) -> None:
+        """:meth:`update_batch` for a key array the caller already validated."""
         for counters, copy in zip(self._counters, self._copies):
-            grouped_max_scatter(counters, *copy.slots(keys))
+            hashed_max_scatter(counters, keys, copy.h1, copy.h2, copy.h3, 1, 0, copy.level_limit)
 
     def estimate(self) -> float:
         """Return the current rough estimate (median of the three copies).
@@ -251,15 +268,21 @@ class RoughEstimator(SerializableState):
         hashed to that counter, so two sketches over different streams (with
         identical hash functions) combine by element-wise maximum — the
         state a single sketch would have reached on the concatenation.
+
+        Raises:
+            ParameterError: when ``other`` has other parameters or hash
+                functions (another seed's estimator).
         """
         if not isinstance(other, RoughEstimator):
             raise ParameterError("merge_max expects a RoughEstimator")
         if (
             other.universe_size != self.universe_size
             or other.counters_per_copy != self.counters_per_copy
-            or len(other._copies) != len(self._copies)
+            or rough_draws(other) != rough_draws(self)
         ):
-            raise ParameterError("cannot merge RoughEstimators with different parameters")
+            raise ParameterError(
+                "cannot merge RoughEstimators with different parameters or seeds"
+            )
         np.maximum(self._counters, other._counters, out=self._counters)
         if other._monotone_floor > self._monotone_floor:
             self._monotone_floor = other._monotone_floor

@@ -25,7 +25,7 @@ from typing import Set
 from ..bitstructs.bitvector import BitVector
 from ..bitstructs.space import SpaceBreakdown
 from ..exceptions import ParameterError
-from ..vectorize import as_key_array, np
+from ..vectorize import np
 from .balls_bins import invert_occupancy
 from .hashes import F0HashBundle
 
@@ -80,42 +80,27 @@ class SmallF0Estimator:
                 self._mark_overflowed()
         self._bits.set(self.hashes.extended_bin(item), 1)
 
-    def update_batch(self, items, extended_bins=None) -> None:
-        """Process a chunk of items, equivalently to the :meth:`update` loop.
+    def admit(self, keys) -> None:
+        """The exact buffer's part of a batch of validated keys.
 
-        Two parts, both order-faithful:
-
-        * the exact buffer admits new identifiers in first-occurrence
-          order until its capacity would be exceeded (at which point it
-          overflows for good, exactly like the scalar path);
-        * the ``2K``-bit vector ORs in the extended bin of every item, so
-          one deduplicated bulk bit-set reproduces the loop's state.
-
-        Args:
-            items: the chunk of identifiers.
-            extended_bins: optional precomputed
-                :meth:`repro.core.hashes.F0HashBundle.extended_bin_batch`
-                result, so the combined estimator pays for the shared
-                ``h3(h2(.))`` once per chunk (mirroring the scalar memo).
+        New identifiers enter in first-occurrence order until the capacity
+        would be exceeded, at which point the buffer overflows for good,
+        exactly like the :meth:`update` loop.  The batch's bits are set by
+        the caller: :meth:`repro.core.knw.KNWDistinctCounter.update_batch`
+        hands the bit vector to the kernel that updates the Figure 3
+        counters, since both read the shared ``h3(h2(.))``.
         """
-        keys = as_key_array(items, self.hashes.universe_size)
-        if keys.size == 0:
+        if self._exact_overflowed or keys.size == 0:
             return
-        if not self._exact_overflowed:
-            # First occurrence of each identifier, in stream order.
-            _, first_positions = np.unique(keys, return_index=True)
-            ordered_new = [
-                key
-                for key in keys[np.sort(first_positions)].tolist()
-                if key not in self._exact
-            ]
-            capacity = self.exact_limit - len(self._exact)
-            self._exact.update(ordered_new[:capacity])
-            if len(ordered_new) > capacity:
-                self._mark_overflowed()
-        if extended_bins is None:
-            extended_bins = self.hashes.extended_bin_batch(keys)
-        self._bits.set_many(extended_bins)
+        # First occurrence of each identifier, in stream order.
+        _, first_positions = np.unique(keys, return_index=True)
+        ordered_new = [
+            key for key in keys[np.sort(first_positions)].tolist() if key not in self._exact
+        ]
+        capacity = self.exact_limit - len(self._exact)
+        self._exact.update(ordered_new[:capacity])
+        if len(ordered_new) > capacity:
+            self._mark_overflowed()
 
     def _mark_overflowed(self) -> None:
         """Switch permanently to the bitvector regime.

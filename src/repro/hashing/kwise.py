@@ -187,17 +187,11 @@ class KWiseHash:
         through the same kernel once, and every later batch is a gather.
         The output (``uint64``) and its values are the kernel's.
         """
-        if (
-            self.universe_size > TABLE_DOMAIN_LIMIT
-            or self._prime >= (1 << 63)
-            or keys.dtype != np.uint64
-        ):
+        table = self._table() if keys.dtype == np.uint64 else None
+        if table is None:
             return kwise_mod_range(
                 self._coefficients, keys, self._prime, self.universe_size, self.range_size
             )
-        table = _value_table(
-            tuple(self._coefficients), self._prime, self.universe_size, self.range_size
-        )
         # Concurrent fills write identical values, so racing threads can
         # only repeat an evaluation, never lose or corrupt one.
         values = table[keys]
@@ -210,6 +204,23 @@ class KWiseHash:
             table[fresh] = computed
             values[missing] = computed
         return values
+
+    def _table(self):
+        """The function's value table, or ``None`` past the table domain."""
+        if self.universe_size > TABLE_DOMAIN_LIMIT or self._prime >= (1 << 63):
+            return None
+        return _value_table(
+            tuple(self._coefficients), self._prime, self.universe_size, self.range_size
+        )
+
+    def word_form(self):
+        """The function as a compiled kernel evaluates it: ``(coefficients, p, v, table)``.
+
+        ``table`` is the value table batches read, or ``None`` past the
+        table domain; a kernel that meets an unfilled entry fills it from
+        the coefficients, as :meth:`hash_batch_validated` does.
+        """
+        return self._coefficients, self._prime, self.range_size, self._table()
 
     def space_bits(self) -> int:
         """Return the number of bits needed to store this function.

@@ -43,7 +43,8 @@ Scalar evaluation on a domain of at most ``2^18`` keys reads a
 process-wide list of the function's values, filled once by the batch
 path and shared by every equal function (same-seed sketches, decoded
 copies), so it costs one index; the list is never part of a sketch's
-state.
+state.  The compiled ingest kernel gathers from the same list
+(:meth:`PaghPaghHash.word_form`), one read per key in place of five.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ _INDEPENDENCE = 8
 #: Table cells per key of capacity: ``m = 2 z``.
 _CELLS_PER_KEY = 2
 
-#: Largest domain whose scalar evaluations read a value list: Lemma 5's
+#: Largest domain whose evaluations read a value list: Lemma 5's
 #: ``[K_RE^3]`` for ``K_RE <= 64``, which covers every universe up to
-#: ``2^64``.  A list costs one byte per key for ranges up to 256.
+#: ``2^64``.  A list holds a ``uint64`` per key, the element type of
+#: :class:`~repro.hashing.kwise.KWiseHash`'s value tables, so the compiled
+#: kernel reads both alike.
 _VALUE_LIST_LIMIT = 1 << 18
 
 #: Value lists of live small-domain functions, keyed by ``id``; a
@@ -141,18 +144,35 @@ class PaghPaghHash:
             raise ParameterError(
                 "key %d outside universe [0, %d)" % (key, self.universe_size)
             )
-        values = _VALUES_BY_ID.get(id(self))
+        values = self._values()
         if values is None:
-            if self.universe_size > _VALUE_LIST_LIMIT:
-                return (
-                    self._f(key) + int(self._t1[self._g1(key)]) + int(self._t2[self._g2(key)])
-                ) % self.range_size
-            values = self._share_values()
+            return (
+                self._f(key) + int(self._t1[self._g1(key)]) + int(self._t2[self._g2(key)])
+            ) % self.range_size
         return values[key]
 
-    def _share_values(self) -> "array.array":
-        """Register (building it if no equal function has) this function's value list."""
-        function = (
+    def _values(self) -> Optional["array.array"]:
+        """The function's value list, or ``None`` past :data:`_VALUE_LIST_LIMIT`."""
+        values = _VALUES_BY_ID.get(id(self))
+        if values is None and self.universe_size <= _VALUE_LIST_LIMIT:
+            values = self._share_values()
+        return values
+
+    def word_form(self):
+        """The function as a compiled kernel evaluates it: ``((), 0, v, values)``.
+
+        ``values`` is a zero-copy ``uint64`` view of the complete value
+        list; past :data:`_VALUE_LIST_LIMIT` there is none, and neither is
+        a word form.
+        """
+        values = self._values()
+        if values is None:
+            return None
+        return (), 0, self.range_size, np.frombuffer(values, dtype=np.uint64)
+
+    def draws(self) -> tuple:
+        """Everything the function's values depend on: equal draws, equal functions."""
+        return (
             tuple(self._f._coefficients),
             tuple(self._g1._coefficients),
             tuple(self._g2._coefficients),
@@ -161,13 +181,14 @@ class PaghPaghHash:
             self.universe_size,
             self.range_size,
         )
+
+    def _share_values(self) -> "array.array":
+        """Register (building it if no equal function has) this function's value list."""
+        function = self.draws()
         values = _VALUES_BY_FUNCTION.get(function)
         if values is None:
             domain = np.arange(self.universe_size, dtype=np.uint64)
-            typecode = "B" if self.range_size <= 1 << 8 else "I"
-            values = array.array(
-                typecode, self.hash_batch_validated(domain).astype(typecode).tobytes()
-            )
+            values = array.array("Q", self.hash_batch_validated(domain).tobytes())
             _VALUES_BY_FUNCTION[function] = values
         _VALUES_BY_ID[id(self)] = values
         weakref.finalize(self, _VALUES_BY_ID.pop, id(self), None)

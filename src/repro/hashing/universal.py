@@ -121,6 +121,15 @@ class PairwiseHash:
             self._a, self._b, keys, self._prime, self.universe_size, self.range_size
         )
 
+    def word_form(self):
+        """The function as a compiled kernel evaluates it: ``((b, a), p, v, None)``.
+
+        The shape :meth:`repro.hashing.kwise.KWiseHash.word_form` gives:
+        the coefficients of ``b + a x`` low degree first, the prime, the
+        range, and no value table.
+        """
+        return (self._b, self._a), self._prime, self.range_size, None
+
     def space_bits(self) -> int:
         """Return the number of bits needed to store this function.
 

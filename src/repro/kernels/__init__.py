@@ -1,8 +1,9 @@
 """Kernel backend registry for the vectorize seam.
 
 The hot kernels behind :mod:`repro.vectorize` — batched Mersenne-prime
-hashing, the grouped scatter reductions, ``lsb64_batch`` — are implemented
-by pluggable *backends*:
+hashing, the grouped scatter reductions, ``lsb64_batch``, and the fused
+KNW chain ``hashed_max_scatter`` — are implemented by pluggable
+*backends*:
 
 ``numpy``
     The always-available reference implementation
@@ -64,6 +65,7 @@ REQUIRED_KERNELS = (
     "grouped_residue_sums",
     "grouped_max_scatter",
     "grouped_or_scatter",
+    "hashed_max_scatter",
     "lsb64_batch",
 )
 

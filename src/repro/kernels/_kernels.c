@@ -28,7 +28,7 @@ typedef uint8_t u8;
 #define EXPORT __attribute__((visibility("default")))
 
 /* ABI version checked by the loader; bump when a signature changes. */
-EXPORT int repro_kernels_abi(void) { return 2; }
+EXPORT int repro_kernels_abi(void) { return 3; }
 
 /* Reduce x modulo p = 2^61 - 1 without a branch.  Since 2^61 = 1
  * (mod p), the three limbs of x at bits 0, 61 and 122 sum to x (mod p);
@@ -148,6 +148,29 @@ static inline void kwise_m31_block(const u64 *coeffs, i64 k, const u64 *keys,
         out[l] = acc[l] >= p ? acc[l] - p : acc[l];
 }
 
+/* kwise_m31_block for keys below 2^30, with one fold per step: a lane
+ * below 3.5 * 2^31 times a key below 2^30, plus c, stays below 2^64, and
+ * one fold leaves the lane below 3.5 * 2^31 again.  A last fold and one
+ * conditional subtract give the canonical residue. */
+static inline void kwise_m31_block30(const u64 *coeffs, i64 k, const u64 *keys,
+                                     u64 *out) {
+    const u64 p = ((u64)1 << 31) - 1;
+    u64 acc[M31_LANES];
+    for (int l = 0; l < M31_LANES; l++)
+        acc[l] = coeffs[k - 1];
+    for (i64 j = k - 2; j >= 0; j--) {
+        u64 c = coeffs[j];
+        for (int l = 0; l < M31_LANES; l++) {
+            u64 x = acc[l] * keys[l] + c;
+            acc[l] = (x & p) + (x >> 31);
+        }
+    }
+    for (int l = 0; l < M31_LANES; l++) {
+        u64 x = (acc[l] & p) + (acc[l] >> 31);
+        out[l] = x >= p ? x - p : x;
+    }
+}
+
 /* Horner for one key over any p < 2^63 through the exact __int128 path. */
 static inline u64 kwise_u128(const u64 *coeffs, i64 k, u64 key, u64 p,
                              unsigned mers) {
@@ -238,3 +261,210 @@ EXPORT void repro_lsb64_batch(const u64 *values, i64 n, i64 zero_value,
         out[i] = v ? (i64)__builtin_ctzll(v) : zero_value;
     }
 }
+
+/* ---------------------------------------------------------------------------
+ * The fused KNW chain: level, bin and counter maximum in one pass.
+ *
+ * For each key x, with h1 and h2 pairwise functions and h3 a polynomial or
+ * a value table:
+ *
+ *     level = lsb(h1(x)), or the level limit when h1(x) = 0
+ *     bin   = h3(h2(x))
+ *     target[bin mod m] = max(target[bin mod m], max(level + offset, floor))
+ *     bits[bin / 8] |= 1 << (bin mod 8)          (when bits is not NULL)
+ *
+ * which is Figure 3's counter update and the small-F0 bit, or one copy
+ * of Figure 2's.  Keys go through in blocks of CHAIN_BLOCK: each stage
+ * picks its prime's reduction and its range's mask or division once per
+ * block, so the per-key loops carry no dispatch.
+ *
+ * The wrapper packs the three functions into `form` as u64 words, each
+ * function as its prime, its range and its coefficients low degree first
+ * (h(x) = (sum_j c_j x^j mod p) mod range):
+ *
+ *     form[0], form[1]   m and the level limit
+ *     form[2..5]         h1: p, range, c_0, c_1
+ *     form[6..9]         h2: p, range, c_0, c_1
+ *     form[10..12]       h3: p, range, k
+ *     form[13..]         h3's k coefficients
+ *
+ * with every coefficient below its p < 2^63 and every range below 2^64,
+ * and every key below h1's and h2's domain (so below their primes).  h3
+ * has three forms: k > 0 with table == NULL evaluates the polynomial per
+ * key; k > 0 with a table reads the table and fills an entry still
+ * holding TABLE_UNFILLED from the same polynomial; k == 0 reads a
+ * complete table.  Tables hold values already reduced to h3's range and
+ * must cover every h2 value.
+ * ------------------------------------------------------------------------- */
+
+#define CHAIN_BLOCK 64
+#define TABLE_UNFILLED (~(u64)0)
+
+/* How a prime reduces: the two Mersenne primes fold; FIELD_SMALL (p at
+ * most 2^32, operands below p) keeps a*x + b in one word; FIELD_WIDE
+ * divides a 128-bit value. */
+enum { FIELD_WIDE = 0, FIELD_SMALL = 1, FIELD_M31 = 31, FIELD_M61 = 61 };
+
+static inline int field_kind(u64 p) {
+    if (p == ((u64)1 << 61) - 1)
+        return FIELD_M61;
+    if (p == ((u64)1 << 31) - 1)
+        return FIELD_M31;
+    return p <= ((u64)1 << 32) ? FIELD_SMALL : FIELD_WIDE;
+}
+
+/* (a * x + b) mod p for a, b < p and x below the function's domain bound
+ * (x < p for FIELD_SMALL, x < 2^33 for FIELD_M31). */
+static inline __attribute__((always_inline)) u64
+field_affine(u64 a, u64 b, u64 x, u64 p, const int kind) {
+    if (kind == FIELD_M61) {
+        u64 r = mod_m61((u128)a * x) + b;
+        return r >= p ? r - p : r;
+    }
+    if (kind == FIELD_M31) {
+        /* a * x + b < 2^64: two folds leave at most p + 8. */
+        u64 r = a * x + b;
+        r = (r & p) + (r >> 31);
+        r = (r & p) + (r >> 31);
+        return r >= p ? r - p : r;
+    }
+    if (kind == FIELD_SMALL)
+        return (a * x + b) % p;
+    return (u64)(((u128)a * x + b) % p);
+}
+
+/* values[i] % range in place, masking for a power-of-two range. */
+static inline void reduce_block(u64 *values, i64 n, u64 range) {
+    if ((range & (range - 1)) == 0) {
+        for (i64 i = 0; i < n; i++)
+            values[i] &= range - 1;
+    } else {
+        for (i64 i = 0; i < n; i++)
+            values[i] %= range;
+    }
+}
+
+#define AFFINE_LOOP(KIND)                                                    \
+    for (i64 i = 0; i < n; i++)                                              \
+        out[i] = field_affine(a, b, keys[i], p, KIND)
+
+/* h(keys[i]) for one block of a pairwise function {p, range, b, a}. */
+static void pairwise_block(const u64 *h, const u64 *keys, i64 n, u64 *out) {
+    const u64 p = h[0], b = h[2], a = h[3];
+    switch (field_kind(p)) {
+    case FIELD_M61: AFFINE_LOOP(FIELD_M61); break;
+    case FIELD_M31: AFFINE_LOOP(FIELD_M31); break;
+    case FIELD_SMALL: AFFINE_LOOP(FIELD_SMALL); break;
+    default: AFFINE_LOOP(FIELD_WIDE); break;
+    }
+    reduce_block(out, n, h[1]);
+}
+
+/* Horner for one key; x below the function's domain bound, as above. */
+static inline __attribute__((always_inline)) u64
+horner(const u64 *coeffs, i64 k, u64 x, u64 p, const int kind) {
+    u64 acc = coeffs[k - 1];
+    for (i64 j = k - 2; j >= 0; j--)
+        acc = field_affine(acc, coeffs[j], x, p, kind);
+    return acc;
+}
+
+#define HORNER_LOOP(KIND)                                                    \
+    for (i64 i = 0; i < n; i++)                                              \
+        out[i] = horner(coeffs, k, keys[i], p, KIND)
+
+/* Horner for one key of a table (below 2^16), the prime dispatched per
+ * call: table misses are rare. */
+static u64 horner_once(const u64 *coeffs, i64 k, u64 x, u64 p) {
+    switch (field_kind(p)) {
+    case FIELD_M61: return horner(coeffs, k, x, p, FIELD_M61);
+    case FIELD_M31: return horner(coeffs, k, x, p, FIELD_M31);
+    case FIELD_SMALL: return horner(coeffs, k, x, p, FIELD_SMALL);
+    default: return horner(coeffs, k, x, p, FIELD_WIDE);
+    }
+}
+
+/* The polynomial h3 on one block, unreduced.  Over 2^31 - 1 each run of
+ * M31_LANES keys all below p takes kwise_m31_block; a run holding a
+ * larger key, and the tail, take the exact __int128 Horner. */
+static void polynomial_block(const u64 *coeffs, i64 k, u64 p, const u64 *keys,
+                             i64 n, u64 *out) {
+    switch (field_kind(p)) {
+    case FIELD_M31:
+        for (i64 i = 0; i < n; i += M31_LANES) {
+            i64 run = n - i < M31_LANES ? n - i : M31_LANES;
+            int below = run == M31_LANES, narrow = below;
+            for (i64 l = 0; l < run; l++) {
+                below &= keys[i + l] < p;
+                narrow &= keys[i + l] < ((u64)1 << 30);
+            }
+            if (narrow)
+                kwise_m31_block30(coeffs, k, keys + i, out + i);
+            else if (below)
+                kwise_m31_block(coeffs, k, keys + i, out + i);
+            else
+                for (i64 l = 0; l < run; l++)
+                    out[i + l] = kwise_u128(coeffs, k, keys[i + l], p, 31);
+        }
+        break;
+    case FIELD_M61: HORNER_LOOP(FIELD_M61); break;
+    case FIELD_SMALL: HORNER_LOOP(FIELD_SMALL); break;
+    default: HORNER_LOOP(FIELD_WIDE); break;
+    }
+}
+
+/* h3(keys[i]) for one block: a gather, a gather that fills misses, or
+ * the polynomial and its range reduction. */
+static void h3_block(const u64 *form, u64 *table, const u64 *keys, i64 n,
+                     u64 *out) {
+    const u64 p = form[10], range = form[11];
+    const i64 k = (i64)form[12];
+    const u64 *coeffs = form + 13;
+    if (table == 0) {
+        polynomial_block(coeffs, k, p, keys, n, out);
+        reduce_block(out, n, range);
+        return;
+    }
+    for (i64 i = 0; i < n; i++) {
+        u64 v = table[keys[i]];
+        if (v == TABLE_UNFILLED && k > 0) {
+            /* Only a polynomial's table has misses. */
+            v = horner_once(coeffs, k, keys[i], p) % range;
+            table[keys[i]] = v;
+        }
+        out[i] = v;
+    }
+}
+
+#define DEFINE_HASHED_MAX_SCATTER(SUFFIX, T)                                 \
+    EXPORT void repro_hashed_max_scatter_##SUFFIX(                           \
+        T *target, const u64 *keys, i64 n, const u64 *form, u64 *table,      \
+        i64 offset, i64 floor, u8 *bits) {                                   \
+        const u64 m = form[0];                                               \
+        const i64 level_limit = (i64)form[1];                                \
+        const int m_pow2 = (m & (m - 1)) == 0;                               \
+        u64 levels[CHAIN_BLOCK], spread[CHAIN_BLOCK], bins[CHAIN_BLOCK];     \
+        for (i64 start = 0; start < n; start += CHAIN_BLOCK) {               \
+            i64 run = n - start < CHAIN_BLOCK ? n - start : CHAIN_BLOCK;     \
+            pairwise_block(form + 2, keys + start, run, levels);             \
+            pairwise_block(form + 6, keys + start, run, spread);             \
+            h3_block(form, table, spread, run, bins);                        \
+            for (i64 i = 0; i < run; i++) {                                  \
+                u64 word = levels[i];                                        \
+                i64 value = (word ? (i64)__builtin_ctzll(word)               \
+                                  : level_limit) + offset;                   \
+                T candidate = (T)(value < floor ? floor : value);            \
+                u64 bin = bins[i];                                           \
+                u64 index = m_pow2 ? bin & (m - 1)                           \
+                                   : (bin < m ? bin : bin % m);              \
+                if (target[index] < candidate)                               \
+                    target[index] = candidate;                               \
+            }                                                                \
+            if (bits)                                                        \
+                for (i64 i = 0; i < run; i++)                                \
+                    bits[bins[i] >> 3] |= (u8)(1u << (bins[i] & 7));         \
+        }                                                                    \
+    }
+
+DEFINE_HASHED_MAX_SCATTER(i8, int8_t)
+DEFINE_HASHED_MAX_SCATTER(u8, uint8_t)

@@ -24,6 +24,7 @@ import hashlib
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import tempfile
 from typing import List, Optional
@@ -33,7 +34,7 @@ from . import numpy_backend as _ref
 from .numpy_backend import np
 
 #: Bumped together with ``repro_kernels_abi()`` in ``_kernels.c``.
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 
@@ -187,8 +188,76 @@ def _build_library() -> str:
     ) from last_error
 
 
+#: Target dtypes of the fused KNW chain, with the value range each holds:
+#: Figure 3's signed counters and Figure 2's unsigned ones.
+_CHAIN_TARGETS = {np.dtype(np.int8): ("i8", -128, 127), np.dtype(np.uint8): ("u8", 0, 255)}
+
+
 def _ptr(array: "np.ndarray") -> ctypes.c_void_p:
+    """A pointer to a C-contiguous array's data.
+
+    A writable non-empty buffer's address comes from ctypes directly, a
+    quarter of what ``ndarray.ctypes`` costs; the fused chain reads four
+    per call.
+    """
+    if array.size and array.flags.writeable:
+        return ctypes.c_void_p(ctypes.addressof(ctypes.c_char.from_buffer(array)))
     return ctypes.c_void_p(array.ctypes.data)
+
+
+def _chain_words(target, keys, h1, h2, h3, offset, floor, level_limit, bits):
+    """Pack a chain the C kernel computes exactly; ``None`` where it cannot.
+
+    Each function's ``word_form()`` is ``(coefficients, p, range, table)``:
+    ``h1`` and ``h2`` must be affine (two coefficients) and ``h3`` a
+    polynomial or a table, every prime below ``2^63``.  A table must
+    cover ``h2``'s range, every candidate value must fit the target's
+    dtype, and a bit buffer must hold ``h3``'s range.  Returns the packed
+    words and ``h3``'s table (or ``None``).
+    """
+    bounds = _CHAIN_TARGETS.get(target.dtype)
+    forms = [getattr(h, "word_form", None) for h in (h1, h2, h3)]
+    if (
+        bounds is None
+        or None in forms
+        or keys.dtype == object
+        or target.ndim != 1
+        or target.size == 0
+        or not target.flags.c_contiguous
+        or not target.flags.writeable
+    ):
+        return None
+    (c1, p1, r1, _), (c2, p2, r2, _) = forms[0](), forms[1]()
+    form3 = forms[2]()
+    if form3 is None:
+        return None
+    c3, p3, r3, table = form3
+    _, low, high = bounds
+    top = max(63, level_limit) + offset
+    if (
+        len(c1) != 2
+        or len(c2) != 2
+        or max(p1, p2, p3) >= 1 << 63
+        or max(r1, r2, r3) >= 1 << 64
+        or (table is not None and r2 > table.size)
+        or (table is None and not c3)
+        or not low <= max(offset, floor) <= max(top, floor) <= high
+        or (
+            bits is not None
+            and (
+                bits.dtype != np.uint8
+                or not bits.flags.c_contiguous
+                or not bits.flags.writeable
+                or bits.size * 8 < r3
+            )
+        )
+    ):
+        return None
+    words = struct.pack(
+        "=%dQ" % (13 + len(c3)),
+        target.size, level_limit, p1, r1, *c1, p2, r2, *c2, p3, r3, len(c3), *c3
+    )
+    return words, table
 
 
 class CompiledKernels:
@@ -208,6 +277,21 @@ class CompiledKernels:
                 % (library_path, abi, _ABI_VERSION)
             )
         self._lib = lib
+        self._chains = {}
+        for dtype, (suffix, _, _) in _CHAIN_TARGETS.items():
+            kernel = getattr(lib, "repro_hashed_max_scatter_%s" % suffix)
+            kernel.argtypes = [
+                ctypes.c_void_p,
+                ctypes.c_void_p,
+                ctypes.c_int64,
+                ctypes.c_char_p,
+                ctypes.c_void_p,
+                ctypes.c_int64,
+                ctypes.c_int64,
+                ctypes.c_void_p,
+            ]
+            kernel.restype = None
+            self._chains[dtype] = kernel
 
     def describe(self) -> dict:
         """Structured diagnostics for :func:`repro.kernels.kernel_backend_info`."""
@@ -477,6 +561,30 @@ class CompiledKernels:
         )
         return None
 
+    def hashed_max_scatter(
+        self, target, keys, h1, h2, h3, offset, floor, level_limit, bits=None
+    ):
+        packed = _chain_words(target, keys, h1, h2, h3, offset, floor, level_limit, bits)
+        if packed is None:
+            return _ref.hashed_max_scatter(
+                target, keys, h1, h2, h3, offset, floor, level_limit, bits
+            )
+        if keys.size == 0:
+            return None
+        words, table = packed
+        keys = self._as_u64(keys)
+        self._chains[target.dtype](
+            _ptr(target),
+            _ptr(keys),
+            keys.size,
+            words,
+            None if table is None else _ptr(table),
+            offset,
+            floor,
+            None if bits is None else _ptr(bits),
+        )
+        return None
+
     # -- vectorized word primitives --------------------------------------------------
 
     def lsb64_batch(self, values, zero_value):
@@ -578,6 +686,51 @@ def _self_test(backend: CompiledKernels) -> None:
     _ref.grouped_or_scatter(ref_or, index, masks)
     if mine.tolist() != reference.tolist() or mine_or.tolist() != ref_or.tolist():
         raise KernelBackendError("compiled scatter self-test failed")
+    _chain_self_test(backend, words)
+
+
+class _Polynomial:
+    """A hash function given by its word form, for the load-time check."""
+
+    def __init__(self, coefficients, prime, range_size, table=None):
+        self.coefficients, self.prime = list(coefficients), prime
+        self.range_size, self.table = range_size, table
+
+    def word_form(self):
+        return self.coefficients, self.prime, self.range_size, self.table
+
+    def hash_batch_validated(self, keys):
+        return _ref.kwise_mod_range(
+            self.coefficients, keys, self.prime, self.prime, self.range_size
+        )
+
+
+def _chain_self_test(backend: CompiledKernels, words) -> None:
+    """Cross-check the fused KNW chain on 13 keys: an eight-key lane block
+    and a tail.  Key 0 has ``h1 = 0`` (so ``lsb(0)``); ``h3`` is a
+    polynomial over ``2^31 - 1``, once on values below ``2^30`` and once
+    on the whole field, and then a value table with one unfilled entry."""
+    p31, p61 = (1 << 31) - 1, (1 << 61) - 1
+    keys = words[:13] % np.uint64(1 << 32)
+    keys[0] = 0
+    h1 = _Polynomial((0, p61 - 2), p61, 1 << 32)
+    poly = _Polynomial([p31 - 1 - 7919 * j for j in range(10)], p31, 1 << 10)
+    chains = [(_Polynomial((5, 3), p61, spread), poly) for spread in (1 << 30, p31)]
+    spread = _Polynomial((p61 - 7, 11), p61, 1 << 12)
+    table = poly.hash_batch_validated(np.arange(1 << 12, dtype=np.uint64))
+    missing = int(spread.hash_batch_validated(keys[5:6])[0])
+    table[missing] = np.uint64(_U64_MAX)
+    chains.append((spread, _Polynomial(poly.coefficients, p31, 1 << 10, table)))
+    for h2, h3 in chains:
+        for dtype, offset, floor in ((np.int8, -2, -1), (np.uint8, 1, 0)):
+            mine, reference = np.full(32, floor, dtype=dtype), np.full(32, floor, dtype=dtype)
+            mine_bits, ref_bits = np.zeros(128, dtype=np.uint8), np.zeros(128, dtype=np.uint8)
+            backend.hashed_max_scatter(mine, keys, h1, h2, h3, offset, floor, 32, mine_bits)
+            _ref.hashed_max_scatter(reference, keys, h1, h2, h3, offset, floor, 32, ref_bits)
+            if mine.tolist() != reference.tolist() or mine_bits.tolist() != ref_bits.tolist():
+                raise KernelBackendError("compiled hashed_max_scatter self-test failed")
+    if table.tolist() != poly.hash_batch_validated(np.arange(1 << 12, dtype=np.uint64)).tolist():
+        raise KernelBackendError("compiled hashed_max_scatter filled a table entry wrongly")
 
 
 def load() -> CompiledKernels:

@@ -459,6 +459,58 @@ def grouped_or_scatter(
     target[touched] |= combined
 
 
+def hashed_max_scatter(
+    target: "np.ndarray",
+    keys: "np.ndarray",
+    h1,
+    h2,
+    h3,
+    offset: int,
+    floor: int,
+    level_limit: int,
+    bits: "np.ndarray" = None,
+) -> None:
+    """Scatter each key's hashed level into ``target`` at its hashed bin.
+
+    One structure's whole KNW update for a batch: with
+    ``level = lsb(h1(x))`` (``level_limit`` when ``h1(x) = 0``) and
+    ``bin = h3(h2(x))``, apply ``target[bin mod m] = max(target[bin mod m],
+    max(level + offset, floor))`` for ``m = len(target)``, and set bit
+    ``bin`` of ``bits`` when given.  Figure 3's counters take
+    ``offset = -b`` and ``floor = -1`` (with the small-F0 bits), each of
+    Figure 2's copies ``offset = +1``.  The reference is the composition
+    of the hashes' batch forms and the grouped scatters.
+
+    Args:
+        target: 1-D integer ndarray, mutated in place; every value must
+            fit its dtype.
+        keys: validated keys (``uint64``, or object past ``2^64``).
+        h1, h2, h3: the level hash, the spreading hash and the bin hash;
+            ``h2``'s values must lie in ``h3``'s domain.
+        offset, floor: as above.
+        level_limit: ``lsb(0)``, the paper's ``log n``.
+        bits: optional ``uint8`` byte buffer of at least ``h3``'s range
+            in bits, mutated in place.
+    """
+    words = h1.hash_batch_validated(keys)
+    if words.dtype == object:
+        levels = np.array(
+            [(v & -v).bit_length() - 1 if v else level_limit for v in words.tolist()],
+            dtype=np.int64,
+        )
+    else:
+        levels = lsb64_batch(words, level_limit)
+    spread = h2.hash_batch_validated(keys)
+    # SiegelHash (the Theorem 9 bundle) validates in its only batch form.
+    evaluate = getattr(h3, "hash_batch_validated", None) or h3.hash_batch
+    bins = evaluate(spread).astype(np.int64)
+    values = np.maximum(levels + np.int64(offset), np.int64(floor))
+    grouped_max_scatter(target, bins % np.int64(len(target)), values)
+    if bits is not None:
+        masks = (np.int64(1) << (bins & np.int64(7))).astype(np.uint8)
+        grouped_or_scatter(bits, bins >> np.int64(3), masks)
+
+
 # --------------------------------------------------------------------------
 # Vectorized word primitives.
 # --------------------------------------------------------------------------

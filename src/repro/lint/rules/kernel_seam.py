@@ -31,6 +31,7 @@ SEAM_KERNELS = frozenset(
         "grouped_residue_sums",
         "grouped_max_scatter",
         "grouped_or_scatter",
+        "hashed_max_scatter",
         "lsb64_batch",
     }
 )

@@ -38,10 +38,9 @@ from ..baselines.hyperloglog import HyperLogLogCounter
 from ..baselines.linear_counting import LinearCounter
 from ..baselines.loglog import LogLogCounter
 from ..bitstructs.bitvector import BitVector
-from ..core.rough_estimator import RoughEstimator, rough_medians
+from ..core.rough_estimator import RoughEstimator, rough_draws, rough_medians
 from ..estimators.base import TurnstileEstimator
 from ..exceptions import ParameterError
-from ..hashing.kwise import KWiseHash
 from ..vectorize import (
     group_slices,
     grouped_max_scatter,
@@ -337,18 +336,6 @@ class LinearCountingSketchArray(SketchArray):
         return self._rows * self.bits
 
 
-def _rough_hashes(estimator) -> List[tuple]:
-    """What the seed drew for each copy: ``h1``/``h2`` parameters, ``h3`` coefficients.
-
-    A :class:`RoughEstimator` keeps no seed, so this is how a row import
-    tells another seed's estimator apart.
-    """
-    return [
-        (copy.h1._a, copy.h1._b, copy.h2._a, copy.h2._b, copy.h3._coefficients)
-        for copy in estimator._copies
-    ]
-
-
 class RoughSketchArray(SketchArray):
     """N KNW Figure 2 rough estimators as an ``(N, 3, K_RE)`` counter tensor.
 
@@ -459,8 +446,7 @@ class RoughSketchArray(SketchArray):
             type(sketch) is not RoughEstimator
             or sketch.universe_size != self.universe_size
             or sketch.counters_per_copy != self.counters_per_copy
-            or not isinstance(sketch._copies[0].h3, KWiseHash)
-            or _rough_hashes(sketch) != _rough_hashes(self._template)
+            or rough_draws(sketch) != rough_draws(self._template)
         ):
             raise ParameterError(
                 "import_row needs a same-parameter, same-seed "

@@ -13,8 +13,9 @@ exposes:
   :func:`mod_range`, and the fused :func:`affine_mod_range` /
   :func:`kwise_mod_range` chains), the grouped scatter reductions
   (:func:`grouped_residue_sums`, :func:`grouped_max_scatter`,
-  :func:`grouped_or_scatter`), and the vectorized de Bruijn
-  :func:`lsb64_batch`.
+  :func:`grouped_or_scatter`), the vectorized de Bruijn
+  :func:`lsb64_batch`, and the whole KNW per-key chain of one structure,
+  hashes to counter maximum (:func:`hashed_max_scatter`).
 
 The hot kernels are thin dispatchers: each call routes to the active
 backend in :mod:`repro.kernels` (``REPRO_KERNEL_BACKEND=numpy|compiled|
@@ -56,6 +57,7 @@ __all__ = [
     "group_slices",
     "grouped_max_scatter",
     "grouped_or_scatter",
+    "hashed_max_scatter",
 ]
 
 
@@ -431,6 +433,41 @@ def grouped_or_scatter(
         masks: per-entry ``uint8`` bit masks.
     """
     return _kernels.active().grouped_or_scatter(target, indices, masks)
+
+
+def hashed_max_scatter(
+    target: "np.ndarray",
+    keys: "np.ndarray",
+    h1,
+    h2,
+    h3,
+    offset: int,
+    floor: int,
+    level_limit: int,
+    bits: "Optional[np.ndarray]" = None,
+) -> None:
+    """One KNW structure's update for a whole batch, in one kernel call.
+
+    With ``level = lsb(h1(x))`` (``level_limit`` when ``h1(x) = 0``) and
+    ``bin = h3(h2(x))``, apply ``target[bin mod m] = max(target[bin mod m],
+    max(level + offset, floor))`` for every key, and set bit ``bin`` of
+    ``bits`` when given: Figure 3's counters with the small-F0 bits
+    (``offset = -b``, ``floor = -1``), or one copy of Figure 2's
+    (``offset = +1``).  Identical to the hashes' batch forms followed by
+    the grouped scatters, which is the reference; a compiled backend
+    evaluates the chain per key with no intermediate arrays.
+
+    Args:
+        target: 1-D integer ndarray, mutated in place.
+        keys: validated keys.
+        h1, h2, h3: the level hash, the spreading hash and the bin hash.
+        offset, floor: as above.
+        level_limit: ``lsb(0)``, the paper's ``log n``.
+        bits: optional ``uint8`` buffer of at least ``h3``'s range in bits.
+    """
+    return _kernels.active().hashed_max_scatter(
+        target, keys, h1, h2, h3, offset, floor, level_limit, bits
+    )
 
 
 def lsb64_batch(values: "np.ndarray", zero_value: int) -> "np.ndarray":

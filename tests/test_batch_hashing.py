@@ -31,7 +31,7 @@ from repro.hashing.siegel import SiegelHash
 from repro.hashing.uniform import PaghPaghHash
 from repro.hashing.universal import MultiplyShiftHash, PairwiseHash
 from repro.streams.generators import iter_item_chunks, uniform_random_stream
-from repro.vectorize import as_delta_array, as_key_array
+from repro.vectorize import as_delta_array, as_key_array, hashed_max_scatter
 
 
 def _sample_keys(universe_size: int, count: int, seed: int):
@@ -170,14 +170,29 @@ def test_lsb_batch_matches_scalar():
 
 
 def test_hash_bundle_batch_forms_match_scalar():
+    """The bundle's batch form, the fused kernel, reads the scalar level and bins."""
     bundle = F0HashBundle(1 << 20, 256, eps_hint=0.0625, seed=13)
     keys = _sample_keys(1 << 20, 300, seed=5)
-    array = np.asarray(keys, dtype=np.uint64)
-    assert bundle.level_batch(array).tolist() == [bundle.level(k) for k in keys]
-    assert [int(v) for v in bundle.extended_bin_batch(array).tolist()] == [
-        bundle.extended_bin(k) for k in keys
-    ]
-    assert bundle.main_bin_batch(array).tolist() == [bundle.main_bin(k) for k in keys]
+    counters = np.full(bundle.bins, -1, dtype=np.int8)
+    bits = np.zeros(bundle.extended_bins // 8, dtype=np.uint8)
+    hashed_max_scatter(
+        counters,
+        np.asarray(keys, dtype=np.uint64),
+        bundle.h1,
+        bundle.h2,
+        bundle.h3,
+        0,
+        -1,
+        bundle.level_limit,
+        bits,
+    )
+    expected = [-1] * bundle.bins
+    for key in keys:
+        index = bundle.main_bin(key)
+        expected[index] = max(expected[index], bundle.level(key))
+    assert counters.tolist() == expected
+    set_bits = np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist()
+    assert set_bits == sorted({bundle.extended_bin(key) for key in keys})
 
 
 def test_as_key_array_validation():

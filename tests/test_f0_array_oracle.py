@@ -23,6 +23,7 @@ the ``u8``/``u16``/``i8``/``i16`` max-scatter kernels.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
@@ -162,8 +163,8 @@ class ListFigure3:
     def _ingest_chunk(self, keys):
         if len(keys) == 0:
             return
-        indices = self.hashes.main_bin_batch(keys).tolist()
-        levels = self.hashes.level_batch(keys).tolist()
+        indices = [self.hashes.main_bin(key) for key in keys.tolist()]
+        levels = [self.hashes.level(key) for key in keys.tolist()]
         after = list(self.counters)
         for index, level in zip(indices, levels):
             after[index] = max(after[index], level - self.base)
@@ -278,8 +279,8 @@ def _deep_items(universe):
     the rough estimate stays low, so ``A`` passes ``3K`` and FAIL latches.
     """
     sketch, _ = _figure3(universe, offset_divisor=1)
-    keys = np.arange(200_000, dtype=np.uint64)
-    return tuple(keys[sketch.hashes.level_batch(keys) >= 8][:150].tolist())
+    deep = (key for key in range(200_000) if sketch.hashes.level(key) >= 8)
+    return tuple(itertools.islice(deep, 150))
 
 
 def _items(universe):

@@ -17,6 +17,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -27,7 +28,10 @@ from hypothesis import strategies as st
 
 import repro.kernels as kernels
 from repro.exceptions import KernelBackendError
+from repro.hashing.kwise import KWiseHash
 from repro.hashing.primes import next_prime
+from repro.hashing.uniform import PaghPaghHash
+from repro.hashing.universal import PairwiseHash
 from repro.kernels import numpy_backend
 
 # ---------------------------------------------------------------------------
@@ -349,6 +353,101 @@ def test_grouped_or_scatter_matches_scalar(backend_name, data):
     for g, m in zip(index, masks):
         expected[g] |= m
     assert target.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# The fused KNW chain against its reference composition.
+# ---------------------------------------------------------------------------
+
+#: Universes whose pairwise hashes cover every prime reduction of the chain:
+#: small primes (universe <= 2^20), 2^31 - 1, 2^61 - 1 and a 62-bit prime
+#: (the __int128 division).
+CHAIN_UNIVERSES = [1 << 12, 1 << 20, (1 << 31) - 1, 1 << 32, 1 << 62]
+
+
+def _chain_h3(kind, domain, range_size, rng):
+    """``h3`` in each form the kernel reads: a polynomial, a filled-on-demand
+    table, a complete table, or a polynomial over ``2^31 - 1`` whose domain
+    reaches past ``p`` (so a lane block holds keys at or above ``p``)."""
+    if kind == "pagh-pagh":
+        return PaghPaghHash(domain, range_size, 2 * range_size, rng)
+    if kind == "past-p":
+        h3 = KWiseHash((1 << 31) - 1, range_size, 10, rng=rng)
+        # No constructor draws a domain past its prime; the reference's
+        # Horner is exact up to the declared bound, so both sides agree.
+        h3.universe_size = domain
+        return h3
+    return KWiseHash(domain, range_size, 2 * range_size if kind == "table" else 10, rng=rng)
+
+
+@backend_param
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hashed_max_scatter_matches_reference(backend_name, data):
+    """Target and bit buffer equal the reference's, byte for byte."""
+    backend = _backend(backend_name)
+    universe = data.draw(st.sampled_from(CHAIN_UNIVERSES), label="universe")
+    kind = data.draw(st.sampled_from(["polynomial", "table", "pagh-pagh", "past-p"]))
+    rng = random.Random(data.draw(st.integers(0, 1 << 30), label="seed"))
+    range_size = data.draw(st.sampled_from([8, 20, 32, 1024]), label="h3 range")
+    domain = {
+        "polynomial": data.draw(st.sampled_from([1 << 18, 1 << 24, 1 << 30, 1 << 33])),
+        "table": range_size**3 if range_size <= 40 else 1 << 16,
+        "pagh-pagh": range_size**3 if range_size <= 40 else 1 << 16,
+        "past-p": 1 << 33,
+    }[kind]
+    h3 = _chain_h3(kind, domain, range_size, rng)
+    h2 = PairwiseHash(universe, domain, rng=rng)
+    # h1 is affine with a root x0 inside the universe: h1(x0) = 0, lsb(0).
+    probe = PairwiseHash(universe, universe, rng=rng)
+    a, p1 = probe._a, probe._prime
+    root = rng.randrange(universe)
+    h1 = KWiseHash(universe, universe, 2, coefficients=[(-a * root) % p1, a])
+    level_limit = max((universe - 1).bit_length(), 1)
+    size = data.draw(st.integers(0, 40), label="keys")
+    keys = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, universe - 1),
+                st.sampled_from([0, 1, root, universe - 1]),
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    keys = np.asarray(keys, dtype=np.uint64)
+    if kind == "table":
+        # Warm part of the table, so the batch both hits and misses.
+        h3.hash_batch_validated(h2.hash_batch_validated(keys[: len(keys) // 2]))
+    if data.draw(st.booleans(), label="signed"):
+        # Figure 3: offsets C - b, floored at -1; a deep base floors most.
+        dtype, floor = np.int8, -1
+        offset = -data.draw(st.integers(0, level_limit + 2), label="base")
+        start = data.draw(st.lists(st.integers(-1, 20), min_size=32, max_size=32))
+    else:
+        # A Figure 2 copy: stored values lsb + 1.
+        dtype, offset, floor = np.uint8, 1, 0
+        start = data.draw(st.lists(st.integers(0, 20), min_size=32, max_size=32))
+    m = min(32, range_size)
+    target = np.asarray(start[:m], dtype=dtype)
+    expected = target.copy()
+    bits = expected_bits = None
+    if data.draw(st.booleans(), label="bits"):
+        length = (range_size + 7) // 8
+        initial = data.draw(st.binary(min_size=length, max_size=length))
+        bits = np.frombuffer(bytearray(initial), dtype=np.uint8)
+        expected_bits = bits.copy()
+    backend.hashed_max_scatter(target, keys, h1, h2, h3, offset, floor, level_limit, bits)
+    numpy_backend.hashed_max_scatter(
+        expected, keys, h1, h2, h3, offset, floor, level_limit, expected_bits
+    )
+    assert target.tobytes() == expected.tobytes()
+    if bits is not None:
+        assert bits.tobytes() == expected_bits.tobytes()
+    if kind == "table":
+        table = h3.word_form()[3]
+        filled = np.flatnonzero(table != np.uint64((1 << 64) - 1))
+        assert table[filled].tolist() == [h3(int(x)) for x in filled]
 
 
 # ---------------------------------------------------------------------------

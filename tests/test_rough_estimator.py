@@ -148,6 +148,26 @@ class TestGuarantees:
         with pytest.raises(ParameterError):
             a.merge_max(b)
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_merge_max_rejects_another_seeds_estimator(self, uniform):
+        """Same parameters, other hash functions: the merge is refused and
+        leaves the counters alone."""
+        mine = RoughEstimator(1 << 32, seed=1, use_uniform_family=uniform)
+        other = RoughEstimator(1 << 32, seed=2, use_uniform_family=uniform)
+        other.update_batch(np.arange(50_000, dtype=np.uint64))
+        with pytest.raises(ParameterError):
+            mine.merge_max(other)
+        assert not mine._counters.any() and mine.estimate() == -1.0
+        twin = RoughEstimator(1 << 32, seed=2, use_uniform_family=uniform)
+        twin.merge_max(other)
+        assert twin.estimate() == other.estimate()
+
+    def test_merge_max_rejects_the_other_h3_family(self):
+        polynomial = RoughEstimator(1 << 32, seed=4)
+        uniform = RoughEstimator(1 << 32, seed=4, use_uniform_family=True)
+        with pytest.raises(ParameterError):
+            polynomial.merge_max(uniform)
+
 
 class TestFastVariant:
     def test_fast_variant_constant_factor(self, large_universe):
