@@ -12,19 +12,19 @@ scalar updates do the most per-item Python work) together with a
 batch-size sensitivity row.
 
 Each family's scalar and batch rates are timed back to back, and every
-family once per round, in :data:`ROUNDS` rounds; a row records the median
-over the rounds and a speedup the median of the rounds' ratios, so a
-slow stretch of the host moves every row alike instead of one.
+family once per round, in :data:`ROUNDS` rounds
+(``conftest.interleaved_medians``); a row records the median over the
+rounds and a speedup the median of the rounds' ratios, so a slow stretch
+of the host moves every row alike instead of one.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
 import pytest
-from conftest import BENCH_UNIVERSE, emit, metric, record, run_once
+from conftest import BENCH_UNIVERSE, emit, interleaved_medians, metric, record, run_once
 
 from repro.baselines.hyperloglog import HyperLogLogCounter
 from repro.baselines.kmv import KMinimumValues
@@ -84,19 +84,14 @@ def test_batch_throughput_table(benchmark):
     np.unique(np.arange(4, dtype=np.uint64))  # trigger numpy lazy imports
 
     def experiment():
-        rounds = {name: [] for name in FACTORIES}
-        for _ in range(ROUNDS):
-            for name, factory in FACTORIES.items():
-                scalar = _scalar_rate(factory(), item_list)
-                rounds[name].append((scalar, _batch_rate(factory(), items)))
-        return {
+        sides = {
             name: (
-                statistics.median(scalar for scalar, _ in pairs),
-                statistics.median(batch for _, batch in pairs),
-                statistics.median(batch / scalar for scalar, batch in pairs),
+                lambda factory=factory: _scalar_rate(factory(), item_list),
+                lambda factory=factory: _batch_rate(factory(), items),
             )
-            for name, pairs in rounds.items()
+            for name, factory in FACTORIES.items()
         }
+        return interleaved_medians(sides, ROUNDS)
 
     rows = run_once(benchmark, experiment)
     lines = ["%-12s %14s %14s %9s" % ("algorithm", "scalar it/s", "batch it/s", "speedup")]

@@ -11,8 +11,6 @@ passes should dominate:
 * ``hash_kwise_m31`` — the same chain as the KNW hash bundle's ``h3``
   draws it at eps = 0.05: 10-wise over 2^31 - 1, keys below 2^30 and
   range 1024 (the compiled backend's lane-blocked Horner).
-* ``residue_scatter`` — ``grouped_residue_sums``, the in-place modular
-  counter scatter of the turnstile structures, over 2^61 - 1.
 * ``grouped_max`` / ``grouped_or`` — the sketch-store register scatters.
 * ``mulmod_arrays`` — the element-by-element field multiply.
 * ``lsb`` — the batched least-significant-bit extraction.
@@ -21,6 +19,11 @@ passes should dominate:
   2^61 - 1, the bundle ``h3`` above, 512 ``int8`` counters and the 1024
   small-F0 bits.  Each backend runs as the active one, so the NumPy
   row's hash passes are NumPy's too.
+* ``l0_chain`` — a whole ``knw-l0`` update at eps = 0.05, ``n = 2^32``
+  and ``mM = 2^20``, +-1 deltas: one ``hashed_fingerprint_scatter`` into
+  the 33 x 512 fingerprint matrix and the 1024-cell unsampled row, and
+  one ``hashed_residue_scatter`` each into the 5 x 10,000 Lemma 8
+  buckets and the rough estimator's 33 x 5 x 256.
 
 Acceptance gate (asserted at full scale when the compiled backend is
 available): the compiled backend must beat the NumPy reference by >= 5x
@@ -43,6 +46,7 @@ import numpy as np
 import pytest
 from conftest import emit, metric, record, run_once
 
+from repro.estimators.registry import make_l0_estimator
 from repro.exceptions import KernelBackendError
 from repro.hashing.kwise import KWiseHash
 from repro.hashing.universal import PairwiseHash
@@ -97,11 +101,6 @@ def _inputs():
     bundle_keys = rng.integers(0, BUNDLE_H3_DOMAIN, size=ELEMENTS, dtype=np.uint64)
     bundle_h3 = [int(c) for c in rng.integers(1, MERSENNE31, size=BUNDLE_H3_K)]
 
-    def residue_scatter(backend):
-        counters = np.zeros(1 << 16, dtype=np.uint64)
-        backend.grouped_residue_sums(counters, groups, field, MERSENNE61)
-        return counters
-
     draw = random.Random(0xBE7C)
     h1 = PairwiseHash(1 << 32, 1 << 32, rng=draw)
     h2 = PairwiseHash(1 << 32, BUNDLE_H3_DOMAIN, rng=draw)
@@ -118,6 +117,32 @@ def _inputs():
             set_backend(active)
         return np.concatenate([counters.view(np.uint8), bits])
 
+    sketch = make_l0_estimator("knw-l0", 1 << 32, 0.05, 1 << 20, seed=0xBE7C)
+    deltas = np.where(values % 4 == 0, -1, 1).astype(np.int64)
+
+    def l0_chain(backend):
+        state, structures = [], []
+        for matrix in (sketch._matrix, sketch._small_row):
+            cells = np.zeros_like(matrix._cells)
+            counts = np.zeros(len(cells), dtype=np.int64)
+            structures.append((cells, counts, matrix._h4, matrix._weight_vector(), matrix.prime))
+            state += [cells.reshape(-1), counts.view(np.uint64)]
+        backend.hashed_fingerprint_scatter(
+            keys, deltas, sketch._h1, sketch._h2, sketch._h3, sketch._level_limit, structures
+        )
+        exact, rough = sketch._small_exact, sketch.rough
+        for shape, splitter, hashes, primes in (
+            ((1,) + exact._counters.shape, None, exact._hashes, [exact.prime]),
+            (rough._counters.shape, rough._splitter, rough._shared_hashes, rough._primes),
+        ):
+            counters = np.zeros(shape, dtype=np.uint64)
+            counts = np.zeros(shape[0] * shape[1], dtype=np.int64)
+            backend.hashed_residue_scatter(
+                counters, counts, keys, deltas, splitter, hashes, primes, rough._level_limit
+            )
+            state += [counters.reshape(-1), counts.view(np.uint64)]
+        return np.concatenate(state)
+
     kernels = {
         "hash_affine": lambda backend: backend.affine_mod_range(
             a, b, keys, MERSENNE61, 1 << 32, 1 << 16
@@ -128,7 +153,6 @@ def _inputs():
         "hash_kwise_m31": lambda backend: backend.kwise_mod_range(
             bundle_h3, bundle_keys, MERSENNE31, BUNDLE_H3_DOMAIN, BUNDLE_H3_RANGE
         ),
-        "residue_scatter": residue_scatter,
         "grouped_max": lambda backend: backend.grouped_max_scatter(
             np.zeros(1 << 16, dtype=np.uint8), groups, values
         ),
@@ -140,6 +164,7 @@ def _inputs():
         ),
         "lsb": lambda backend: backend.lsb64_batch(keys, 64),
         "knw_chain": knw_chain,
+        "l0_chain": l0_chain,
     }
     return kernels
 

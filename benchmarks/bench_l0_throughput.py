@@ -13,6 +13,11 @@ ingest at least 10x faster through the batch path on a 10^6-update
 stream.  The gate is skipped — with the measured table still printed —
 when the stream has been shrunk below 10^6 updates for a smoke run.
 
+Each family's scalar and batch rates are timed back to back, and every
+family once per round, in :data:`ROUNDS` rounds
+(``conftest.interleaved_medians``); a row records the median over the
+rounds and a speedup the median of the rounds' ratios.
+
 Environment knobs (for CI smoke runs and local experiments):
 
 * ``BENCH_L0_ITEMS`` — turnstile stream length (default 1_000_000).
@@ -24,7 +29,7 @@ import os
 import time
 
 import numpy as np
-from conftest import BENCH_UNIVERSE, emit, run_once, metric, record
+from conftest import BENCH_UNIVERSE, emit, interleaved_medians, metric, record, run_once
 
 from repro.estimators.registry import make_l0_estimator
 from repro.kernels import get_backend, kernel_backend_info
@@ -51,6 +56,9 @@ GATED = {"knw-l0": 10.0, "ganguly": 10.0}
 
 #: Stream length below which the gate is skipped (smoke runs).
 GATE_SCALE = 1_000_000
+
+#: Interleaved rounds behind each table row.
+ROUNDS = 5
 
 
 def _stream() -> "tuple[np.ndarray, np.ndarray]":
@@ -105,12 +113,14 @@ def test_l0_batch_throughput_table(benchmark):
     np.unique(np.arange(4, dtype=np.uint64))  # trigger numpy lazy imports
 
     def experiment():
-        rows = {}
-        for name in GATED:
-            scalar = _scalar_rate(_factory(name), item_list, delta_list)
-            batch = _batch_rate(_factory(name), items, deltas)
-            rows[name] = (scalar, batch, batch / scalar)
-        return rows
+        sides = {
+            name: (
+                lambda name=name: _scalar_rate(_factory(name), item_list, delta_list),
+                lambda name=name: _batch_rate(_factory(name), items, deltas),
+            )
+            for name in GATED
+        }
+        return interleaved_medians(sides, ROUNDS)
 
     rows = run_once(benchmark, experiment)
     lines = [

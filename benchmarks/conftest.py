@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -113,6 +114,36 @@ def record(name, metrics, scale=None, environment=None):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _RECORDED_THIS_RUN.add(name)
+
+
+def interleaved_medians(sides, rounds):
+    """Time each family's scalar and batch sides back to back, every family
+    once per round, and summarize each family by medians.
+
+    A slow stretch of the host then moves every row alike instead of one,
+    and no family is timed only right after another.
+
+    Args:
+        sides: ``{name: (scalar, batch)}``, each side a zero-argument
+            callable that builds its own estimator and returns a rate.
+        rounds: the number of rounds.
+
+    Returns:
+        ``{name: (scalar, batch, speedup)}``: the median rates over the
+        rounds and the median of the rounds' ``batch / scalar`` ratios.
+    """
+    pairs = {name: [] for name in sides}
+    for _ in range(rounds):
+        for name, (scalar, batch) in sides.items():
+            pairs[name].append((scalar(), batch()))
+    return {
+        name: (
+            statistics.median(scalar for scalar, _ in timed),
+            statistics.median(batch for _, batch in timed),
+            statistics.median(batch / scalar for scalar, batch in timed),
+        )
+        for name, timed in pairs.items()
+    }
 
 
 def emit(title: str, body: str) -> None:

@@ -20,6 +20,10 @@ that one unacknowledged batch — still a valid prefix state.  A failed
 write (step 3 or a snapshot) is treated the same way, fail-stop: the
 live target is then ahead of the log, so the checkpointer refuses every
 later mutation instead of logging records recovery could never reach.
+So is an apply that fails with anything but the validators' own
+rejections (``ParameterError``, ``UpdateError``, which refuse a batch
+before mutating anything): the target may hold part of an unlogged
+record.
 
 Snapshots (``to_bytes`` of the whole target) are written atomically,
 sealing the current segment; compaction then deletes every segment that
@@ -35,7 +39,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from .. import serialize
-from ..exceptions import FormatVersionError, PersistenceError, SerializationError
+from ..exceptions import (
+    FormatVersionError,
+    ParameterError,
+    PersistenceError,
+    SerializationError,
+    UpdateError,
+)
 from .log import (
     RECORD_KIND_DELTA,
     RECORD_KIND_SNAPSHOT,
@@ -290,8 +300,9 @@ class Checkpointer:
         self.snapshot_every = snapshot_every
         self.keep_snapshots = keep_snapshots
         self._since_snapshot = 0
-        #: The write error that stopped this checkpointer, if any.
-        self._failure: Optional[Exception] = None
+        #: The step ("write" or "apply") and the error that stopped this
+        #: checkpointer, if any.
+        self._failure: Optional[Tuple[str, Exception]] = None
         if _resume is not None:
             self._log, self._seq = _resume
             # A clean close() seals a snapshot and then leaves an empty
@@ -412,7 +423,17 @@ class Checkpointer:
         # Apply the DECODED record, not the original arguments: replay
         # will see exactly these values, so live state and recovered
         # state run the same code on the same bytes.
-        apply_delta(self.target, serialize.loads_tree(payload))
+        try:
+            apply_delta(self.target, serialize.loads_tree(payload))
+        except (ParameterError, UpdateError):
+            raise  # refused whole: the target did not move
+        except Exception as exc:
+            self._failure = ("apply", exc)
+            raise PersistenceError(
+                "applying the record after seq %d to %r failed: %s; the target "
+                "may hold part of it, so this checkpointer has stopped"
+                % (self._seq, self.directory, exc)
+            ) from exc
         seq = self._seq + 1
         self._durably(self._log.append, RECORD_KIND_DELTA, seq, payload)
         self._seq = seq
@@ -423,17 +444,18 @@ class Checkpointer:
 
     def _check_usable(self) -> None:
         if self._failure is not None:
+            step, error = self._failure
             raise PersistenceError(
-                "checkpointer for %r stopped after a failed write at seq %d; "
-                "recover() the directory to continue" % (self.directory, self._seq)
-            ) from self._failure
+                "checkpointer for %r stopped after a failed %s at seq %d; "
+                "recover() the directory to continue" % (self.directory, step, self._seq)
+            ) from error
 
     def _durably(self, write: Callable[..., Any], *args: Any) -> Any:
         """Run one log write; a failure stops this checkpointer for good."""
         try:
             return write(*args)
         except Exception as exc:
-            self._failure = exc
+            self._failure = ("write", exc)
             raise PersistenceError(
                 "durable write to %r failed after seq %d: %s"
                 % (self.directory, self._seq, exc)

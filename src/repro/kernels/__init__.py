@@ -2,8 +2,9 @@
 
 The hot kernels behind :mod:`repro.vectorize` — batched Mersenne-prime
 hashing, the grouped scatter reductions, ``lsb64_batch``, and the fused
-KNW chain ``hashed_max_scatter`` — are implemented by pluggable
-*backends*:
+per-structure chains ``hashed_max_scatter`` (KNW F0),
+``hashed_residue_scatter`` and ``hashed_fingerprint_scatter``
+(``knw-l0``) — are implemented by pluggable *backends*:
 
 ``numpy``
     The always-available reference implementation
@@ -62,10 +63,11 @@ REQUIRED_KERNELS = (
     "affine_mod_range",
     "mulmod_arrays",
     "kwise_mod_range",
-    "grouped_residue_sums",
     "grouped_max_scatter",
     "grouped_or_scatter",
     "hashed_max_scatter",
+    "hashed_residue_scatter",
+    "hashed_fingerprint_scatter",
     "lsb64_batch",
 )
 

@@ -34,7 +34,7 @@ from . import numpy_backend as _ref
 from .numpy_backend import np
 
 #: Bumped together with ``repro_kernels_abi()`` in ``_kernels.c``.
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 
@@ -52,16 +52,17 @@ _U64_MAX = (1 << 64) - 1
 _I64_MAX = (1 << 63) - 1
 _MERSENNE_EXPONENTS = {(1 << 31) - 1: 31, (1 << 61) - 1: 61}
 
-#: Target dtypes the C max-scatter is specialised for.
+#: Target dtypes the C max-scatter is specialised for, keyed by the dtype
+#: object: reading ``dtype.name`` costs a hundred times a dict lookup.
 _MAX_SCATTER_SUFFIXES = {
-    "uint8": "u8",
-    "uint16": "u16",
-    "uint32": "u32",
-    "uint64": "u64",
-    "int8": "i8",
-    "int16": "i16",
-    "int32": "i32",
-    "int64": "i64",
+    np.dtype(np.uint8): "u8",
+    np.dtype(np.uint16): "u16",
+    np.dtype(np.uint32): "u32",
+    np.dtype(np.uint64): "u64",
+    np.dtype(np.int8): "i8",
+    np.dtype(np.int16): "i16",
+    np.dtype(np.int32): "i32",
+    np.dtype(np.int64): "i64",
 }
 
 
@@ -193,71 +194,200 @@ def _build_library() -> str:
 _CHAIN_TARGETS = {np.dtype(np.int8): ("i8", -128, 127), np.dtype(np.uint8): ("u8", 0, 255)}
 
 
-def _ptr(array: "np.ndarray") -> ctypes.c_void_p:
-    """A pointer to a C-contiguous array's data.
+def _address(array: "np.ndarray") -> int:
+    """The address of a C-contiguous array's data.
 
     A writable non-empty buffer's address comes from ctypes directly, a
-    quarter of what ``ndarray.ctypes`` costs; the fused chain reads four
-    per call.
+    quarter of what ``ndarray.ctypes`` costs; the fused chains read four
+    or more per call.
     """
     if array.size and array.flags.writeable:
-        return ctypes.c_void_p(ctypes.addressof(ctypes.c_char.from_buffer(array)))
-    return ctypes.c_void_p(array.ctypes.data)
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
+def _ptr(array: "np.ndarray") -> ctypes.c_void_p:
+    """:func:`_address` as a pointer argument."""
+    return ctypes.c_void_p(_address(array))
+
+
+def _word_form(h):
+    """``h.word_form()``, or ``None`` when ``h`` has none."""
+    form = getattr(h, "word_form", None)
+    return None if form is None else form()
+
+
+def _affine_words(h):
+    """A pairwise function as the words ``(p, range, c_0, c_1)``, or ``None``
+    where the kernels cannot evaluate it (no word form, more than two
+    coefficients, a prime of ``2^63`` or more, or a range past 64 bits)."""
+    form = _word_form(h)
+    if form is None:
+        return None
+    coefficients, prime, range_size, _ = form
+    if len(coefficients) != 2 or prime >= 1 << 63 or range_size >= 1 << 64:
+        return None
+    return (prime, range_size, *coefficients)
+
+
+def _polynomial_words(h, domain):
+    """``h3`` as the words ``(p, range, k, coefficients...)`` and its value
+    table (or ``None``); ``None`` where the kernels cannot evaluate it.  A
+    table must cover ``domain``, the largest value ``h3`` is fed plus one."""
+    form = _word_form(h)
+    if form is None:
+        return None
+    coefficients, prime, range_size, table = form
+    if (
+        prime >= 1 << 63
+        or range_size >= 1 << 64
+        or (table is None and not coefficients)
+        or (table is not None and domain > table.size)
+    ):
+        return None
+    return (prime, range_size, len(coefficients), *coefficients), table
+
+
+def _in_place(array, dtype, ndim) -> bool:
+    """Whether ``array`` is a writable C-contiguous ``dtype`` array of ``ndim``
+    dimensions holding at least one element, so the kernels may write it."""
+    return (
+        array.dtype == dtype
+        and array.ndim == ndim
+        and array.size > 0
+        and array.flags.c_contiguous
+        and array.flags.writeable
+    )
 
 
 def _chain_words(target, keys, h1, h2, h3, offset, floor, level_limit, bits):
     """Pack a chain the C kernel computes exactly; ``None`` where it cannot.
 
-    Each function's ``word_form()`` is ``(coefficients, p, range, table)``:
-    ``h1`` and ``h2`` must be affine (two coefficients) and ``h3`` a
-    polynomial or a table, every prime below ``2^63``.  A table must
-    cover ``h2``'s range, every candidate value must fit the target's
-    dtype, and a bit buffer must hold ``h3``'s range.  Returns the packed
-    words and ``h3``'s table (or ``None``).
+    ``h1`` and ``h2`` must be affine and ``h3`` a polynomial or a table
+    covering ``h2``'s range, every prime below ``2^63``; every candidate
+    value must fit the target's dtype, and a bit buffer must hold ``h3``'s
+    range.  Returns the packed words and ``h3``'s table (or ``None``).
     """
     bounds = _CHAIN_TARGETS.get(target.dtype)
-    forms = [getattr(h, "word_form", None) for h in (h1, h2, h3)]
-    if (
-        bounds is None
-        or None in forms
-        or keys.dtype == object
-        or target.ndim != 1
-        or target.size == 0
-        or not target.flags.c_contiguous
-        or not target.flags.writeable
-    ):
+    if bounds is None or keys.dtype == object or not _in_place(target, target.dtype, 1):
         return None
-    (c1, p1, r1, _), (c2, p2, r2, _) = forms[0](), forms[1]()
-    form3 = forms[2]()
-    if form3 is None:
+    f1, f2 = _affine_words(h1), _affine_words(h2)
+    f3 = None if f2 is None else _polynomial_words(h3, f2[1])
+    if f1 is None or f3 is None:
         return None
-    c3, p3, r3, table = form3
-    _, low, high = bounds
+    (words3, table), (_, low, high) = f3, bounds
     top = max(63, level_limit) + offset
-    if (
-        len(c1) != 2
-        or len(c2) != 2
-        or max(p1, p2, p3) >= 1 << 63
-        or max(r1, r2, r3) >= 1 << 64
-        or (table is not None and r2 > table.size)
-        or (table is None and not c3)
-        or not low <= max(offset, floor) <= max(top, floor) <= high
-        or (
-            bits is not None
-            and (
-                bits.dtype != np.uint8
-                or not bits.flags.c_contiguous
-                or not bits.flags.writeable
-                or bits.size * 8 < r3
-            )
-        )
+    if not low <= max(offset, floor) <= max(top, floor) <= high or (
+        bits is not None
+        and (not _in_place(bits, np.uint8, 1) or bits.size * 8 < words3[1])
     ):
         return None
     words = struct.pack(
-        "=%dQ" % (13 + len(c3)),
-        target.size, level_limit, p1, r1, *c1, p2, r2, *c2, p3, r3, len(c3), *c3
+        "=%dQ" % (10 + len(words3)), target.size, level_limit, *f1, *f2, *words3
     )
     return words, table
+
+
+def _turnstile_inputs(keys, deltas) -> bool:
+    """Whether a turnstile call's keys and deltas are words of one length."""
+    return keys.dtype == np.uint64 and deltas.dtype == np.int64 and len(keys) == len(deltas)
+
+
+def _residue_words(counters, counts, keys, deltas, splitter, hashes, primes, level_limit):
+    """Pack a Lemma 8 bucket-array call the C kernel computes exactly, or
+    ``None``: counters must be ``uint64``, every prime in ``[2, 2^63)``,
+    every hash affine with a range of at most ``buckets``, and the counts
+    one per (row, trial).  Without a splitter every key is in row 0."""
+    if not (
+        _in_place(counters, np.uint64, 3)
+        and _in_place(counts, np.int64, 1)
+        and _turnstile_inputs(keys, deltas)
+        and level_limit >= 0
+    ):
+        return None
+    rows, trials, buckets = counters.shape
+    if counts.size != rows * trials or len(hashes) != trials or len(primes) != rows:
+        return None
+    top = 1 if splitter is None else rows
+    split = (0, 0, 0, 0) if top == 1 else _affine_words(splitter)
+    forms = [_affine_words(h) for h in hashes]
+    if (
+        split is None
+        or None in forms
+        or max(form[1] for form in forms) > buckets
+        or min(primes) < 2
+        or max(primes) >= 1 << 63
+    ):
+        return None
+    return struct.pack(
+        "=%dQ" % (8 + top + 4 * trials),
+        top,
+        level_limit,
+        trials,
+        buckets,
+        *split,
+        *primes[:top],
+        *[word for form in forms for word in form],
+    )
+
+
+def _fingerprint_structure(structure):
+    """One fingerprint structure's words ``(rows, columns, p, U4, h4...)``
+    and its three addresses, or ``None`` where the kernel cannot update
+    it: cells and weights must be ``uint64`` with ``2 <= p < 2^63``, the
+    counts one per row, and ``h4`` affine with a range of at most the
+    weight count."""
+    cells, counts, h4, weights, prime = structure
+    if not (
+        _in_place(cells, np.uint64, 2)
+        and _in_place(counts, np.int64, 1)
+        and counts.size == len(cells)
+        and weights.dtype == np.uint64
+        and weights.ndim == 1
+        and weights.flags.c_contiguous
+        and 2 <= prime < 1 << 63
+    ):
+        return None
+    f4 = _affine_words(h4)
+    domain = getattr(h4, "universe_size", 1 << 64)
+    if f4 is None or f4[1] > weights.size or not 0 < domain < 1 << 64:
+        return None
+    words = (*cells.shape, prime, domain, *f4)
+    return words, (_address(cells), _address(counts), _address(weights))
+
+
+def _fingerprint_words(keys, deltas, h1, h2, h3, level_limit, structures):
+    """Split a fingerprint call into what the C kernel computes exactly and
+    what it hands to the reference.
+
+    The shared part must be computable (word keys and deltas, ``h1`` and
+    ``h2`` affine, ``h3`` a polynomial or a table covering ``h2``'s
+    range, primes below ``2^63``), or every structure goes to the
+    reference.  Returns ``(words, table, targets, delegated)``: the packed
+    form and addresses of the compiled structures (``None`` when there are
+    none) and the list of the others.
+    """
+    f1, f2 = _affine_words(h1), _affine_words(h2)
+    f3 = None if f2 is None else _polynomial_words(h3, f2[1])
+    if f1 is None or f3 is None or level_limit < 0 or not _turnstile_inputs(keys, deltas):
+        return None, None, None, list(structures)
+    compiled, addresses, delegated = [], [], []
+    for structure in structures:
+        packed = _fingerprint_structure(structure)
+        if packed is None:
+            delegated.append(structure)
+        else:
+            compiled += packed[0]
+            addresses += packed[1]
+    if not addresses:
+        return None, None, None, delegated
+    (words3, table) = f3
+    words = struct.pack(
+        "=%dQ" % (10 + len(compiled) + len(words3)),
+        level_limit, *f1, *f2, len(addresses) // 3, *compiled, *words3,
+    )
+    targets = struct.pack("=%dQ" % len(addresses), *addresses)
+    return words, table, targets, delegated
 
 
 class CompiledKernels:
@@ -277,21 +407,30 @@ class CompiledKernels:
                 % (library_path, abi, _ABI_VERSION)
             )
         self._lib = lib
+        pointer, word, words = ctypes.c_void_p, ctypes.c_int64, ctypes.c_char_p
+        self._max_scatters = {
+            dtype: getattr(lib, "repro_grouped_max_scatter_%s" % suffix)
+            for dtype, suffix in _MAX_SCATTER_SUFFIXES.items()
+        }
         self._chains = {}
         for dtype, (suffix, _, _) in _CHAIN_TARGETS.items():
-            kernel = getattr(lib, "repro_hashed_max_scatter_%s" % suffix)
-            kernel.argtypes = [
-                ctypes.c_void_p,
-                ctypes.c_void_p,
-                ctypes.c_int64,
-                ctypes.c_char_p,
-                ctypes.c_void_p,
-                ctypes.c_int64,
-                ctypes.c_int64,
-                ctypes.c_void_p,
-            ]
-            kernel.restype = None
-            self._chains[dtype] = kernel
+            self._chains[dtype] = self._declare(
+                "repro_hashed_max_scatter_%s" % suffix,
+                pointer, pointer, word, words, pointer, word, word, pointer,
+            )
+        self._residue_chain = self._declare(
+            "repro_hashed_residue_scatter", pointer, pointer, pointer, pointer, word, words
+        )
+        self._fingerprint_chain = self._declare(
+            "repro_hashed_fingerprint_scatter", pointer, pointer, word, words, pointer, words
+        )
+
+    def _declare(self, name, *argtypes):
+        """The library function ``name`` with its argument types set."""
+        kernel = getattr(self._lib, name)
+        kernel.argtypes = list(argtypes)
+        kernel.restype = None
+        return kernel
 
     def describe(self) -> dict:
         """Structured diagnostics for :func:`repro.kernels.kernel_backend_info`."""
@@ -467,6 +606,8 @@ class CompiledKernels:
 
     def kwise_mod_range(self, coefficients, keys, prime, key_bound, range_size):
         coefficients = list(coefficients)
+        # Past these bounds the kernel's one-word Horner for primes up to
+        # 2^32 could overflow, so the reference (and its object path) runs.
         if (
             keys.dtype == object
             or prime >= (1 << 63)
@@ -481,49 +622,23 @@ class CompiledKernels:
         keys = self._as_u64(keys)
         coeffs = np.asarray(coefficients, dtype=np.uint64)
         out = np.empty(keys.shape, dtype=np.uint64)
-        range_value, range_pow2 = self._range_flags(range_size)
         self._lib.repro_kwise_mod_range(
             _ptr(coeffs),
             ctypes.c_int64(coeffs.size),
             _ptr(keys),
             ctypes.c_int64(keys.size),
             ctypes.c_uint64(prime),
-            ctypes.c_int(self._mersenne(prime)),
-            ctypes.c_uint64(range_value),
-            ctypes.c_int(range_pow2),
+            ctypes.c_uint64(self._range_flags(range_size)[0]),
             _ptr(out),
         )
         return out
 
     # -- grouped scatter reductions --------------------------------------------------
 
-    def grouped_residue_sums(self, target, indices, residues, prime):
-        if (
-            target.dtype != np.uint64
-            or not target.flags.c_contiguous
-            or prime >= (1 << 63)
-        ):
-            return _ref.grouped_residue_sums(target, indices, residues, prime)
-        indices = self._as_i64(indices)
-        residues = self._as_u64(residues)
-        # The C loop writes target[index] unchecked.
-        if residues.size != indices.size:
-            raise ValueError("grouped_residue_sums takes one residue per index")
-        if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= target.size):
-            raise IndexError("grouped_residue_sums index outside the target")
-        self._lib.repro_grouped_residue_sums(
-            _ptr(target),
-            _ptr(indices),
-            _ptr(residues),
-            ctypes.c_int64(indices.size),
-            ctypes.c_uint64(prime),
-        )
-        return None
-
     def grouped_max_scatter(self, target, indices, values):
-        suffix = _MAX_SCATTER_SUFFIXES.get(target.dtype.name)
+        kernel = self._max_scatters.get(target.dtype)
         if (
-            suffix is None
+            kernel is None
             or not target.flags.c_contiguous
             or len(indices) == 0
             or values.dtype.kind not in ("i", "u", "b")
@@ -536,7 +651,7 @@ class CompiledKernels:
             return _ref.grouped_max_scatter(target, indices, values)
         indices = self._as_i64(indices)
         values = self._as_i64(values)
-        getattr(self._lib, "repro_grouped_max_scatter_%s" % suffix)(
+        kernel(
             _ptr(target),
             _ptr(indices),
             _ptr(values),
@@ -583,6 +698,45 @@ class CompiledKernels:
             floor,
             None if bits is None else _ptr(bits),
         )
+        return None
+
+    def hashed_residue_scatter(
+        self, counters, counts, keys, deltas, splitter, hashes, primes, level_limit
+    ):
+        words = _residue_words(
+            counters, counts, keys, deltas, splitter, hashes, primes, level_limit
+        )
+        if words is None:
+            return _ref.hashed_residue_scatter(
+                counters, counts, keys, deltas, splitter, hashes, primes, level_limit
+            )
+        if keys.size:
+            keys, deltas = self._as_u64(keys), self._as_i64(deltas)
+            self._residue_chain(
+                _ptr(counters), _ptr(counts), _ptr(keys), _ptr(deltas), keys.size, words
+            )
+        return None
+
+    def hashed_fingerprint_scatter(
+        self, keys, deltas, h1, h2, h3, level_limit, structures
+    ):
+        words, table, targets, delegated = _fingerprint_words(
+            keys, deltas, h1, h2, h3, level_limit, structures
+        )
+        if words is not None and keys.size:
+            keys, deltas = self._as_u64(keys), self._as_i64(deltas)
+            self._fingerprint_chain(
+                _ptr(keys),
+                _ptr(deltas),
+                keys.size,
+                words,
+                None if table is None else _ptr(table),
+                targets,
+            )
+        if delegated:
+            _ref.hashed_fingerprint_scatter(
+                keys, deltas, h1, h2, h3, level_limit, delegated
+            )
         return None
 
     # -- vectorized word primitives --------------------------------------------------
@@ -662,20 +816,6 @@ def _self_test(backend: CompiledKernels) -> None:
                 "backend (set REPRO_KERNEL_BACKEND=numpy)" % kernel
             )
     index = rng.integers(0, 8, size=64).astype(np.int64)
-    # The in-place residue scatter at the top of its domain: the largest
-    # prime below 2^63, counters and residues near it, repeated indices,
-    # and a ninth counter whose only sum lands exactly on the prime.
-    top_prime = (1 << 63) - 25
-    residues = np.uint64(top_prime - 1) - words % np.uint64(1 << 20)
-    start = residues[:9].copy()
-    landing = index.copy()
-    landing[0] = 8
-    residues[0] = np.uint64(top_prime) - start[8]
-    mine, reference = start.copy(), start.copy()
-    backend.grouped_residue_sums(mine, landing, residues, top_prime)
-    _ref.grouped_residue_sums(reference, landing, residues, top_prime)
-    if mine.tolist() != reference.tolist():
-        raise KernelBackendError("compiled grouped_residue_sums self-test failed")
     mine, reference = np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8)
     values = rng.integers(0, 200, size=64).astype(np.int64)
     backend.grouped_max_scatter(mine, index, values)
@@ -687,14 +827,16 @@ def _self_test(backend: CompiledKernels) -> None:
     if mine.tolist() != reference.tolist() or mine_or.tolist() != ref_or.tolist():
         raise KernelBackendError("compiled scatter self-test failed")
     _chain_self_test(backend, words)
+    _turnstile_self_test(backend, words)
 
 
 class _Polynomial:
     """A hash function given by its word form, for the load-time check."""
 
-    def __init__(self, coefficients, prime, range_size, table=None):
+    def __init__(self, coefficients, prime, range_size, table=None, universe_size=None):
         self.coefficients, self.prime = list(coefficients), prime
         self.range_size, self.table = range_size, table
+        self.universe_size = prime if universe_size is None else universe_size
 
     def word_form(self):
         return self.coefficients, self.prime, self.range_size, self.table
@@ -731,6 +873,56 @@ def _chain_self_test(backend: CompiledKernels, words) -> None:
                 raise KernelBackendError("compiled hashed_max_scatter self-test failed")
     if table.tolist() != poly.hash_batch_validated(np.arange(1 << 12, dtype=np.uint64)).tolist():
         raise KernelBackendError("compiled hashed_max_scatter filled a table entry wrongly")
+
+
+def _turnstile_self_test(backend: CompiledKernels, words) -> None:
+    """Cross-check both turnstile chains on 13 keys with the deltas' edge
+    cases (0, +-1, +-2^40, the int64 extremes).  Key 0 has ``h1 = 0``
+    (``lsb(0)``).  The bucket arrays count modulo 5, a 20-bit prime and
+    the largest prime below 2^63 over a 12-bucket range, split by level
+    and in one row; the fingerprints are a 4 x 6 matrix modulo that
+    prime and a one-row 12-cell matrix modulo the 20-bit one, sharing
+    ``h1``/``h2``/``h3``, each with a zero weight and a ``h4`` domain
+    that is not a power of two."""
+    p31, p61, top = (1 << 31) - 1, (1 << 61) - 1, (1 << 63) - 25
+    keys = words[:13] % np.uint64(1 << 32)
+    keys[0] = 0
+    deltas = np.asarray(
+        [1, -1, 0, 2, -5, -(1 << 63), (1 << 63) - 1, -1, 1, 1 << 40, -(1 << 40), 7, -1],
+        dtype=np.int64,
+    )
+    h1 = _Polynomial((0, p61 - 2), p61, 1 << 32)
+    trials = [_Polynomial((3, p61 - 5), p61, 12), _Polynomial((9, 4), p61, 8)]
+    primes = [5, 1_048_573, top]
+    for splitter, rows in ((h1, 3), (None, 1)):
+        start = np.stack([words[:24] % np.uint64(p) for p in primes[:rows]])
+        mine = start.reshape(rows, 2, 12)
+        reference = mine.copy()
+        counts = np.count_nonzero(mine, axis=2).reshape(-1)
+        expected = counts.copy()
+        backend.hashed_residue_scatter(mine, counts, keys, deltas, splitter, trials, primes[:rows], 32)
+        _ref.hashed_residue_scatter(
+            reference, expected, keys, deltas, splitter, trials, primes[:rows], 32
+        )
+        if mine.tolist() != reference.tolist() or counts.tolist() != expected.tolist():
+            raise KernelBackendError("compiled hashed_residue_scatter self-test failed")
+    spread = _Polynomial((5, 3), p61, 1 << 30)
+    h3 = _Polynomial([p31 - 1 - 7919 * j for j in range(10)], p31, 12)
+    structures = []
+    for rows, columns, prime, h4 in (
+        (4, 6, top, _Polynomial((7, 11), p31, 6, universe_size=1000)),
+        (1, 12, primes[1], _Polynomial((3, 8), p31, 12, universe_size=999)),
+    ):
+        cells = (words[: rows * columns] % np.uint64(prime)).reshape(rows, columns)
+        weights = words[30 : 30 + columns] % np.uint64(prime)
+        weights[2] = 0
+        structures.append((cells, np.count_nonzero(cells, axis=1), h4, weights, prime))
+    reference = [(cells.copy(), counts.copy(), *rest) for cells, counts, *rest in structures]
+    backend.hashed_fingerprint_scatter(keys, deltas, h1, spread, h3, 32, structures)
+    _ref.hashed_fingerprint_scatter(keys, deltas, h1, spread, h3, 32, reference)
+    for (cells, counts, *_), (expected, expected_counts, *_) in zip(structures, reference):
+        if cells.tolist() != expected.tolist() or counts.tolist() != expected_counts.tolist():
+            raise KernelBackendError("compiled hashed_fingerprint_scatter self-test failed")
 
 
 def load() -> CompiledKernels:

@@ -492,14 +492,7 @@ def hashed_max_scatter(
         bits: optional ``uint8`` byte buffer of at least ``h3``'s range
             in bits, mutated in place.
     """
-    words = h1.hash_batch_validated(keys)
-    if words.dtype == object:
-        levels = np.array(
-            [(v & -v).bit_length() - 1 if v else level_limit for v in words.tolist()],
-            dtype=np.int64,
-        )
-    else:
-        levels = lsb64_batch(words, level_limit)
+    levels = _levels(h1.hash_batch_validated(keys), level_limit)
     spread = h2.hash_batch_validated(keys)
     # SiegelHash (the Theorem 9 bundle) validates in its only batch form.
     evaluate = getattr(h3, "hash_batch_validated", None) or h3.hash_batch
@@ -509,6 +502,154 @@ def hashed_max_scatter(
     if bits is not None:
         masks = (np.int64(1) << (bins & np.int64(7))).astype(np.uint8)
         grouped_or_scatter(bits, bins >> np.int64(3), masks)
+
+
+def _levels(words: "np.ndarray", level_limit: int, top: int = None) -> "np.ndarray":
+    """``lsb`` of each hash word (``level_limit`` for 0), capped at ``top``."""
+    if words.dtype == object:
+        levels = np.array(
+            [(v & -v).bit_length() - 1 if v else level_limit for v in words.tolist()],
+            dtype=np.int64,
+        )
+    else:
+        levels = lsb64_batch(words, level_limit)
+    return levels if top is None else np.minimum(levels, np.int64(top))
+
+
+def residues_mod(deltas: "np.ndarray", prime: int) -> "np.ndarray":
+    """Return ``deltas % prime`` as non-negative residues, exactly.
+
+    Words suffice whenever the deltas fit ``int64`` and the modulus fits a
+    signed word (NumPy's ``%`` follows Python's sign-of-divisor rule, so
+    the residues are already non-negative); anything larger degrades to an
+    object array of Python ints.
+    """
+    if deltas.dtype == object or prime >= (1 << 63):
+        return _to_object_array(deltas) % prime
+    return (deltas % np.int64(prime)).astype(np.uint64)
+
+
+def _scatter_residues(target: "np.ndarray", indices, residues, prime: int) -> None:
+    """:func:`grouped_residue_sums` into ``target`` through its flat form."""
+    flat = target.reshape(-1)
+    grouped_residue_sums(flat, indices, residues, prime)
+    if not np.may_share_memory(flat, target):  # reshape had to copy
+        target[...] = flat.reshape(target.shape)
+
+
+def hashed_residue_scatter(
+    counters: "np.ndarray",
+    counts: "np.ndarray",
+    keys: "np.ndarray",
+    deltas: "np.ndarray",
+    splitter,
+    hashes,
+    primes,
+    level_limit: int,
+) -> None:
+    """Add each update's delta into its Lemma 8 buckets, one per trial.
+
+    ``counters`` holds ``rows`` structures of ``trials`` bucket arrays
+    (shape ``(rows, trials, buckets)``) sharing the trial hashes, row
+    ``r`` counting modulo ``primes[r]``.  An update ``(x, d)`` lands in row
+    ``min(lsb(splitter(x)), rows - 1)`` (``lsb(0) = level_limit``; row 0
+    when ``splitter`` is ``None``) and adds ``d`` to bucket
+    ``hashes[t](x)`` of every trial ``t``, modulo the row's prime:
+    ``SmallL0Recovery`` is one row, ``RoughL0Estimator`` one row per level.
+    ``counts`` (``int64``, one per (row, trial)) receives each bucket
+    array's number of nonzero counters.  The reference is the composition
+    of the hashes' batch forms and :func:`grouped_residue_sums` per row.
+
+    Args:
+        counters: residue counters (``uint64`` below ``2^63``, object
+            above), mutated in place.
+        counts: ``int64`` array of ``rows * trials`` counts, overwritten.
+        keys: validated keys, below every hash's domain.
+        deltas: signed deltas, one per key (``int64`` or object).
+        splitter: the level hash, or ``None``.
+        hashes: one pairwise hash per trial, ranges at most ``buckets``.
+        primes: one modulus per row.
+        level_limit: ``lsb(0)``.
+    """
+    rows, trials, buckets = counters.shape
+    if splitter is None:
+        levels = np.zeros(len(keys), dtype=np.int64)
+    else:
+        levels = _levels(splitter.hash_batch_validated(keys), level_limit, rows - 1)
+    slots = np.arange(trials, dtype=np.int64)[:, None] * np.int64(buckets) + np.array(
+        [h.hash_batch_validated(keys).astype(np.int64) for h in hashes], dtype=np.int64
+    ).reshape(trials, len(keys))
+    for level in np.flatnonzero(np.bincount(levels)).tolist():
+        group = np.flatnonzero(levels == level)
+        residues = residues_mod(deltas[group], primes[level])
+        _scatter_residues(
+            counters[level], slots[:, group].reshape(-1), np.tile(residues, trials), primes[level]
+        )
+    counts[:] = np.count_nonzero(counters, axis=2).reshape(-1)
+
+
+def _weighted_residues(weights: "np.ndarray", deltas: "np.ndarray", prime: int) -> "np.ndarray":
+    """``deltas * weights mod prime``, exactly: a delta of ``+1`` takes its
+    weight and ``-1`` the weight's negation, the others multiply."""
+    residues = residues_mod(deltas, prime)
+    if residues.dtype == object or weights.dtype == object:
+        return (_to_object_array(weights) * residues) % prime
+    out = weights.copy()
+    minus = deltas == -1
+    out[minus] = (np.uint64(prime) - weights[minus]) % np.uint64(prime)
+    other = np.flatnonzero((deltas != 1) & ~minus)
+    if other.size:
+        out[other] = mulmod_arrays(weights[other], residues[other], prime, prime)
+    return out
+
+
+def hashed_fingerprint_scatter(
+    keys: "np.ndarray",
+    deltas: "np.ndarray",
+    h1,
+    h2,
+    h3,
+    level_limit: int,
+    structures,
+) -> None:
+    """Add each update into its cell of every Lemma 6 fingerprint structure.
+
+    The structures share ``h1``, ``h2`` and ``h3``.  With ``s = h2(x)``, an
+    update ``(x, d)`` adds ``d * weights[h4(s mod U4)]`` modulo ``prime``
+    to cell ``(min(lsb(h1(x)), rows - 1), h3(s) mod columns)`` of each
+    structure's ``cells``, for ``U4 = h4.universe_size`` and
+    ``lsb(0) = level_limit`` (a one-row structure takes every update in
+    row 0): KNW's subsampled matrix and its unsampled ``2K`` row.  Each
+    structure's ``counts`` (``int64``, one per row) receives its rows'
+    numbers of nonzero cells.  The reference is the composition of the
+    hashes' batch forms and :func:`grouped_residue_sums`.
+
+    Args:
+        keys: validated keys, below ``h1``'s and ``h2``'s domains.
+        deltas: signed deltas, one per key (``int64`` or object).
+        h1, h2, h3: the level, spreading and column hashes.
+        level_limit: ``lsb(0)``.
+        structures: ``(cells, counts, h4, weights, prime)`` tuples:
+            ``(rows, columns)`` counters over ``F_prime`` (``uint64`` below
+            ``2^63``, object above) mutated in place, the ``int64``
+            counts (overwritten), the weight hash (range at most
+            ``len(weights)``), the weight vector ``u`` over ``F_prime``
+            and the modulus.
+    """
+    spread = h2.hash_batch_validated(keys)
+    values = h3.hash_batch_validated(spread)
+    levels = None
+    for cells, counts, h4, weights, prime in structures:
+        rows, columns = cells.shape
+        slots = mod_range(values, columns).astype(np.int64)
+        if rows > 1:
+            if levels is None:
+                levels = _levels(h1.hash_batch_validated(keys), level_limit)
+            slots += np.minimum(levels, np.int64(rows - 1)) * np.int64(columns)
+        chosen = h4.hash_batch_validated(mod_range(spread, h4.universe_size))
+        addends = _weighted_residues(weights[chosen.astype(np.int64)], deltas, prime)
+        _scatter_residues(cells, slots, addends, prime)
+        counts[:] = np.count_nonzero(cells, axis=1)
 
 
 # --------------------------------------------------------------------------

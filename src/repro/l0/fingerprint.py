@@ -28,13 +28,7 @@ from ..bitstructs.space import SpaceBreakdown
 from ..exceptions import MergeError, ParameterError
 from ..hashing.primes import random_prime
 from ..hashing.universal import PairwiseHash
-from ..vectorize import (
-    grouped_residue_sums,
-    mod_range,
-    mulmod_arrays,
-    np,
-    residues_mod,
-)
+from ..vectorize import hashed_fingerprint_scatter, np
 
 __all__ = ["FingerprintMatrix", "choose_fingerprint_prime"]
 
@@ -48,19 +42,11 @@ def residue_counters(shape, prime: int) -> "np.ndarray":
     return np.zeros(shape, dtype=np.uint64 if prime < (1 << 63) else object)
 
 
-#: Largest number of distinct delta residues for which the batched update
-#: precomputes the full ``bins x deltas`` weight-product table instead of
-#: multiplying per update (see :meth:`FingerprintMatrix.update_many`).
-_DELTA_TABLE_LIMIT = 16
-
-#: Per-matrix memo of the last weight-product table, keyed weakly by the
-#: matrix so it never enters the serialized state.  Streams re-use the
-#: same distinct delta residues chunk after chunk (typically just
-#: ``{1, p-1}``), so the ``bins x deltas`` Python-int multiply pass runs
-#: once per matrix instead of once per batch.  The entry records the
-#: weight list and prime it was built from; ``load_state_dict`` replaces
-#: both objects, which invalidates the memo automatically.
-_WEIGHT_TABLE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Per-matrix memo of the weight vector ``u`` as one counter array, keyed
+#: weakly by the matrix so it never enters the serialized state.  The
+#: entry records the weight list it was built from; ``load_state_dict``
+#: replaces that list, which invalidates the memo.
+_WEIGHT_VECTORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def choose_fingerprint_prime(
@@ -85,6 +71,38 @@ def choose_fingerprint_prime(
     lower = max(int(100 * bins * log_mm), 7)
     upper = lower ** 3
     return random_prime(lower, upper, rng=rng)
+
+
+def update_fingerprints(matrices, keys, deltas, h1, h2, h3, level_limit: int) -> None:
+    """Apply a whole batch to fingerprint matrices that share ``h1``/``h2``/``h3``.
+
+    The bulk form of :meth:`FingerprintMatrix.update` for every matrix at
+    once, and the inner loop of ``knw-l0``'s ``update_batch``: each key's
+    row is ``min(lsb(h1(key)), levels - 1)`` (row 0 of a one-row matrix),
+    its column ``h3(h2(key)) mod bins`` and its spread key ``h2(key)``.
+    One :func:`repro.vectorize.hashed_fingerprint_scatter` call hashes
+    every key once for all the matrices, adds its weighted delta into each
+    one's cell and keeps their per-row occupancies.  Cell arithmetic is
+    additive modulo ``p``, so the result is bit-identical to the scalar
+    loop in any order.
+
+    Args:
+        matrices: the :class:`FingerprintMatrix` instances.
+        keys: validated keys.
+        deltas: validated signed deltas, one per key.
+        h1, h2, h3: the level, spreading and column hashes.
+        level_limit: ``lsb(0)``, the paper's ``log n``.
+    """
+    counts = [np.array(matrix._nonzero_per_row, dtype=np.int64) for matrix in matrices]
+    hashed_fingerprint_scatter(
+        keys, deltas, h1, h2, h3, level_limit,
+        [
+            (matrix._cells, row_counts, matrix._h4, matrix._weight_vector(), matrix.prime)
+            for matrix, row_counts in zip(matrices, counts)
+        ],
+    )
+    for matrix, row_counts in zip(matrices, counts):
+        matrix._nonzero_per_row = row_counts.tolist()
 
 
 class FingerprintMatrix:
@@ -157,66 +175,14 @@ class FingerprintMatrix:
             self._nonzero_per_row[level] -= 1
         self._cells[level, column] = new
 
-    def update_many(self, levels, columns, spread_keys, deltas) -> None:
-        """Apply a whole batch of fingerprint updates in vectorized passes.
-
-        The bulk form of :meth:`update`, and the inner loop of every
-        turnstile ``update_batch``: one batched ``h4`` evaluation selects
-        the weights, the contributions ``delta * u[h4(h2(i))] mod p`` are
-        gathered from a weight-product table (or multiplied exactly by
-        :func:`repro.vectorize.mulmod_arrays` when the batch carries many
-        distinct deltas), and one in-place modular scatter
-        (:func:`repro.vectorize.grouped_residue_sums`) adds them into the
-        flat cells ``level * bins + column``.  Cell arithmetic is additive
-        modulo ``p``, so the result is bit-identical to the scalar loop in
-        any order; the per-row occupancies are recounted once.
-
-        Args:
-            levels: ``int64`` array of rows (already clamped by the caller,
-                as in the scalar path).
-            columns: array of columns in ``[0, bins)``.
-            spread_keys: the ``h2(item)`` values feeding ``h4``.
-            deltas: signed frequency changes (``int64`` or object array).
-        """
-        if len(levels) == 0:
-            return
-        prime = self.prime
-        weight_keys = mod_range(spread_keys, self._h4.universe_size)
-        weight_index = self._h4.hash_batch_validated(weight_keys).astype(np.int64, copy=False)
-        residues = residues_mod(deltas, prime)
-        delta_values, delta_rank = np.unique(residues, return_inverse=True)
-        if len(delta_values) <= _DELTA_TABLE_LIMIT:
-            # Real turnstile streams carry a handful of distinct deltas
-            # (usually just +1/-1), so the ``delta * u[j] mod p`` products
-            # collapse to a ``bins x distinct-deltas`` table of exact
-            # Python-int multiplies, gathered back over the batch.
-            span = len(delta_values)
-            key = tuple(int(value) for value in delta_values.tolist())
-            memo = _WEIGHT_TABLE_MEMO.get(self)
-            if memo is not None and memo[0] is self._weights and memo[1:3] == (
-                prime,
-                key,
-            ):
-                table = memo[3]
-            else:
-                table = residue_counters(self.bins * span, prime)
-                table[:] = [
-                    (weight * value) % prime
-                    for weight in self._weights
-                    for value in key
-                ]
-                _WEIGHT_TABLE_MEMO[self] = (self._weights, prime, key, table)
-            contributions = table[weight_index * span + delta_rank]
-        else:
-            weights = residue_counters(self.bins, prime)
-            weights[:] = self._weights
-            contributions = mulmod_arrays(
-                weights[weight_index], residues, prime, prime
-            )
-        cells = np.asarray(levels, dtype=np.int64) * np.int64(self.bins)
-        cells += np.asarray(columns).astype(np.int64)
-        grouped_residue_sums(self._cells.reshape(-1), cells, contributions, prime)
-        self._nonzero_per_row = np.count_nonzero(self._cells, axis=1).tolist()
+    def _weight_vector(self) -> "np.ndarray":
+        """The weights ``u`` as one array over ``F_p`` (memoized per matrix)."""
+        memo = _WEIGHT_VECTORS.get(self)
+        if memo is None or memo[0] is not self._weights:
+            vector = residue_counters(self.bins, self.prime)
+            vector[:] = self._weights
+            memo = _WEIGHT_VECTORS[self] = (self._weights, vector)
+        return memo[1]
 
     def merge(self, other: "FingerprintMatrix") -> None:
         """Add another same-construction matrix into this one, cell-wise.

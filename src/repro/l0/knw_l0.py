@@ -30,11 +30,11 @@ from ..core.balls_bins import invert_occupancy
 from ..core.knw import bins_for_eps
 from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
-from ..hashing.bitops import lsb, lsb_batch
+from ..hashing.bitops import lsb
 from ..hashing.kwise import KWiseHash, required_independence
 from ..hashing.universal import PairwiseHash
-from ..vectorize import as_delta_array, as_key_array, mod_range, np
-from .fingerprint import FingerprintMatrix
+from ..vectorize import as_delta_array, as_key_array
+from .fingerprint import FingerprintMatrix, update_fingerprints
 from .rough_l0 import RoughL0Estimator
 from .small_l0 import SmallL0Recovery
 
@@ -163,48 +163,34 @@ class KNWHammingNormEstimator(TurnstileEstimator):
         self.rough.update(item, delta)
 
     def update_batch(self, items: ItemBatch, deltas: ItemBatch) -> None:
-        """Apply a chunk of turnstile updates through the vectorized pipeline.
+        """Apply a chunk of turnstile updates through three kernel calls.
 
         The batch counterpart of :meth:`update`, bit-identical in every
         state word (all four components are additive modulo their primes,
-        so batching is pure throughput):
+        so batching is pure throughput).  The chunk is validated once,
+        before any component is mutated, so a rejected batch leaves the
+        sketch untouched; then seam kernel calls hash every key and add
+        its delta:
 
-        * ``h2``/``h3``/``h1`` evaluate once over the whole chunk via the
-          batched Carter--Wegman kernels (:mod:`repro.vectorize`), with the
-          level extraction as one vectorized de Bruijn ``lsb`` pass;
-        * the subsampled matrix and the unsampled ``2K`` row ingest the
-          chunk through :meth:`FingerprintMatrix.update_many
-          <repro.l0.fingerprint.FingerprintMatrix.update_many>` (batched
-          weight selection, then one in-place modular scatter into the
-          cell array);
-        * the Lemma 8 exact structure and the rough estimator take their
-          own batched paths, one scatter over each one's counter array.
+        * the subsampled matrix and the unsampled ``2K`` row share one
+          call (:func:`~repro.l0.fingerprint.update_fingerprints`), which
+          evaluates ``h1``/``h2``/``h3`` once per key for both;
+        * the Lemma 8 exact structure and the rough estimator take one
+          each, through their ``update_batch_validated``.
 
-        The whole chunk is validated before any component is mutated, so a
-        rejected batch leaves the sketch untouched; zero deltas are
-        skipped, exactly as the scalar update skips them.
+        Zero deltas add nothing anywhere, as the scalar update's early
+        return skips them.
         """
         keys = as_key_array(items, self.universe_size)
         deltas = as_delta_array(deltas, expected_length=len(keys))
-        live = np.asarray(deltas != 0, dtype=bool)
-        if not live.all():
-            keys = keys[live]
-            deltas = deltas[live]
         if keys.size == 0:
             return
-        spread = self._h2.hash_batch_validated(keys)
-        extended_columns = self._h3.hash_batch_validated(spread)
-        levels = lsb_batch(
-            self._h1.hash_batch_validated(keys), zero_value=self._level_limit
+        update_fingerprints(
+            (self._matrix, self._small_row), keys, deltas,
+            self._h1, self._h2, self._h3, self._level_limit,
         )
-        levels = np.minimum(levels, np.int64(self._matrix.levels - 1))
-        columns = mod_range(extended_columns, self.bins)
-        self._matrix.update_many(levels, columns, spread, deltas)
-        self._small_row.update_many(
-            np.zeros(len(levels), dtype=np.int64), extended_columns, spread, deltas
-        )
-        self._small_exact.update_batch(keys, deltas)
-        self.rough.update_batch(keys, deltas)
+        self._small_exact.update_batch_validated(keys, deltas)
+        self.rough.update_batch_validated(keys, deltas)
 
     def merge(self, other: "TurnstileEstimator") -> None:
         """Merge another same-seed estimator into this one (stream union).

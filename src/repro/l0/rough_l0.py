@@ -22,9 +22,9 @@ from typing import List, Optional
 from ..bitstructs.space import SpaceBreakdown
 from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
-from ..hashing.bitops import lsb, lsb_batch, msb
+from ..hashing.bitops import lsb, msb
 from ..hashing.universal import PairwiseHash
-from ..vectorize import as_delta_array, as_key_array, np
+from ..vectorize import as_delta_array, as_key_array, hashed_residue_scatter, np
 from .fingerprint import residue_counters
 from .small_l0 import choose_small_prime, make_trial_hashes, trials_for_failure_probability
 
@@ -129,50 +129,35 @@ class RoughL0Estimator(TurnstileEstimator):
             self._live_word &= ~(1 << level)
 
     def update_batch(self, items: ItemBatch, deltas: ItemBatch) -> None:
-        """Route a whole chunk of updates through vectorized passes.
+        """Route a whole chunk of updates through one kernel call.
 
-        The splitter hash, the ``lsb`` level extraction and each shared
-        trial hash run once over the batch.  One ``np.add.at`` scatter adds
-        every update's residue (its delta modulo its level's prime) at the
-        flat index ``(level * trials + trial) * buckets + bucket``, and one
-        fold by the per-level prime column reduces the counters.  The fold
-        is exact because each counter gains at most ``len(keys)`` residues
-        below its prime, and the Lemma 8 primes are a few hundred.  The
-        nonzero counts and the live-level word are then recounted, which
-        equals the scalar loop's last write per level.
+        The whole batch is validated before any level is mutated; then
+        :meth:`update_batch_validated` adds it.
         """
         keys = as_key_array(items, self.universe_size)
-        deltas = as_delta_array(deltas, expected_length=len(keys))
-        if keys.size == 0:
-            return
-        levels = lsb_batch(
-            self._splitter.hash_batch_validated(keys), zero_value=self._level_limit
-        )
-        levels = np.minimum(levels, np.int64(self.levels - 1))
-        primes = np.asarray(self._primes, dtype=np.int64)
-        level_primes = primes[levels]
-        if deltas.dtype == object:  # deltas beyond int64: Python-int remainders
-            level_primes = level_primes.astype(object)
-        residues = (deltas % level_primes).astype(np.uint64)
-        rows = levels * (self.trials * self.buckets)
-        flat = np.concatenate([
-            rows
-            + trial * self.buckets
-            + hash_function.hash_batch_validated(keys).astype(np.int64)
-            for trial, hash_function in enumerate(self._shared_hashes)
-        ])
-        np.add.at(self._counters.reshape(-1), flat, np.tile(residues, self.trials))
-        np.remainder(
-            self._counters, primes.astype(np.uint64)[:, None, None], out=self._counters
-        )
-        self._recount()
+        self.update_batch_validated(keys, as_delta_array(deltas, expected_length=len(keys)))
 
-    def _recount(self) -> None:
-        """Recompute the per-row nonzero counts and the live-level word."""
-        counts = np.count_nonzero(self._counters, axis=2)
-        self._nonzero = counts.reshape(-1).tolist()
-        live = np.packbits(counts.max(axis=1) > ROUGH_L0_THRESHOLD, bitorder="little")
-        self._live_word = int.from_bytes(live.tobytes(), "little")
+    def update_batch_validated(self, keys, deltas) -> None:
+        """:meth:`update_batch` for keys and deltas the caller validated.
+
+        One :func:`repro.vectorize.hashed_residue_scatter` call routes
+        every update to its level ``lsb(splitter(x))`` and adds its delta
+        modulo that level's prime into each trial's bucket, keeping the
+        per-(level, trial) nonzero counts; the live-level word is rebuilt
+        from them, which equals the scalar loop's last write per level.
+        """
+        counts = np.array(self._nonzero, dtype=np.int64)
+        hashed_residue_scatter(
+            self._counters, counts, keys, deltas, self._splitter,
+            self._shared_hashes, self._primes, self._level_limit,
+        )
+        self._set_counts(counts)
+
+    def _set_counts(self, counts) -> None:
+        """Store the per-row nonzero counts and rebuild the live-level word."""
+        self._nonzero = counts.tolist()
+        live = counts.reshape(self.levels, self.trials).max(axis=1) > ROUGH_L0_THRESHOLD
+        self._live_word = int.from_bytes(np.packbits(live, bitorder="little").tobytes(), "little")
 
     def merge(self, other: "TurnstileEstimator") -> None:
         """Merge another same-seed rough estimator into this one.
@@ -202,7 +187,7 @@ class RoughL0Estimator(TurnstileEstimator):
             )
         primes = np.asarray(self._primes, dtype=np.uint64)[:, None, None]
         self._counters = (self._counters + other._counters) % primes
-        self._recount()
+        self._set_counts(np.count_nonzero(self._counters, axis=2).reshape(-1))
 
     def clear(self) -> None:
         """Zero every level's counters, keeping all hash randomness."""

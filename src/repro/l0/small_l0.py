@@ -34,13 +34,7 @@ from ..estimators.base import ItemBatch, TurnstileEstimator
 from ..exceptions import MergeError, ParameterError
 from ..hashing.primes import random_prime
 from ..hashing.universal import PairwiseHash
-from ..vectorize import (
-    as_delta_array,
-    as_key_array,
-    grouped_residue_sums,
-    np,
-    residues_mod,
-)
+from ..vectorize import as_delta_array, as_key_array, hashed_residue_scatter, np
 from .fingerprint import residue_counters
 
 __all__ = ["SmallL0Recovery", "make_trial_hashes", "choose_small_prime"]
@@ -166,37 +160,28 @@ class SmallL0Recovery(TurnstileEstimator):
             self._counters[trial, bucket] = new
 
     def update_batch(self, items: ItemBatch, deltas: ItemBatch) -> None:
-        """Apply a chunk of signed updates through vectorized passes.
+        """Apply a chunk of signed updates through one kernel call.
 
-        One batched hash evaluation per trial replaces ``trials`` Python
-        hash calls per update, and one in-place modular scatter
-        (:func:`repro.vectorize.grouped_residue_sums`) adds every trial's
-        bucket deltas.  Bucket counters are additive modulo the prime, so
-        the state is bit-identical to the scalar loop; the whole batch is
-        validated before any trial is mutated.
+        The whole batch is validated before any trial is mutated; then
+        :meth:`update_batch_validated` adds it.
         """
         keys = as_key_array(items, self.universe_size)
-        deltas = as_delta_array(deltas, expected_length=len(keys))
-        if keys.size == 0:
-            return
-        self._apply_residues(keys, residues_mod(deltas, self.prime))
+        self.update_batch_validated(keys, as_delta_array(deltas, expected_length=len(keys)))
 
-    def _apply_residues(self, keys, residues) -> None:
-        """Scatter pre-reduced per-update residues into every trial at once.
+    def update_batch_validated(self, keys, deltas) -> None:
+        """:meth:`update_batch` for keys and deltas the caller validated.
 
-        The flat counter index of an update in trial ``t`` is
-        ``t * buckets + h_t(key)``; the per-trial nonzero counts are
-        recounted once afterwards.
+        One :func:`repro.vectorize.hashed_residue_scatter` call hashes
+        every key once per trial, adds its delta modulo the prime into
+        each trial's bucket and keeps the per-trial nonzero counts.
+        Bucket counters are additive modulo the prime, so the state is
+        bit-identical to the scalar loop.
         """
-        flat = np.concatenate([
-            hash_function.hash_batch_validated(keys).astype(np.int64)
-            + trial * self.buckets
-            for trial, hash_function in enumerate(self._hashes)
-        ])
-        grouped_residue_sums(
-            self._counters.reshape(-1), flat, np.tile(residues, self.trials), self.prime
+        counts = np.array(self._nonzero, dtype=np.int64)
+        hashed_residue_scatter(
+            self._counters[None], counts, keys, deltas, None, self._hashes, [self.prime], 0
         )
-        self._nonzero = np.count_nonzero(self._counters, axis=1).tolist()
+        self._nonzero = counts.tolist()
 
     def merge(self, other: "TurnstileEstimator") -> None:
         """Add another same-randomness recovery structure into this one.

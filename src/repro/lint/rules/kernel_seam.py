@@ -28,10 +28,11 @@ SEAM_KERNELS = frozenset(
         "affine_mod_range",
         "mulmod_arrays",
         "kwise_mod_range",
-        "grouped_residue_sums",
         "grouped_max_scatter",
         "grouped_or_scatter",
         "hashed_max_scatter",
+        "hashed_residue_scatter",
+        "hashed_fingerprint_scatter",
         "lsb64_batch",
     }
 )

@@ -12,10 +12,12 @@ exposes:
   Carter--Wegman families (:func:`mulmod`, :func:`affine_mod`,
   :func:`mod_range`, and the fused :func:`affine_mod_range` /
   :func:`kwise_mod_range` chains), the grouped scatter reductions
-  (:func:`grouped_residue_sums`, :func:`grouped_max_scatter`,
-  :func:`grouped_or_scatter`), the vectorized de Bruijn
-  :func:`lsb64_batch`, and the whole KNW per-key chain of one structure,
-  hashes to counter maximum (:func:`hashed_max_scatter`).
+  (:func:`grouped_max_scatter`, :func:`grouped_or_scatter`), the
+  vectorized de Bruijn :func:`lsb64_batch`, and each paper structure's
+  whole per-key chain, hashes to counters: a KNW F0 structure's counter
+  maximum (:func:`hashed_max_scatter`), and ``knw-l0``'s Lemma 8 bucket
+  arrays (:func:`hashed_residue_scatter`) and Lemma 6 fingerprints
+  (:func:`hashed_fingerprint_scatter`).
 
 The hot kernels are thin dispatchers: each call routes to the active
 backend in :mod:`repro.kernels` (``REPRO_KERNEL_BACKEND=numpy|compiled|
@@ -46,7 +48,6 @@ __all__ = [
     "as_key_array",
     "as_delta_array",
     "residues_mod",
-    "grouped_residue_sums",
     "mulmod",
     "affine_mod",
     "mod_range",
@@ -58,6 +59,8 @@ __all__ = [
     "grouped_max_scatter",
     "grouped_or_scatter",
     "hashed_max_scatter",
+    "hashed_residue_scatter",
+    "hashed_fingerprint_scatter",
 ]
 
 
@@ -242,14 +245,12 @@ def _to_object_array(values: "np.ndarray") -> "np.ndarray":
 def residues_mod(deltas: "np.ndarray", prime: int) -> "np.ndarray":
     """Return ``deltas % prime`` as non-negative residues, exactly.
 
-    Words suffice whenever the deltas fit ``int64`` and the modulus fits a
-    signed word (NumPy's ``%`` follows Python's sign-of-divisor rule, so
-    the residues are already non-negative); anything larger degrades to an
-    object array of Python ints.
+    A NumPy helper (not a dispatched kernel); see
+    :func:`repro.kernels.numpy_backend.residues_mod`.
     """
-    if deltas.dtype == object or prime >= (1 << 63):
-        return _to_object_array(deltas) % prime
-    return (deltas % np.int64(prime)).astype(np.uint64)
+    from .kernels import numpy_backend
+
+    return numpy_backend.residues_mod(deltas, prime)
 
 
 # --------------------------------------------------------------------------
@@ -361,31 +362,6 @@ def mulmod_arrays(
     return _kernels.active().mulmod_arrays(left, right, prime, right_bound)
 
 
-def grouped_residue_sums(
-    target: "np.ndarray",
-    indices: "np.ndarray",
-    residues: "np.ndarray",
-    prime: int,
-) -> None:
-    """Add each residue into ``target[index]`` modulo ``prime``, in place.
-
-    The counter scatter of the turnstile batch paths: the per-update
-    fingerprint/counter contributions (each already reduced to
-    ``[0, prime)``) land in their cells with one modular add each, so a
-    whole structure takes one call.  Equivalence with the scalar loop is
-    algebraic: modular addition is commutative and associative, so
-    duplicates may be applied in any order.
-
-    Args:
-        target: 1-D counter array (``uint64`` below ``2^63``, object
-            above), every entry in ``[0, prime)``; mutated in place.
-        indices: ``int64`` positions into ``target``; duplicates sum.
-        residues: per-update contributions in ``[0, prime)``.
-        prime: the counters' modulus.
-    """
-    return _kernels.active().grouped_residue_sums(target, indices, residues, prime)
-
-
 def group_slices(indices: "np.ndarray"):
     """Sort a batch by group index and return the per-group structure.
 
@@ -467,6 +443,84 @@ def hashed_max_scatter(
     """
     return _kernels.active().hashed_max_scatter(
         target, keys, h1, h2, h3, offset, floor, level_limit, bits
+    )
+
+
+def hashed_residue_scatter(
+    counters: "np.ndarray",
+    counts: "np.ndarray",
+    keys: "np.ndarray",
+    deltas: "np.ndarray",
+    splitter,
+    hashes,
+    primes,
+    level_limit: int,
+) -> None:
+    """Lemma 8 bucket arrays' update for a whole turnstile call, in one kernel call.
+
+    ``counters`` (shape ``(rows, trials, buckets)``) holds ``rows``
+    structures sharing the trial ``hashes``, row ``r`` counting modulo
+    ``primes[r]``.  An update ``(x, d)`` lands in row
+    ``min(lsb(splitter(x)), rows - 1)`` (``lsb(0) = level_limit``; row 0
+    without a splitter) and adds ``d`` to bucket ``hashes[t](x)`` of each
+    trial ``t``: ``SmallL0Recovery`` is one row, ``RoughL0Estimator`` one
+    per level.  ``counts`` (``int64``, one per (row, trial)) is kept equal
+    to each bucket array's number of nonzero counters.  Identical to the
+    scalar loop, since modular addition commutes; a compiled backend runs
+    each update's chain in one pass.
+
+    Args:
+        counters: residue counters, mutated in place.
+        counts: ``int64`` nonzero counts, ``rows * trials`` of them, which
+            must be the counters' on entry; updated in place.
+        keys: validated keys.
+        deltas: validated deltas, one per key.
+        splitter: the level hash, or ``None``.
+        hashes: one pairwise hash per trial.
+        primes: one modulus per row.
+        level_limit: ``lsb(0)``, the paper's ``log n``.
+    """
+    return _kernels.active().hashed_residue_scatter(
+        counters, counts, keys, deltas, splitter, hashes, primes, level_limit
+    )
+
+
+def hashed_fingerprint_scatter(
+    keys: "np.ndarray",
+    deltas: "np.ndarray",
+    h1,
+    h2,
+    h3,
+    level_limit: int,
+    structures,
+) -> None:
+    """Lemma 6 fingerprint structures' update for a whole turnstile call.
+
+    The structures share ``h1``, ``h2`` and ``h3``, hashed once per key.
+    With ``s = h2(x)``, an update ``(x, d)`` adds ``d * weights[h4(s mod
+    U4)]`` modulo ``prime`` into cell ``(min(lsb(h1(x)), rows - 1), h3(s)
+    mod columns)`` of each structure, for ``U4 = h4.universe_size`` and
+    ``lsb(0) = level_limit`` (a one-row structure takes every update in
+    row 0): KNW's subsampled matrix and its unsampled ``2K`` row.  Each
+    structure's ``counts`` (``int64``, one per row) is kept equal to its
+    rows' numbers of nonzero cells.  Identical to the scalar loop; a
+    compiled backend runs each update's chain in one pass, and hands a
+    structure it cannot update exactly to the reference alone.
+
+    Args:
+        keys: validated keys.
+        deltas: validated deltas, one per key.
+        h1, h2, h3: the level, spreading and column hashes.
+        level_limit: ``lsb(0)``, the paper's ``log n``.
+        structures: ``(cells, counts, h4, weights, prime)`` tuples: the
+            ``(rows, columns)`` counters over ``F_prime`` (mutated in
+            place), their ``int64`` nonzero counts (which must be the
+            cells' on entry; updated in place), the weight hash, the
+            weight vector ``u`` (``uint64`` below ``2^63``, object above)
+            and the modulus ``p``.
+    """
+    return _kernels.active().hashed_fingerprint_scatter(
+        keys, deltas, h1, h2, h3, level_limit, structures
     )
 
 

@@ -288,8 +288,7 @@ def test_m31_lanes_refuse_coefficients_outside_the_field(coefficients, values):
     out = np.empty(len(values), dtype=np.uint64)
     lib.repro_kwise_mod_range(
         _ptr(coeffs), ctypes.c_int64(len(coefficients)), _ptr(keys),
-        ctypes.c_int64(len(values)), ctypes.c_uint64(P31), ctypes.c_int(31),
-        ctypes.c_uint64(0), ctypes.c_int(0), _ptr(out),
+        ctypes.c_int64(len(values)), ctypes.c_uint64(P31), ctypes.c_uint64(0), _ptr(out),
     )
     expected = []
     for key in values:

@@ -254,12 +254,16 @@ SCATTER_PRIMES = [
 ]
 
 
-@backend_param
+# The residue scatter is the turnstile references' shared step (the
+# compiled turnstile chains add in place), so it is checked on the
+# reference alone.
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_grouped_residue_sums_matches_bigint(backend_name, data):
+def test_reference_grouped_residue_sums_matches_bigint(data):
     """In place: ``target[i] = (target[i] + r) % p`` per update, any order."""
-    backend = _backend(backend_name)
+    backend = numpy_backend
     prime = data.draw(st.sampled_from(SCATTER_PRIMES))
     residue = st.one_of(
         st.integers(0, prime - 1), st.integers(max(prime - 8, 0), prime - 1)
@@ -289,10 +293,9 @@ def test_grouped_residue_sums_matches_bigint(backend_name, data):
         assert all(type(value) is int for value in target.tolist())
 
 
-@backend_param
-def test_grouped_residue_sums_reduces_a_sum_equal_to_the_prime(backend_name):
+def test_reference_grouped_residue_sums_reduces_a_sum_equal_to_the_prime():
     """A counter's last sum landing exactly on ``p`` must read 0, not ``p``."""
-    backend = _backend(backend_name)
+    backend = numpy_backend
     for prime in SCATTER_PRIMES:
         dtype = object if prime >= (1 << 63) else np.uint64
         target = np.empty(3, dtype=dtype)
@@ -451,6 +454,195 @@ def test_hashed_max_scatter_matches_reference(backend_name, data):
 
 
 # ---------------------------------------------------------------------------
+# The turnstile chains of knw-l0 against big-int scalar loops.
+# ---------------------------------------------------------------------------
+
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: Counter moduli: tiny primes, a Lemma 8 prime, both Mersenne primes, the
+#: largest prime below 2^63 (the top of the word domain) and the first one
+#: past it (object counters, the reference's exact path).
+COUNTER_PRIMES = [2, 3, 653, (1 << 31) - 1, (1 << 61) - 1, (1 << 63) - 25, next_prime(1 << 63)]
+
+#: Ranges at the reduction's edges: powers of two and not, 1, and the
+#: 10,000 buckets of a capacity-100 Lemma 8 structure.
+COUNTER_RANGES = [1, 3, 7, 8, 12, 100, 10_000]
+
+
+def _level_hash(universe, rng):
+    """An affine ``h1`` with a root inside the universe (``lsb(0)``)."""
+    probe = PairwiseHash(universe, universe, rng=rng)
+    a, prime = probe._a, probe._prime
+    root = rng.randrange(universe)
+    return KWiseHash(universe, universe, 2, coefficients=[(-a * root) % prime, a]), root
+
+
+def _row(h1, key, level_limit, rows):
+    if h1 is None:
+        return 0
+    word = h1(key)
+    return min((word & -word).bit_length() - 1 if word else level_limit, rows - 1)
+
+
+def _turnstile_deltas(data, size, primes):
+    """Deltas 0, +-1, +-(p - 1) for a counter prime, the int64 extremes and
+    arbitrary words; or, sometimes, an object array past int64."""
+    if data.draw(st.booleans(), label="object deltas"):
+        values = data.draw(
+            st.lists(st.integers(-(1 << 70), 1 << 70), min_size=size, max_size=size)
+        )
+        deltas = np.empty(size, dtype=object)
+        deltas[:] = values
+        return deltas
+    edges = [0, 1, -1, I64_MIN, I64_MAX] + [
+        sign * (p - 1) for p in primes if p - 1 <= I64_MAX for sign in (1, -1)
+    ]
+    values = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(I64_MIN, I64_MAX)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return np.asarray(values, dtype=np.int64)
+
+
+def _counters(rng, primes, shape):
+    """Residue counters below each row's prime, some zero, in the dtype the
+    structures use: ``uint64`` below ``2^63``, object above."""
+    dtype = np.uint64 if max(primes) < (1 << 63) else object
+    counters = np.empty(shape, dtype=dtype)
+    for row, prime in enumerate(primes):
+        values = [rng.randrange(prime) if rng.random() < 0.7 else 0 for _ in counters[row].flat]
+        counters[row] = np.asarray(values, dtype=object).reshape(counters[row].shape)
+    return counters
+
+
+def _keys_with_edges(data, universe, root, range_size):
+    """Keys in the universe, with ``h1``'s root and the multiples of a
+    range, one below and one above, when the identity hash is in play."""
+    edges = [0, 1, root, universe - 1]
+    for multiple in (range_size, range_size * 1000, (universe - 1) // range_size * range_size):
+        edges += [v for v in (multiple - 1, multiple, multiple + 1) if 0 <= v < universe]
+    size = data.draw(st.integers(0, 80), label="keys")
+    keys = data.draw(
+        st.lists(
+            st.one_of(st.integers(0, universe - 1), st.sampled_from(edges)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return np.asarray(keys, dtype=np.uint64)
+
+
+@backend_param
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hashed_residue_scatter_matches_scalar_loop(backend_name, data):
+    """Lemma 8 bucket arrays: counters and counts equal the big-int loop's
+    and the reference's, with one prime per row."""
+    backend = _backend(backend_name)
+    universe = data.draw(st.sampled_from(CHAIN_UNIVERSES), label="universe")
+    rng = random.Random(data.draw(st.integers(0, 1 << 30), label="seed"))
+    level_limit = max((universe - 1).bit_length(), 1)
+    rows = data.draw(st.integers(1, 5), label="rows")
+    splitter, root = _level_hash(universe, rng) if rows > 1 else (None, 0)
+    buckets = data.draw(st.sampled_from(COUNTER_RANGES), label="buckets")
+    trials = data.draw(st.integers(1, 4), label="trials")
+    # One trial is the identity ``x mod buckets`` (through its field), so
+    # the keys below hit the range reduction at its edges.
+    hashes = [KWiseHash(universe, buckets, 2, coefficients=[0, 1])] + [
+        PairwiseHash(universe, buckets, rng=rng) for _ in range(trials - 1)
+    ]
+    primes = data.draw(
+        st.lists(st.sampled_from(COUNTER_PRIMES), min_size=rows, max_size=rows), label="primes"
+    )
+    counters = _counters(rng, primes, (rows, trials, buckets))
+    counts = np.count_nonzero(counters, axis=2).reshape(-1).astype(np.int64)
+    keys = _keys_with_edges(data, universe, root, buckets)
+    deltas = _turnstile_deltas(data, len(keys), primes)
+    expected = [[[int(v) for v in trial] for trial in row] for row in counters.tolist()]
+    for key, delta in zip(keys.tolist(), deltas.tolist()):
+        row = _row(splitter, key, level_limit, rows)
+        for trial, hash_function in enumerate(hashes):
+            bucket = hash_function(key)
+            expected[row][trial][bucket] = (expected[row][trial][bucket] + delta) % primes[row]
+    reference, reference_counts = counters.copy(), counts.copy()
+    backend.hashed_residue_scatter(
+        counters, counts, keys, deltas, splitter, hashes, primes, level_limit
+    )
+    numpy_backend.hashed_residue_scatter(
+        reference, reference_counts, keys, deltas, splitter, hashes, primes, level_limit
+    )
+    assert counters.tolist() == expected
+    assert reference.tolist() == expected
+    assert counters.dtype == reference.dtype
+    assert counts.tolist() == reference_counts.tolist() == [
+        sum(1 for value in trial if value) for row in expected for trial in row
+    ]
+
+
+@backend_param
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hashed_fingerprint_scatter_matches_scalar_loop(backend_name, data):
+    """Lemma 6 fingerprints sharing ``h1``/``h2``/``h3``: every structure's
+    cells and counts equal the big-int loop's and the reference's, for
+    every ``h3`` form the chain reads, a one-row structure beside a split
+    one, and a structure with object cells beside word ones."""
+    backend = _backend(backend_name)
+    universe = data.draw(st.sampled_from(CHAIN_UNIVERSES), label="universe")
+    rng = random.Random(data.draw(st.integers(0, 1 << 30), label="seed"))
+    level_limit = max((universe - 1).bit_length(), 1)
+    h1, root = _level_hash(universe, rng)
+    kind = data.draw(st.sampled_from(["polynomial", "table", "pagh-pagh", "past-p"]))
+    range_size = data.draw(st.sampled_from([8, 20, 32, 1024]), label="h3 range")
+    domain = {
+        "polynomial": data.draw(st.sampled_from([1 << 18, 1 << 30, (1 << 30) + 3, 1 << 33])),
+        "table": range_size**3 if range_size <= 40 else 1 << 16,
+        "pagh-pagh": range_size**3 if range_size <= 40 else 1 << 16,
+        "past-p": 1 << 33,
+    }[kind]
+    h3 = _chain_h3(kind, domain, range_size, rng)
+    h2 = PairwiseHash(universe, domain, rng=rng)
+    structures = []
+    for _ in range(data.draw(st.integers(1, 2), label="structures")):
+        rows = data.draw(st.integers(1, 5), label="rows")
+        columns = data.draw(st.sampled_from([1, 3, 6, 8, 12, 32]), label="columns")
+        weight_domain = data.draw(st.sampled_from([7, 1000, columns**3, domain]), label="U4")
+        h4 = PairwiseHash(weight_domain, columns, rng=rng)
+        prime = data.draw(st.sampled_from(COUNTER_PRIMES), label="prime")
+        cells = _counters(rng, [prime] * rows, (rows, columns))
+        weights = _counters(rng, [prime], (1, columns))[0]
+        counts = np.count_nonzero(cells, axis=1).astype(np.int64)
+        structures.append((cells, counts, h4, weights, prime))
+    keys = _keys_with_edges(data, universe, root, structures[0][0].shape[1])
+    if kind == "table":
+        # Warm part of the table, so the batch both hits and misses.
+        h3.hash_batch_validated(h2.hash_batch_validated(keys[: len(keys) // 2]))
+    deltas = _turnstile_deltas(data, len(keys), [s[4] for s in structures])
+    expected = [[[int(v) for v in row] for row in s[0].tolist()] for s in structures]
+    for key, delta in zip(keys.tolist(), deltas.tolist()):
+        spread = h2(key)
+        for grid, (cells, _, h4, weights, prime) in zip(expected, structures):
+            rows, columns = cells.shape
+            row, column = _row(h1, key, level_limit, rows), h3(spread) % columns
+            weight = int(weights[h4(spread % h4.universe_size)])
+            grid[row][column] = (grid[row][column] + delta * weight) % prime
+    reference = [(cells.copy(), counts.copy(), *rest) for cells, counts, *rest in structures]
+    backend.hashed_fingerprint_scatter(keys, deltas, h1, h2, h3, level_limit, structures)
+    numpy_backend.hashed_fingerprint_scatter(keys, deltas, h1, h2, h3, level_limit, reference)
+    for grid, (cells, counts, *_), (ref_cells, ref_counts, *_) in zip(
+        expected, structures, reference
+    ):
+        assert cells.tolist() == ref_cells.tolist() == grid
+        assert cells.dtype == ref_cells.dtype
+        assert counts.tolist() == ref_counts.tolist() == [
+            sum(1 for value in row if value) for row in grid
+        ]
+
+
+# ---------------------------------------------------------------------------
 # Cross-backend bit-identity: values AND dtypes must match the reference.
 # ---------------------------------------------------------------------------
 
@@ -489,9 +681,13 @@ def test_empty_and_single_element_arrays():
         assert backend.mulmod(7, empty, prime, 1 << 64).tolist() == []
         assert backend.affine_mod_range(3, 5, empty, prime, 1 << 64, 8).tolist() == []
         assert backend.lsb64_batch(empty, 9).tolist() == []
-        counters = np.asarray([5, 0, prime - 1], dtype=np.uint64)
-        backend.grouped_residue_sums(counters, np.empty(0, dtype=np.int64), empty, prime)
-        assert counters.tolist() == [5, 0, prime - 1]
+        counters = np.asarray([[5, 0, prime - 1]], dtype=np.uint64)
+        counts = np.asarray([2], dtype=np.int64)
+        backend.hashed_residue_scatter(
+            counters[None], counts, empty, np.empty(0, dtype=np.int64), None,
+            [PairwiseHash(1 << 10, 3, rng=random.Random(1))], [prime], 10,
+        )
+        assert counters.tolist() == [[5, 0, prime - 1]] and counts.tolist() == [2]
         assert backend.mulmod(7, single, prime, 1 << 64).tolist() == [
             (7 * U64_MAX) % prime
         ]
