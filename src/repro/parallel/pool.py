@@ -22,7 +22,11 @@ Lifecycle rules:
   recreated lazily on first use there;
 * a pool broken by a dying worker (e.g. a SIGKILL'd shard) is replaced
   on the next :func:`reset_pool` / :func:`get_pool` round — the plan
-  executor uses exactly this to retry only the failed shards.
+  executor uses exactly this to retry only the failed shards;
+* a replaced pool is joined before its successor forks: workers are
+  forked, and a fork while the old pool's manager and feeder threads
+  still run could copy a lock one of them holds, locked for good, into
+  a new worker.
 
 The module also hosts the *shared-payload staging* helpers: a caller
 that fans many small tasks over the persistent pool but needs one large
@@ -113,9 +117,9 @@ def get_pool(workers: Optional[int] = None) -> ProcessPoolExecutor:
     Args:
         workers: the minimum worker count the caller needs.  ``None``
             asks for :func:`default_workers`.  A pool smaller than the
-            request is replaced by a bigger one (the old workers are
-            released without waiting); a bigger pool is simply reused —
-            submitting fewer shards than workers is always safe.
+            request is joined and replaced by a bigger one; a bigger
+            pool is simply reused — submitting fewer shards than
+            workers is always safe.
 
     Returns:
         The live executor.  Callers must *not* shut it down; use
@@ -131,14 +135,14 @@ def get_pool(workers: Optional[int] = None) -> ProcessPoolExecutor:
             # clone): the parent's pool is not ours to use or to join.
             _drop_pool_reference()
         if _POOL is None or _POOL_SIZE < want:
-            old = _POOL
+            if _POOL is not None:
+                _POOL_RESTARTS += 1
+                # Joined before the new workers fork (see the module notes).
+                _POOL.shutdown(wait=True, cancel_futures=True)
             _POOL = ProcessPoolExecutor(max_workers=max(want, _POOL_SIZE))
             _POOL_SIZE = max(want, _POOL_SIZE)
             _POOL_PID = os.getpid()
             _POOLS_CREATED += 1
-            if old is not None:
-                _POOL_RESTARTS += 1
-                old.shutdown(wait=False, cancel_futures=True)
         return _POOL
 
 
@@ -149,6 +153,8 @@ def reset_pool() -> None:
     executor marks itself broken and every submit raises; the plan
     executor calls this, then resubmits only the shards that had not
     completed.  Also usable after heavy one-off work to release workers.
+    The discarded pool is joined (a broken one has already stopped its
+    workers), so no thread of it runs when the next pool forks.
     """
     global _POOL, _POOL_RESTARTS
     with _LOCK:
@@ -157,7 +163,7 @@ def reset_pool() -> None:
         if pool is not None and pid == os.getpid():
             _POOL_RESTARTS += 1
     if pool is not None and pid == os.getpid():
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def shutdown_pool(wait: bool = True) -> None:

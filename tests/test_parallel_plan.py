@@ -61,8 +61,14 @@ SHARDS = 3
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _teardown_pool():
-    """Leave no persistent pool behind for unrelated test modules."""
+def _own_pool():
+    """Neither inherit an earlier module's pool nor leave one behind.
+
+    The persistent pool outlives a module: without the first shutdown
+    the fault tests below would run on whatever workers an earlier
+    module forked, so their behaviour would depend on test order.
+    """
+    shutdown_pool()
     yield
     shutdown_pool()
 
