@@ -71,72 +71,47 @@ See ``README.md`` for the module-to-theorem map and ``docs/architecture.md``
 for the class hierarchy and the batch-ingestion data flow.
 """
 
-from ._version import __version__
-from .core.fast_knw import FastKNWDistinctCounter
-from .durability import Checkpointer, DurableLog, RecoveryReport, recover
-from .core.knw import KNWDistinctCounter
-from .core.rough_estimator import RoughEstimator
-from .estimators.base import CardinalityEstimator, TurnstileEstimator
-from .estimators.exact import ExactDistinctCounter, ExactHammingNorm
-from .estimators.median import MedianEstimator, MedianTurnstileEstimator
-from .estimators.registry import (
-    f0_algorithm_names,
-    l0_algorithm_names,
-    make_f0_estimator,
-    make_l0_estimator,
-)
-from .exceptions import (
-    MergeError,
-    ParameterError,
-    PersistenceError,
-    ReproError,
-    SerializationError,
-    SketchFailure,
-    StreamFormatError,
-    UpdateError,
-)
-from .l0.knw_l0 import KNWHammingNormEstimator
-from .l0.rough_l0 import RoughL0Estimator
-from .parallel import mergeable_f0_names, mergeable_l0_names, parallel_ingest_into
-from .store import SketchArray, SketchStore, make_sketch_array, sketch_array_family_names
-from .window import WindowedSketch, WindowedSketchStore
+from ._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "FastKNWDistinctCounter",
-    "KNWDistinctCounter",
-    "RoughEstimator",
-    "CardinalityEstimator",
-    "TurnstileEstimator",
-    "ExactDistinctCounter",
-    "ExactHammingNorm",
-    "MedianEstimator",
-    "MedianTurnstileEstimator",
-    "f0_algorithm_names",
-    "l0_algorithm_names",
-    "make_f0_estimator",
-    "make_l0_estimator",
-    "Checkpointer",
-    "DurableLog",
-    "RecoveryReport",
-    "recover",
-    "MergeError",
-    "ParameterError",
-    "PersistenceError",
-    "ReproError",
-    "SerializationError",
-    "SketchFailure",
-    "StreamFormatError",
-    "UpdateError",
-    "KNWHammingNormEstimator",
-    "RoughL0Estimator",
-    "mergeable_f0_names",
-    "mergeable_l0_names",
-    "parallel_ingest_into",
-    "SketchArray",
-    "SketchStore",
-    "make_sketch_array",
-    "sketch_array_family_names",
-    "WindowedSketch",
-    "WindowedSketchStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "__version__": "_version",
+        "FastKNWDistinctCounter": "core.fast_knw",
+        "KNWDistinctCounter": "core.knw",
+        "RoughEstimator": "core.rough_estimator",
+        "CardinalityEstimator": "estimators.base",
+        "TurnstileEstimator": "estimators.base",
+        "ExactDistinctCounter": "estimators.exact",
+        "ExactHammingNorm": "estimators.exact",
+        "MedianEstimator": "estimators.median",
+        "MedianTurnstileEstimator": "estimators.median",
+        "f0_algorithm_names": "estimators.registry",
+        "l0_algorithm_names": "estimators.registry",
+        "make_f0_estimator": "estimators.registry",
+        "make_l0_estimator": "estimators.registry",
+        "Checkpointer": "durability.checkpoint",
+        "DurableLog": "durability.log",
+        "RecoveryReport": "durability.checkpoint",
+        "recover": "durability.checkpoint",
+        "MergeError": "exceptions",
+        "ParameterError": "exceptions",
+        "PersistenceError": "exceptions",
+        "ReproError": "exceptions",
+        "SerializationError": "exceptions",
+        "SketchFailure": "exceptions",
+        "StreamFormatError": "exceptions",
+        "UpdateError": "exceptions",
+        "KNWHammingNormEstimator": "l0.knw_l0",
+        "RoughL0Estimator": "l0.rough_l0",
+        "mergeable_f0_names": "parallel.api",
+        "mergeable_l0_names": "parallel.api",
+        "parallel_ingest_into": "parallel.api",
+        "SketchArray": "store.sketch_array",
+        "SketchStore": "store.store",
+        "make_sketch_array": "store.families",
+        "sketch_array_family_names": "store.families",
+        "WindowedSketch": "window.windowed",
+        "WindowedSketchStore": "window.windowed",
+    },
+)

@@ -6,58 +6,36 @@
 * :mod:`repro.analysis.tables` — Figure-1-style plain-text / Markdown tables.
 """
 
-from .metrics import ErrorSummary, relative_error, summarize_errors, within_band_rate
-from .runner import (
-    CheckpointResult,
-    KeyedRunResult,
-    RunResult,
-    run_f0,
-    run_f0_by_name,
-    run_keyed_f0,
-    run_keyed_l0,
-    run_l0,
-    run_l0_by_name,
-)
-from .sweeps import (
-    KeyedSweepPoint,
-    SweepPoint,
-    WindowedSweepPoint,
-    accuracy_sweep,
-    format_workload_grid,
-    keyed_accuracy_sweep,
-    l0_accuracy_sweep,
-    resolve_workload_factory,
-    space_sweep,
-    windowed_accuracy_sweep,
-    workload_class_grid,
-)
-from .tables import Table, format_bits
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ErrorSummary",
-    "relative_error",
-    "summarize_errors",
-    "within_band_rate",
-    "CheckpointResult",
-    "KeyedRunResult",
-    "RunResult",
-    "run_f0",
-    "run_f0_by_name",
-    "run_keyed_f0",
-    "run_keyed_l0",
-    "run_l0",
-    "run_l0_by_name",
-    "KeyedSweepPoint",
-    "SweepPoint",
-    "WindowedSweepPoint",
-    "accuracy_sweep",
-    "format_workload_grid",
-    "keyed_accuracy_sweep",
-    "l0_accuracy_sweep",
-    "resolve_workload_factory",
-    "space_sweep",
-    "windowed_accuracy_sweep",
-    "workload_class_grid",
-    "Table",
-    "format_bits",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ErrorSummary": "metrics",
+        "relative_error": "metrics",
+        "summarize_errors": "metrics",
+        "within_band_rate": "metrics",
+        "CheckpointResult": "runner",
+        "KeyedRunResult": "runner",
+        "RunResult": "runner",
+        "run_f0": "runner",
+        "run_f0_by_name": "runner",
+        "run_keyed_f0": "runner",
+        "run_keyed_l0": "runner",
+        "run_l0": "runner",
+        "run_l0_by_name": "runner",
+        "KeyedSweepPoint": "sweeps",
+        "SweepPoint": "sweeps",
+        "WindowedSweepPoint": "sweeps",
+        "accuracy_sweep": "sweeps",
+        "format_workload_grid": "sweeps",
+        "keyed_accuracy_sweep": "sweeps",
+        "l0_accuracy_sweep": "sweeps",
+        "resolve_workload_factory": "sweeps",
+        "space_sweep": "sweeps",
+        "windowed_accuracy_sweep": "sweeps",
+        "workload_class_grid": "sweeps",
+        "Table": "tables",
+        "format_bits": "tables",
+    },
+)

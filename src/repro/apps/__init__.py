@@ -11,15 +11,16 @@ introduction:
   Hamming-norm (L0) sketches of column differences.
 """
 
-from .data_cleaning import ColumnPairReport, SimilarColumnFinder
-from .network_monitor import FlowCardinalityMonitor, WindowReport
-from .query_optimizer import ColumnStatisticsCollector, JoinEstimate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ColumnPairReport",
-    "SimilarColumnFinder",
-    "FlowCardinalityMonitor",
-    "WindowReport",
-    "ColumnStatisticsCollector",
-    "JoinEstimate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ColumnPairReport": "data_cleaning",
+        "SimilarColumnFinder": "data_cleaning",
+        "FlowCardinalityMonitor": "network_monitor",
+        "WindowReport": "network_monitor",
+        "ColumnStatisticsCollector": "query_optimizer",
+        "JoinEstimate": "query_optimizer",
+    },
+)

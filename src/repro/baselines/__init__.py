@@ -15,26 +15,22 @@ The KNW algorithms themselves live in :mod:`repro.core`; the turnstile
 (L0) baseline of Ganguly lives in :mod:`repro.l0.ganguly`.
 """
 
-from .ams import AMSDistinctEstimator
-from .bjkst import BJKSTSampler
-from .flajolet_martin import FlajoletMartinPCSA
-from .gibbons_tirthapura import GibbonsTirthapuraSampler
-from .hyperloglog import HyperLogLogCounter, hll_registers_for_eps
-from .kmv import KMinimumValues, kmv_size_for_eps
-from .linear_counting import LinearCounter, MultiScaleBitmapCounter
-from .loglog import LogLogCounter, registers_for_eps
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AMSDistinctEstimator",
-    "BJKSTSampler",
-    "FlajoletMartinPCSA",
-    "GibbonsTirthapuraSampler",
-    "HyperLogLogCounter",
-    "hll_registers_for_eps",
-    "KMinimumValues",
-    "kmv_size_for_eps",
-    "LinearCounter",
-    "MultiScaleBitmapCounter",
-    "LogLogCounter",
-    "registers_for_eps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "AMSDistinctEstimator": "ams",
+        "BJKSTSampler": "bjkst",
+        "FlajoletMartinPCSA": "flajolet_martin",
+        "GibbonsTirthapuraSampler": "gibbons_tirthapura",
+        "HyperLogLogCounter": "hyperloglog",
+        "hll_registers_for_eps": "hyperloglog",
+        "KMinimumValues": "kmv",
+        "kmv_size_for_eps": "kmv",
+        "LinearCounter": "linear_counting",
+        "MultiScaleBitmapCounter": "linear_counting",
+        "LogLogCounter": "loglog",
+        "registers_for_eps": "loglog",
+    },
+)

@@ -16,26 +16,19 @@ are plain NumPy arrays (:func:`repro.vectorize.counter_dtype`), charged
 at the paper's width by their owners' ``space_bits()``.
 """
 
-from .bitmatrix import BitMatrix
-from .bitvector import BitVector
-from .loglookup import LogLookupTable
-from .space import (
-    SizedBits,
-    SpaceBreakdown,
-    bits_for_counter,
-    bits_for_value,
-    total_space_bits,
-)
-from .vla import VariableBitLengthArray
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BitMatrix",
-    "BitVector",
-    "LogLookupTable",
-    "SizedBits",
-    "SpaceBreakdown",
-    "bits_for_counter",
-    "bits_for_value",
-    "total_space_bits",
-    "VariableBitLengthArray",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "BitMatrix": "bitmatrix",
+        "BitVector": "bitvector",
+        "LogLookupTable": "loglookup",
+        "SizedBits": "space",
+        "SpaceBreakdown": "space",
+        "bits_for_counter": "space",
+        "bits_for_value": "space",
+        "total_space_bits": "space",
+        "VariableBitLengthArray": "vla",
+    },
+)

@@ -14,46 +14,30 @@
   reference implementation.
 """
 
-from .balls_bins import (
-    OccupancyTrial,
-    expected_occupied_bins,
-    invert_occupancy,
-    occupancy_estimate_is_valid,
-    occupancy_statistics,
-    occupancy_variance_bound,
-    simulate_occupancy,
-)
-from .fast_knw import FastKNWDistinctCounter, FastKNWSketch
-from .hashes import F0HashBundle
-from .knw import KNWDistinctCounter, KNWFigure3Sketch, bins_for_eps
-from .rough_estimator import (
-    OCCUPANCY_THRESHOLD_RHO,
-    FastRoughEstimator,
-    RoughEstimator,
-    rough_counter_count,
-)
-from .skeleton import BitMatrixSkeleton
-from .small_f0 import EXACT_TRACKING_LIMIT, SmallF0Estimator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OccupancyTrial",
-    "expected_occupied_bins",
-    "invert_occupancy",
-    "occupancy_estimate_is_valid",
-    "occupancy_statistics",
-    "occupancy_variance_bound",
-    "simulate_occupancy",
-    "FastKNWDistinctCounter",
-    "FastKNWSketch",
-    "F0HashBundle",
-    "KNWDistinctCounter",
-    "KNWFigure3Sketch",
-    "bins_for_eps",
-    "OCCUPANCY_THRESHOLD_RHO",
-    "FastRoughEstimator",
-    "RoughEstimator",
-    "rough_counter_count",
-    "BitMatrixSkeleton",
-    "EXACT_TRACKING_LIMIT",
-    "SmallF0Estimator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "OccupancyTrial": "balls_bins",
+        "expected_occupied_bins": "balls_bins",
+        "invert_occupancy": "balls_bins",
+        "occupancy_estimate_is_valid": "balls_bins",
+        "occupancy_statistics": "balls_bins",
+        "occupancy_variance_bound": "balls_bins",
+        "simulate_occupancy": "balls_bins",
+        "FastKNWDistinctCounter": "fast_knw",
+        "FastKNWSketch": "fast_knw",
+        "F0HashBundle": "hashes",
+        "KNWDistinctCounter": "knw",
+        "KNWFigure3Sketch": "knw",
+        "bins_for_eps": "knw",
+        "OCCUPANCY_THRESHOLD_RHO": "rough_estimator",
+        "FastRoughEstimator": "rough_estimator",
+        "RoughEstimator": "rough_estimator",
+        "rough_counter_count": "rough_estimator",
+        "BitMatrixSkeleton": "skeleton",
+        "EXACT_TRACKING_LIMIT": "small_f0",
+        "SmallF0Estimator": "small_f0",
+    },
+)

@@ -23,24 +23,19 @@ The durability subsystem turns any library object with ``to_bytes`` /
   clean same-seed run.
 """
 
-from .log import (
-    DurableLog,
-    LogRecord,
-    RECORD_KIND_DELTA,
-    RECORD_KIND_META,
-    RECORD_KIND_SNAPSHOT,
-    SegmentScan,
-)
-from .checkpoint import Checkpointer, RecoveryReport, recover
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Checkpointer",
-    "DurableLog",
-    "LogRecord",
-    "RecoveryReport",
-    "SegmentScan",
-    "RECORD_KIND_DELTA",
-    "RECORD_KIND_META",
-    "RECORD_KIND_SNAPSHOT",
-    "recover",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Checkpointer": "checkpoint",
+        "DurableLog": "log",
+        "LogRecord": "log",
+        "RecoveryReport": "checkpoint",
+        "SegmentScan": "log",
+        "RECORD_KIND_DELTA": "log",
+        "RECORD_KIND_META": "log",
+        "RECORD_KIND_SNAPSHOT": "log",
+        "recover": "checkpoint",
+    },
+)

@@ -8,21 +8,18 @@
   experiment harness and the Figure-1 benchmarks.
 """
 
-from .base import CardinalityEstimator, TurnstileEstimator, describe_estimator
-from .exact import ExactDistinctCounter, ExactHammingNorm
-from .median import (
-    MedianEstimator,
-    MedianTurnstileEstimator,
-    repetitions_for_failure_probability,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CardinalityEstimator",
-    "TurnstileEstimator",
-    "describe_estimator",
-    "ExactDistinctCounter",
-    "ExactHammingNorm",
-    "MedianEstimator",
-    "MedianTurnstileEstimator",
-    "repetitions_for_failure_probability",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "CardinalityEstimator": "base",
+        "TurnstileEstimator": "base",
+        "describe_estimator": "base",
+        "ExactDistinctCounter": "exact",
+        "ExactHammingNorm": "exact",
+        "MedianEstimator": "median",
+        "MedianTurnstileEstimator": "median",
+        "repetitions_for_failure_probability": "median",
+    },
+)

@@ -13,6 +13,7 @@ comparison (bits needed for the same accuracy target) meaningful.
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, List, Optional
 
 from ..exceptions import ParameterError
@@ -52,13 +53,11 @@ def register_l0(name: str, factory: L0Factory) -> None:
 
 def f0_algorithm_names() -> List[str]:
     """Return the registered F0 algorithm names (sorted)."""
-    _ensure_builtins()
     return sorted(_F0_REGISTRY)
 
 
 def l0_algorithm_names() -> List[str]:
     """Return the registered L0 algorithm names (sorted)."""
-    _ensure_builtins()
     return sorted(_L0_REGISTRY)
 
 
@@ -73,7 +72,6 @@ def make_f0_estimator(
         eps: target relative error / standard error.
         seed: RNG seed.
     """
-    _ensure_builtins()
     if name not in _F0_REGISTRY:
         raise ParameterError(
             "unknown F0 algorithm %r (known: %s)" % (name, ", ".join(sorted(_F0_REGISTRY)))
@@ -89,7 +87,6 @@ def make_l0_estimator(
     seed: Optional[int] = None,
 ) -> TurnstileEstimator:
     """Instantiate a registered L0 estimator."""
-    _ensure_builtins()
     if name not in _L0_REGISTRY:
         raise ParameterError(
             "unknown L0 algorithm %r (known: %s)" % (name, ", ".join(sorted(_L0_REGISTRY)))
@@ -97,92 +94,93 @@ def make_l0_estimator(
     return _L0_REGISTRY[name](universe_size, eps, magnitude_bound, seed)
 
 
-_BUILTINS_LOADED = False
+def _family(path: str) -> type:
+    """The class at ``"module:Class"`` under :mod:`repro`, importing its module.
 
-
-def _ensure_builtins() -> None:
-    """Populate the registry with the library's own algorithms (lazily).
-
-    Imports are deferred to avoid import cycles (core/baseline modules do
-    not import the registry).
+    The built-in factories call this, so building one family loads only
+    that family's code, and listing the names loads none.
     """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module("repro." + module), name)
 
-    from ..baselines import (
-        AMSDistinctEstimator,
-        BJKSTSampler,
-        FlajoletMartinPCSA,
-        GibbonsTirthapuraSampler,
-        HyperLogLogCounter,
-        KMinimumValues,
-        LinearCounter,
-        LogLogCounter,
-        MultiScaleBitmapCounter,
-    )
-    from ..core import FastKNWDistinctCounter, KNWDistinctCounter
-    from ..l0 import GangulyStyleL0Estimator, KNWHammingNormEstimator
-    from .exact import ExactDistinctCounter, ExactHammingNorm
 
-    register_f0("knw", lambda n, eps, seed: KNWDistinctCounter(n, eps=eps, seed=seed))
-    register_f0(
-        "knw-paper",
-        lambda n, eps, seed: KNWDistinctCounter(
-            n, eps=eps, seed=seed, offset_divisor=32, rough_uniform_family=False
-        ),
-    )
-    register_f0(
-        "knw-fast", lambda n, eps, seed: FastKNWDistinctCounter(n, eps=eps, seed=seed)
-    )
-    register_f0("exact", lambda n, eps, seed: ExactDistinctCounter(n))
-    register_f0(
-        "flajolet-martin",
-        lambda n, eps, seed: FlajoletMartinPCSA(
-            n, maps=max(16, int(round((0.78 / eps) ** 2))), seed=seed
-        ),
-    )
-    register_f0("ams", lambda n, eps, seed: AMSDistinctEstimator(n, seed=seed))
-    register_f0(
-        "gibbons-tirthapura",
-        lambda n, eps, seed: GibbonsTirthapuraSampler(n, eps=eps, seed=seed),
-    )
-    register_f0("kmv", lambda n, eps, seed: KMinimumValues(n, eps=eps, seed=seed))
-    register_f0("bjkst", lambda n, eps, seed: BJKSTSampler(n, eps=eps, seed=seed))
-    register_f0("loglog", lambda n, eps, seed: LogLogCounter(n, eps=eps, seed=seed))
-    register_f0(
-        "linear-counting",
-        lambda n, eps, seed: LinearCounter(
-            n, bits=max(64, int(round(4.0 / (eps * eps)))), seed=seed
-        ),
-    )
-    register_f0(
-        "multiscale-bitmap",
-        lambda n, eps, seed: MultiScaleBitmapCounter(
-            n, bits_per_scale=max(64, int(round(2.0 / (eps * eps)))), seed=seed
-        ),
-    )
-    register_f0(
-        "hyperloglog", lambda n, eps, seed: HyperLogLogCounter(n, eps=eps, seed=seed)
-    )
+# The library's own algorithms.  A caller's register_f0/register_l0 under
+# one of these names replaces it, whenever it is made.
+register_f0(
+    "knw",
+    lambda n, eps, seed: _family("core.knw:KNWDistinctCounter")(n, eps=eps, seed=seed),
+)
+register_f0(
+    "knw-paper",
+    lambda n, eps, seed: _family("core.knw:KNWDistinctCounter")(
+        n, eps=eps, seed=seed, offset_divisor=32, rough_uniform_family=False
+    ),
+)
+register_f0(
+    "knw-fast",
+    lambda n, eps, seed: _family("core.fast_knw:FastKNWDistinctCounter")(n, eps=eps, seed=seed),
+)
+register_f0("exact", lambda n, eps, seed: _family("estimators.exact:ExactDistinctCounter")(n))
+register_f0(
+    "flajolet-martin",
+    lambda n, eps, seed: _family("baselines.flajolet_martin:FlajoletMartinPCSA")(
+        n, maps=max(16, int(round((0.78 / eps) ** 2))), seed=seed
+    ),
+)
+register_f0(
+    "ams", lambda n, eps, seed: _family("baselines.ams:AMSDistinctEstimator")(n, seed=seed)
+)
+register_f0(
+    "gibbons-tirthapura",
+    lambda n, eps, seed: _family("baselines.gibbons_tirthapura:GibbonsTirthapuraSampler")(
+        n, eps=eps, seed=seed
+    ),
+)
+register_f0(
+    "kmv", lambda n, eps, seed: _family("baselines.kmv:KMinimumValues")(n, eps=eps, seed=seed)
+)
+register_f0(
+    "bjkst", lambda n, eps, seed: _family("baselines.bjkst:BJKSTSampler")(n, eps=eps, seed=seed)
+)
+register_f0(
+    "loglog",
+    lambda n, eps, seed: _family("baselines.loglog:LogLogCounter")(n, eps=eps, seed=seed),
+)
+register_f0(
+    "linear-counting",
+    lambda n, eps, seed: _family("baselines.linear_counting:LinearCounter")(
+        n, bits=max(64, int(round(4.0 / (eps * eps)))), seed=seed
+    ),
+)
+register_f0(
+    "multiscale-bitmap",
+    lambda n, eps, seed: _family("baselines.linear_counting:MultiScaleBitmapCounter")(
+        n, bits_per_scale=max(64, int(round(2.0 / (eps * eps)))), seed=seed
+    ),
+)
+register_f0(
+    "hyperloglog",
+    lambda n, eps, seed: _family("baselines.hyperloglog:HyperLogLogCounter")(
+        n, eps=eps, seed=seed
+    ),
+)
 
-    register_l0(
-        "knw-l0",
-        lambda n, eps, mm, seed: KNWHammingNormEstimator(
-            n, eps=eps, magnitude_bound=mm, seed=seed
-        ),
-    )
-    register_l0(
-        "knw-l0-paper",
-        lambda n, eps, mm, seed: KNWHammingNormEstimator(
-            n, eps=eps, magnitude_bound=mm, seed=seed, row_selection="paper"
-        ),
-    )
-    register_l0(
-        "ganguly",
-        lambda n, eps, mm, seed: GangulyStyleL0Estimator(
-            n, eps=eps, magnitude_bound=mm, seed=seed
-        ),
-    )
-    register_l0("exact-l0", lambda n, eps, mm, seed: ExactHammingNorm(n))
+register_l0(
+    "knw-l0",
+    lambda n, eps, mm, seed: _family("l0.knw_l0:KNWHammingNormEstimator")(
+        n, eps=eps, magnitude_bound=mm, seed=seed
+    ),
+)
+register_l0(
+    "knw-l0-paper",
+    lambda n, eps, mm, seed: _family("l0.knw_l0:KNWHammingNormEstimator")(
+        n, eps=eps, magnitude_bound=mm, seed=seed, row_selection="paper"
+    ),
+)
+register_l0(
+    "ganguly",
+    lambda n, eps, mm, seed: _family("l0.ganguly:GangulyStyleL0Estimator")(
+        n, eps=eps, magnitude_bound=mm, seed=seed
+    ),
+)
+register_l0("exact-l0", lambda n, eps, mm, seed: _family("estimators.exact:ExactHammingNorm")(n))

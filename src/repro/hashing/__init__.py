@@ -24,64 +24,38 @@ the function per key (the batched field arithmetic in
 :mod:`repro.vectorize` is exact).
 """
 
-from .bitops import (
-    WORD_SIZE,
-    ceil_log2,
-    floor_log2,
-    is_power_of_two,
-    lsb,
-    lsb64,
-    lsb_batch,
-    msb,
-    msb64,
-    popcount,
-    reverse_bits,
-    rho_batch,
-)
-from .kwise import KWiseHash, required_independence
-from .primes import (
-    MERSENNE_31,
-    MERSENNE_61,
-    field_prime_for_universe,
-    is_prime,
-    next_prime,
-    prev_prime,
-    primes_in_range,
-    random_prime,
-)
-from .random_oracle import RandomOracle
-from .siegel import SiegelHash
-from .tabulation import TabulationHash
-from .uniform import PaghPaghHash
-from .universal import MultiplyShiftHash, PairwiseHash
+from .._lazy import lazy_exports
 
-__all__ = [
-    "WORD_SIZE",
-    "ceil_log2",
-    "floor_log2",
-    "is_power_of_two",
-    "lsb",
-    "lsb64",
-    "lsb_batch",
-    "msb",
-    "msb64",
-    "popcount",
-    "reverse_bits",
-    "rho_batch",
-    "KWiseHash",
-    "required_independence",
-    "MERSENNE_31",
-    "MERSENNE_61",
-    "field_prime_for_universe",
-    "is_prime",
-    "next_prime",
-    "prev_prime",
-    "primes_in_range",
-    "random_prime",
-    "RandomOracle",
-    "SiegelHash",
-    "TabulationHash",
-    "PaghPaghHash",
-    "MultiplyShiftHash",
-    "PairwiseHash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "WORD_SIZE": "bitops",
+        "ceil_log2": "bitops",
+        "floor_log2": "bitops",
+        "is_power_of_two": "bitops",
+        "lsb": "bitops",
+        "lsb64": "bitops",
+        "lsb_batch": "bitops",
+        "msb": "bitops",
+        "msb64": "bitops",
+        "popcount": "bitops",
+        "reverse_bits": "bitops",
+        "rho_batch": "bitops",
+        "KWiseHash": "kwise",
+        "required_independence": "kwise",
+        "MERSENNE_31": "primes",
+        "MERSENNE_61": "primes",
+        "field_prime_for_universe": "primes",
+        "is_prime": "primes",
+        "next_prime": "primes",
+        "prev_prime": "primes",
+        "primes_in_range": "primes",
+        "random_prime": "primes",
+        "RandomOracle": "random_oracle",
+        "SiegelHash": "siegel",
+        "TabulationHash": "tabulation",
+        "PaghPaghHash": "uniform",
+        "MultiplyShiftHash": "universal",
+        "PairwiseHash": "universal",
+    },
+)

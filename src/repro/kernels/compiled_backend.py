@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shlex
 import shutil
 import struct
 import subprocess
 import tempfile
+import weakref
 from typing import List, Optional
 
 from ..exceptions import KernelBackendError
@@ -293,55 +295,90 @@ def _turnstile_inputs(keys, deltas) -> bool:
     return keys.dtype == np.uint64 and deltas.dtype == np.int64 and len(keys) == len(deltas)
 
 
+#: The turnstile chains' packed words: ``id(anchor) -> (weak reference to
+#: the anchor, arrays, values, packed)``.  The anchor is a structure's
+#: counter array (or the array it views), so an entry lives no longer than
+#: the structure and never enters its serialized state.  An entry serves a
+#: call only while the call passes the same ``arrays`` (by identity) and
+#: equal ``values`` (hash functions compare by identity): a structure that
+#: ``load_state_dict``, ``from_bytes`` or ``merge`` gave new hashes or
+#: arrays is packed again.
+_PACKED: dict = {}
+
+
+def _packed(anchor, arrays, values, pack):
+    """``pack()``, memoized in :data:`_PACKED` for ``anchor`` while the
+    call's ``arrays`` and ``values`` are the entry's."""
+    key = id(anchor)
+    entry = _PACKED.get(key)
+    if (
+        entry is None
+        or entry[0]() is not anchor
+        or not all(map(operator.is_, entry[1], arrays))
+        or entry[2] != values
+    ):
+        forget = weakref.ref(anchor, lambda _, pop=_PACKED.pop: pop(key, None))
+        entry = _PACKED[key] = (forget, arrays, values, pack())
+    return entry[3]
+
+
 def _residue_words(counters, counts, keys, deltas, splitter, hashes, primes, level_limit):
     """Pack a Lemma 8 bucket-array call the C kernel computes exactly, or
     ``None``: counters must be ``uint64``, every prime in ``[2, 2^63)``,
     every hash affine with a range of at most ``buckets``, and the counts
-    one per (row, trial).  Without a splitter every key is in row 0."""
+    one per (row, trial).  Without a splitter every key is in row 0.
+
+    The words are memoized per counter array; a fresh view of the same
+    array (a one-row structure passes ``counters[None]``) finds them too.
+    """
     if not (
         _in_place(counters, np.uint64, 3)
         and _in_place(counts, np.int64, 1)
         and _turnstile_inputs(keys, deltas)
-        and level_limit >= 0
     ):
         return None
-    rows, trials, buckets = counters.shape
-    if counts.size != rows * trials or len(hashes) != trials or len(primes) != rows:
-        return None
-    top = 1 if splitter is None else rows
-    split = (0, 0, 0, 0) if top == 1 else _affine_words(splitter)
-    forms = [_affine_words(h) for h in hashes]
-    if (
-        split is None
-        or None in forms
-        or max(form[1] for form in forms) > buckets
-        or min(primes) < 2
-        or max(primes) >= 1 << 63
-    ):
-        return None
-    return struct.pack(
-        "=%dQ" % (8 + top + 4 * trials),
-        top,
-        level_limit,
-        trials,
-        buckets,
-        *split,
-        *primes[:top],
-        *[word for form in forms for word in form],
-    )
+    rows, trials, buckets = shape = counters.shape
+
+    def pack():
+        if level_limit < 0 or counts.size != rows * trials:
+            return None
+        if len(hashes) != trials or len(primes) != rows:
+            return None
+        top = 1 if splitter is None else rows
+        split = (0, 0, 0, 0) if top == 1 else _affine_words(splitter)
+        forms = [_affine_words(h) for h in hashes]
+        if (
+            split is None
+            or None in forms
+            or max(form[1] for form in forms) > buckets
+            or min(primes) < 2
+            or max(primes) >= 1 << 63
+        ):
+            return None
+        return struct.pack(
+            "=%dQ" % (8 + top + 4 * trials),
+            top,
+            level_limit,
+            trials,
+            buckets,
+            *split,
+            *primes[:top],
+            *[word for form in forms for word in form],
+        )
+
+    base = counters.base
+    anchor = base if isinstance(base, np.ndarray) else counters
+    values = (shape, counts.size, level_limit, splitter, tuple(hashes), tuple(primes))
+    return _packed(anchor, (), values, pack)
 
 
-def _fingerprint_structure(structure):
-    """One fingerprint structure's words ``(rows, columns, p, U4, h4...)``
-    and its three addresses, or ``None`` where the kernel cannot update
-    it: cells and weights must be ``uint64`` with ``2 <= p < 2^63``, the
-    counts one per row, and ``h4`` affine with a range of at most the
-    weight count."""
-    cells, counts, h4, weights, prime = structure
+def _fingerprint_structure(cells, h4, weights, prime):
+    """One fingerprint structure's words ``(rows, columns, p, U4, h4...)``,
+    or ``None`` where the kernel cannot update it: cells and weights must
+    be ``uint64`` with ``2 <= p < 2^63``, and ``h4`` affine with a range of
+    at most the weight count."""
     if not (
         _in_place(cells, np.uint64, 2)
-        and _in_place(counts, np.int64, 1)
-        and counts.size == len(cells)
         and weights.dtype == np.uint64
         and weights.ndim == 1
         and weights.flags.c_contiguous
@@ -352,8 +389,7 @@ def _fingerprint_structure(structure):
     domain = getattr(h4, "universe_size", 1 << 64)
     if f4 is None or f4[1] > weights.size or not 0 < domain < 1 << 64:
         return None
-    words = (*cells.shape, prime, domain, *f4)
-    return words, (_address(cells), _address(counts), _address(weights))
+    return (*cells.shape, prime, domain, *f4)
 
 
 def _fingerprint_words(keys, deltas, h1, h2, h3, level_limit, structures):
@@ -366,28 +402,55 @@ def _fingerprint_words(keys, deltas, h1, h2, h3, level_limit, structures):
     reference.  Returns ``(words, table, targets, delegated)``: the packed
     form and addresses of the compiled structures (``None`` when there are
     none) and the list of the others.
+
+    A structure also goes to the reference unless its counts, which
+    callers pass afresh, are one per row.  The rest of the packed form is
+    memoized on the first structure's cells.
     """
-    f1, f2 = _affine_words(h1), _affine_words(h2)
-    f3 = None if f2 is None else _polynomial_words(h3, f2[1])
-    if f1 is None or f3 is None or level_limit < 0 or not _turnstile_inputs(keys, deltas):
+    if not (structures and _turnstile_inputs(keys, deltas)):
         return None, None, None, list(structures)
-    compiled, addresses, delegated = [], [], []
-    for structure in structures:
-        packed = _fingerprint_structure(structure)
-        if packed is None:
-            delegated.append(structure)
-        else:
-            compiled += packed[0]
-            addresses += packed[1]
-    if not addresses:
-        return None, None, None, delegated
-    (words3, table) = f3
-    words = struct.pack(
-        "=%dQ" % (10 + len(compiled) + len(words3)),
-        level_limit, *f1, *f2, len(addresses) // 3, *compiled, *words3,
-    )
-    targets = struct.pack("=%dQ" % len(addresses), *addresses)
-    return words, table, targets, delegated
+    counted = [
+        _in_place(counts, np.int64, 1) and counts.size == len(cells)
+        for cells, counts, *_ in structures
+    ]
+    values, arrays = [h1, h2, h3, level_limit, counted], []
+    for cells, _, h4, weights, prime in structures:
+        values += (cells.shape, h4, prime)
+        arrays += (cells, weights)
+
+    def pack():
+        """``(words, table, compiled (index, cells, weights) addresses,
+        delegated indices)``."""
+        f1, f2 = _affine_words(h1), _affine_words(h2)
+        f3 = None if f2 is None else _polynomial_words(h3, f2[1])
+        if f1 is None or f3 is None or level_limit < 0:
+            return None
+        compiled, addresses, delegated = [], [], []
+        for index, (cells, _, h4, weights, prime) in enumerate(structures):
+            words = counted[index] and _fingerprint_structure(cells, h4, weights, prime)
+            if words:
+                compiled += words
+                addresses.append((index, _address(cells), _address(weights)))
+            else:
+                delegated.append(index)
+        if not addresses:
+            return None
+        (words3, table) = f3
+        words = struct.pack(
+            "=%dQ" % (10 + len(compiled) + len(words3)),
+            level_limit, *f1, *f2, len(addresses), *compiled, *words3,
+        )
+        return words, table, addresses, delegated
+
+    plan = _packed(arrays.pop(0), arrays, values, pack)
+    if plan is None:
+        return None, None, None, list(structures)
+    words, table, addresses, delegated = plan
+    targets = []
+    for index, cells, weights in addresses:
+        targets += (cells, _address(structures[index][1]), weights)
+    targets = struct.pack("=%dQ" % len(targets), *targets)
+    return words, table, targets, [structures[index] for index in delegated]
 
 
 class CompiledKernels:
@@ -713,7 +776,8 @@ class CompiledKernels:
         if keys.size:
             keys, deltas = self._as_u64(keys), self._as_i64(deltas)
             self._residue_chain(
-                _ptr(counters), _ptr(counts), _ptr(keys), _ptr(deltas), keys.size, words
+                _address(counters), _address(counts), _address(keys), _address(deltas),
+                keys.size, words,
             )
         return None
 
@@ -726,11 +790,11 @@ class CompiledKernels:
         if words is not None and keys.size:
             keys, deltas = self._as_u64(keys), self._as_i64(deltas)
             self._fingerprint_chain(
-                _ptr(keys),
-                _ptr(deltas),
+                _address(keys),
+                _address(deltas),
                 keys.size,
                 words,
-                None if table is None else _ptr(table),
+                None if table is None else _address(table),
                 targets,
             )
         if delegated:

@@ -7,27 +7,21 @@
 * :mod:`repro.l0.ganguly` — the Ganguly-style baseline the paper compares against.
 """
 
-from .fingerprint import FingerprintMatrix, choose_fingerprint_prime
-from .ganguly import GangulyStyleL0Estimator
-from .knw_l0 import KNWHammingNormEstimator
-from .rough_l0 import (
-    ROUGH_L0_CAPACITY,
-    ROUGH_L0_FACTOR,
-    ROUGH_L0_THRESHOLD,
-    RoughL0Estimator,
-)
-from .small_l0 import SmallL0Recovery, choose_small_prime, make_trial_hashes
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FingerprintMatrix",
-    "choose_fingerprint_prime",
-    "GangulyStyleL0Estimator",
-    "KNWHammingNormEstimator",
-    "ROUGH_L0_CAPACITY",
-    "ROUGH_L0_FACTOR",
-    "ROUGH_L0_THRESHOLD",
-    "RoughL0Estimator",
-    "SmallL0Recovery",
-    "choose_small_prime",
-    "make_trial_hashes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FingerprintMatrix": "fingerprint",
+        "choose_fingerprint_prime": "fingerprint",
+        "GangulyStyleL0Estimator": "ganguly",
+        "KNWHammingNormEstimator": "knw_l0",
+        "ROUGH_L0_CAPACITY": "rough_l0",
+        "ROUGH_L0_FACTOR": "rough_l0",
+        "ROUGH_L0_THRESHOLD": "rough_l0",
+        "RoughL0Estimator": "rough_l0",
+        "SmallL0Recovery": "small_l0",
+        "choose_small_prime": "small_l0",
+        "make_trial_hashes": "small_l0",
+    },
+)

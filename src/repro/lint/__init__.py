@@ -24,15 +24,17 @@ and ``docs/architecture.md`` ("Static analysis & contracts") for the
 rule catalogue and how to add a rule.
 """
 
-from .engine import Finding, LintResult, Rule, lint_paths, lint_source
-from .rules import all_rules, rules_by_id
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintResult",
-    "Rule",
-    "lint_paths",
-    "lint_source",
-    "all_rules",
-    "rules_by_id",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Finding": "engine",
+        "LintResult": "engine",
+        "Rule": "engine",
+        "lint_paths": "engine",
+        "lint_source": "engine",
+        "all_rules": "rules",
+        "rules_by_id": "rules",
+    },
+)

@@ -46,59 +46,36 @@ the target type — runs as one in-process shard.  Every placement is
 byte-for-byte the same.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .api import mergeable_f0_names, mergeable_l0_names, parallel_ingest_into
-from .plan import (
-    DEFAULT_SHARD_BATCH,
-    DEFAULT_SHARD_RETRIES,
-    IngestPlan,
-    ShardFault,
-    execute_plan,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        # The declarative core.
+        "IngestPlan": "plan",
+        "execute_plan": "plan",
+        "ShardFault": "plan",
+        "InjectedShardFault": "workers",
+        "DEFAULT_SHARD_BATCH": "plan",
+        "DEFAULT_SHARD_RETRIES": "plan",
+        # Shard-axis partitioners.
+        "shard_items": "shards",
+        "shard_updates": "shards",
+        "shard_keyed_updates": "shards",
+        "shard_epoch_slices": "shards",
+        # The entry point: builds the plan from the target's type.
+        "parallel_ingest_into": "api",
+        # Registry probes.
+        "mergeable_f0_names": "api",
+        "mergeable_l0_names": "api",
+        # The persistent worker pool.
+        "default_workers": "pool",
+        "get_pool": "pool",
+        "reset_pool": "pool",
+        "shutdown_pool": "pool",
+        "pool_stats": "pool",
+        "stage_shared": "pool",
+        "load_shared": "pool",
+        "discard_shared": "pool",
+    },
 )
-from .pool import (
-    default_workers,
-    discard_shared,
-    get_pool,
-    load_shared,
-    pool_stats,
-    reset_pool,
-    shutdown_pool,
-    stage_shared,
-)
-from .shards import (
-    shard_epoch_slices,
-    shard_items,
-    shard_keyed_updates,
-    shard_updates,
-)
-from .workers import InjectedShardFault
-
-__all__ = [
-    # The declarative core.
-    "IngestPlan",
-    "execute_plan",
-    "ShardFault",
-    "InjectedShardFault",
-    "DEFAULT_SHARD_BATCH",
-    "DEFAULT_SHARD_RETRIES",
-    # Shard-axis partitioners.
-    "shard_items",
-    "shard_updates",
-    "shard_keyed_updates",
-    "shard_epoch_slices",
-    # The entry point: builds the plan from the target's type.
-    "parallel_ingest_into",
-    # Registry probes.
-    "mergeable_f0_names",
-    "mergeable_l0_names",
-    # The persistent worker pool.
-    "default_workers",
-    "get_pool",
-    "reset_pool",
-    "shutdown_pool",
-    "pool_stats",
-    "stage_shared",
-    "load_shared",
-    "discard_shared",
-]

@@ -18,26 +18,19 @@ Sharding by key is :func:`repro.parallel.parallel_ingest_into` with
 ``keys=...`` on a store target.
 """
 
-from .families import (
-    HyperLogLogSketchArray,
-    LinearCountingSketchArray,
-    LogLogSketchArray,
-    ObjectSketchArray,
-    RoughSketchArray,
-    make_sketch_array,
-    sketch_array_family_names,
-)
-from .sketch_array import SketchArray
-from .store import SketchStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SketchArray",
-    "SketchStore",
-    "HyperLogLogSketchArray",
-    "LogLogSketchArray",
-    "LinearCountingSketchArray",
-    "RoughSketchArray",
-    "ObjectSketchArray",
-    "make_sketch_array",
-    "sketch_array_family_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "SketchArray": "sketch_array",
+        "SketchStore": "store",
+        "HyperLogLogSketchArray": "families",
+        "LogLogSketchArray": "families",
+        "LinearCountingSketchArray": "families",
+        "RoughSketchArray": "families",
+        "ObjectSketchArray": "families",
+        "make_sketch_array": "families",
+        "sketch_array_family_names": "families",
+    },
+)

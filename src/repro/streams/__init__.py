@@ -15,115 +15,62 @@
   table columns matching the paper's motivating applications.
 """
 
-from .datasets import FlowRecord, packet_trace, query_log, table_column
-from .generators import (
-    KeyedWorkload,
-    WindowedWorkload,
-    distinct_items_stream,
-    duplicated_union_streams,
-    growing_then_repeating_stream,
-    iter_item_chunks,
-    keyed_uniform_stream,
-    low_bits_adversarial_stream,
-    sequential_stream,
-    uniform_random_stream,
-    windowed_uniform_stream,
-    zipf_stream,
-)
-from .model import (
-    MaterializedStream,
-    Update,
-    exact_f0,
-    exact_l0,
-    frequency_vector,
-    stream_from_items,
-)
-from .turnstile import (
-    fluctuating_stream,
-    insert_delete_stream,
-    mixed_sign_stream,
-    paired_columns,
-)
-from .workloads import (
-    DEFAULT_SCALE,
-    NEAR_COLLISION_MODES,
-    SMOKE_SCALE,
-    WorkloadClass,
-    WorkloadScale,
-    bursty_keyed_workload,
-    bursty_stream,
-    bursty_windowed_workload,
-    churn_keyed_workload,
-    churn_stream,
-    churn_windowed_workload,
-    cold_key_stream,
-    cold_key_windowed_workload,
-    cold_key_workload,
-    make_workload,
-    near_collision_keyed_workload,
-    near_collision_stream,
-    near_collision_windowed_workload,
-    scale_from_env,
-    skewed_keyed_workload,
-    skewed_stream,
-    skewed_windowed_workload,
-    workload_class,
-    workload_class_names,
-    workload_fingerprint,
-    zipf_rank_probabilities,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FlowRecord",
-    "packet_trace",
-    "query_log",
-    "table_column",
-    "KeyedWorkload",
-    "keyed_uniform_stream",
-    "WindowedWorkload",
-    "windowed_uniform_stream",
-    "distinct_items_stream",
-    "duplicated_union_streams",
-    "growing_then_repeating_stream",
-    "iter_item_chunks",
-    "low_bits_adversarial_stream",
-    "sequential_stream",
-    "uniform_random_stream",
-    "zipf_stream",
-    "MaterializedStream",
-    "Update",
-    "exact_f0",
-    "exact_l0",
-    "frequency_vector",
-    "stream_from_items",
-    "fluctuating_stream",
-    "insert_delete_stream",
-    "mixed_sign_stream",
-    "paired_columns",
-    "DEFAULT_SCALE",
-    "NEAR_COLLISION_MODES",
-    "SMOKE_SCALE",
-    "WorkloadClass",
-    "WorkloadScale",
-    "bursty_keyed_workload",
-    "bursty_stream",
-    "bursty_windowed_workload",
-    "churn_keyed_workload",
-    "churn_stream",
-    "churn_windowed_workload",
-    "cold_key_stream",
-    "cold_key_windowed_workload",
-    "cold_key_workload",
-    "make_workload",
-    "near_collision_keyed_workload",
-    "near_collision_stream",
-    "near_collision_windowed_workload",
-    "scale_from_env",
-    "skewed_keyed_workload",
-    "skewed_stream",
-    "skewed_windowed_workload",
-    "workload_class",
-    "workload_class_names",
-    "workload_fingerprint",
-    "zipf_rank_probabilities",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FlowRecord": "datasets",
+        "packet_trace": "datasets",
+        "query_log": "datasets",
+        "table_column": "datasets",
+        "KeyedWorkload": "generators",
+        "keyed_uniform_stream": "generators",
+        "WindowedWorkload": "generators",
+        "windowed_uniform_stream": "generators",
+        "distinct_items_stream": "generators",
+        "duplicated_union_streams": "generators",
+        "growing_then_repeating_stream": "generators",
+        "iter_item_chunks": "generators",
+        "low_bits_adversarial_stream": "generators",
+        "sequential_stream": "generators",
+        "uniform_random_stream": "generators",
+        "zipf_stream": "generators",
+        "MaterializedStream": "model",
+        "Update": "model",
+        "exact_f0": "model",
+        "exact_l0": "model",
+        "frequency_vector": "model",
+        "stream_from_items": "model",
+        "fluctuating_stream": "turnstile",
+        "insert_delete_stream": "turnstile",
+        "mixed_sign_stream": "turnstile",
+        "paired_columns": "turnstile",
+        "DEFAULT_SCALE": "workloads",
+        "NEAR_COLLISION_MODES": "workloads",
+        "SMOKE_SCALE": "workloads",
+        "WorkloadClass": "workloads",
+        "WorkloadScale": "workloads",
+        "bursty_keyed_workload": "workloads",
+        "bursty_stream": "workloads",
+        "bursty_windowed_workload": "workloads",
+        "churn_keyed_workload": "workloads",
+        "churn_stream": "workloads",
+        "churn_windowed_workload": "workloads",
+        "cold_key_stream": "workloads",
+        "cold_key_windowed_workload": "workloads",
+        "cold_key_workload": "workloads",
+        "make_workload": "workloads",
+        "near_collision_keyed_workload": "workloads",
+        "near_collision_stream": "workloads",
+        "near_collision_windowed_workload": "workloads",
+        "scale_from_env": "workloads",
+        "skewed_keyed_workload": "workloads",
+        "skewed_stream": "workloads",
+        "skewed_windowed_workload": "workloads",
+        "workload_class": "workloads",
+        "workload_class_names": "workloads",
+        "workload_fingerprint": "workloads",
+        "zipf_rank_probabilities": "workloads",
+    },
+)

@@ -12,18 +12,15 @@ with ``epochs=...`` on a ring target; timestamped workload generation
 lives in :func:`repro.streams.generators.windowed_uniform_stream`.
 """
 
-from .windowed import (
-    WindowedSketch,
-    WindowedSketchStore,
-    epoch_runs,
-    ingest_epoch_sketch,
-    ingest_epoch_store,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "WindowedSketch",
-    "WindowedSketchStore",
-    "epoch_runs",
-    "ingest_epoch_sketch",
-    "ingest_epoch_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "WindowedSketch": "windowed",
+        "WindowedSketchStore": "windowed",
+        "epoch_runs": "windowed",
+        "ingest_epoch_sketch": "windowed",
+        "ingest_epoch_store": "windowed",
+    },
+)

@@ -15,6 +15,7 @@ split any way.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 import repro.kernels as kernels
 from repro.estimators.registry import make_l0_estimator
 from repro.exceptions import KernelBackendError
+from repro.hashing.universal import PairwiseHash
 from repro.l0.rough_l0 import RoughL0Estimator
 from repro.l0.small_l0 import SmallL0Recovery
 
@@ -169,3 +171,68 @@ def test_backends_agree_on_a_large_call():
     finally:
         kernels._active, kernels._chosen_by = saved
     assert len(states) == 1
+
+
+def test_packed_words_follow_new_hashes_and_arrays(backend):
+    """The compiled backend memoizes each call's packed words and array
+    addresses per structure.  A structure that ``load_state_dict`` or
+    ``from_bytes`` gives new arrays, or that is handed new hash functions
+    over the same arrays, must be packed again: every step's bytes equal
+    the scalar loop's, each step repacks all three kernel calls, and no
+    entry outlives its structure."""
+    from repro.kernels.compiled_backend import _PACKED
+
+    def sketch(seed):
+        return make_l0_estimator("knw-l0", 1 << 32, 0.1, 1 << 20, seed=seed)
+
+    def entries():
+        return list(_PACKED.values())
+
+    def repacked(before):
+        return [entry for entry in _PACKED.values() if not any(entry is old for old in before)]
+
+    items, deltas = _stream(1 << 32, "small", 1200, seed=12)
+    parts = [(items[i : i + 300], deltas[i : i + 300]) for i in range(0, 1200, 300)]
+    gc.collect()
+    baseline = len(_PACKED)
+    live, other, reference = sketch(SEED), sketch(SEED + 1), sketch(SEED + 1)
+    _batched(live, *parts[0], seed=13)
+    _batched(other, *parts[0], seed=14)
+    _scalar(reference, *parts[0])
+    compiled = backend == "compiled"
+    assert len(_PACKED) == baseline + (6 if compiled else 0)
+
+    # New arrays and hashes through load_state_dict.
+    before = entries()
+    live.load_state_dict(other.state_dict())
+    _batched(live, *parts[1], seed=15)
+    _scalar(reference, *parts[1])
+    assert live.to_bytes() == reference.to_bytes()
+    assert len(repacked(before)) == (3 if compiled else 0)
+    assert len(_PACKED) == baseline + (6 if compiled else 0)
+
+    # New arrays and hashes through from_bytes.
+    before = entries()
+    revived = type(live).from_bytes(live.to_bytes())
+    _batched(revived, *parts[2], seed=16)
+    _scalar(reference, *parts[2])
+    assert revived.to_bytes() == reference.to_bytes()
+    assert len(repacked(before)) == (3 if compiled else 0)
+
+    # New hash functions over the same arrays: a fresh h1 and h4 for the
+    # fingerprints, the trial hashes reordered for both Lemma 8 structures.
+    before = entries()
+    for target in (revived, reference):
+        rng = random.Random(17)
+        target._h1 = PairwiseHash(target.universe_size, target.universe_size, rng=rng)
+        target._matrix._h4 = PairwiseHash(target._matrix._h4.universe_size, target.bins, rng=rng)
+        target._small_exact._hashes = target._small_exact._hashes[::-1]
+        target.rough._shared_hashes = target.rough._shared_hashes[::-1]
+    _batched(revived, *parts[3], seed=18)
+    _scalar(reference, *parts[3])
+    assert revived.to_bytes() == reference.to_bytes()
+    assert len(repacked(before)) == (3 if compiled else 0)
+
+    del live, other, revived, before
+    gc.collect()
+    assert len(_PACKED) == baseline

@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.rough_estimator import FastRoughEstimator, RoughEstimator
+from repro.core.rough_estimator import FastRoughEstimator
 from repro.estimators.base import CardinalityEstimator, TurnstileEstimator
 from repro.estimators.median import MedianEstimator, MedianTurnstileEstimator
 from repro.estimators.registry import (
